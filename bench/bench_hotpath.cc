@@ -12,19 +12,16 @@
  *  - stalled: malicious variant 1 under stop-and-go. The pipeline
  *             spends most of the quantum globally stalled, so this
  *             measures the advanceStalled() fast-forward path.
- *  - matrix_cold / matrix_prefix / matrix_batched / matrix_store_warm:
- *             a fig-5-style
+ *  - matrix_cold / matrix_prefix / matrix_store_warm: a fig-5-style
  *             policy matrix — two benign workload pairs, each swept
  *             across every DTM mode, ten sedation thresholds and the
  *             usage ablation (32 cells) — run with the engine solo
- *             (prefix off), with prefix sharing, and with the
- *             lockstep batch engine at width 16 — plus a fourth pass
+ *             (prefix off) and with prefix sharing, plus a third pass
  *             that serves every cell from a warm persistent store
  *             (sim/disk_store.hh) without simulating anything. The
  *             cells of a pair differ only in policy fields, so
- *             batching advances each pair's whole sweep behind a
- *             handful of scouts and multi-RHS thermal passes; all
- *             four rows are checked cell-for-cell bit-identical
+ *             prefix sharing simulates each pair's warm-up once; all
+ *             three rows are checked cell-for-cell bit-identical
  *             before anything is reported. mcps here is *effective*
  *             throughput (simulated cycles delivered per host
  *             second), which is exactly what sharing improves.
@@ -149,10 +146,9 @@ main()
     // --- engine macro-benchmark: fig-5-style policy matrix --------------
     //
     // Two benign workload pairs, each swept across every policy lane
-    // the paper's figures use. Benign pairs never reach a trigger, so
-    // each pair's thermal lanes share one scout to the last sensor
-    // boundary and only the quantum tail is re-simulated per cell —
-    // the shape batching is built for.
+    // the paper's figures use. Cells of a pair differ only in policy
+    // fields, so they share one warm-up prefix up to the lowest
+    // trigger in the pair.
 
     std::vector<RunSpec> sweep;
     auto addPolicyLanes = [&](const char *wa, const char *wb) {
@@ -183,8 +179,8 @@ main()
             std::snprintf(kind, sizeof(kind), "sed%.2f", upper);
             lane(kind, s);
         }
-        // The usage ablation forms its own divergence group (prefix
-        // sharing must run it cold; the batch engine lanes it).
+        // The usage ablation acts on monitor state, not temperature,
+        // so prefix sharing must run it cold.
         for (double upper : {356.0, 357.0}) {
             ExperimentOptions s = base;
             s.sink = SinkType::Realistic;
@@ -200,12 +196,11 @@ main()
     addPolicyLanes("gcc", "mesa");
     addPolicyLanes("gcc", "vortex");
 
-    auto timeSweep = [&sweep](bool prefix_on, int batch_width,
+    auto timeSweep = [&sweep](bool prefix_on,
                               std::vector<RunResult> &out) -> double {
         ResultStore store; // private: every pass simulates every cell
         ParallelRunner runner(envJobs(), &store);
         runner.setPrefixSharing(prefix_on);
-        runner.setBatchWidth(batch_width);
         auto t0 = std::chrono::steady_clock::now();
         out = runner.run(sweep);
         return std::chrono::duration<double>(
@@ -213,26 +208,20 @@ main()
             .count();
     };
 
-    std::vector<RunResult> cold_r, warm_r, batch_r;
-    double cold_s = timeSweep(false, 1, cold_r);
-    double warm_s = timeSweep(true, 1, warm_r);
-    double batch_s = timeSweep(false, 16, batch_r);
-    for (size_t i = 0; i < sweep.size(); ++i) {
+    std::vector<RunResult> cold_r, warm_r;
+    double cold_s = timeSweep(false, cold_r);
+    double warm_s = timeSweep(true, warm_r);
+    for (size_t i = 0; i < sweep.size(); ++i)
         if (!(cold_r[i] == warm_r[i]))
             fatal("bench_hotpath: prefix-shared result for cell %s "
                   "differs from its cold run",
                   sweep[i].label.c_str());
-        if (!(cold_r[i] == batch_r[i]))
-            fatal("bench_hotpath: batched result for cell %s differs "
-                  "from its cold run",
-                  sweep[i].label.c_str());
-    }
 
-    // The fourth way to run the matrix: a warm persistent store. Fill
+    // The third way to run the matrix: a warm persistent store. Fill
     // a scratch store with the cold results, then rerun the sweep
     // through a fresh in-memory ResultStore reading through to disk —
     // every cell must be a disk hit (zero simulation) and the whole
-    // pass must beat even the batched cold run, or the store tier is
+    // pass must beat even the prefix-shared run, or the store tier is
     // not paying for itself.
     const char *store_dir = "bench_hotpath_store.tmp";
     if (std::system("rm -rf bench_hotpath_store.tmp") != 0)
@@ -265,24 +254,22 @@ main()
     }
     if (std::system("rm -rf bench_hotpath_store.tmp") != 0)
         warn("bench_hotpath: cannot remove %s", store_dir);
-    if (store_s >= batch_s)
+    if (store_s >= warm_s)
         fatal("bench_hotpath: warm store pass (%.3f s) is not faster "
-              "than the batched cold run (%.3f s)",
-              store_s, batch_s);
+              "than the prefix-shared run (%.3f s)",
+              store_s, warm_s);
 
     unsigned long long sweep_cycles = 0;
     for (const RunResult &r : cold_r)
         sweep_cycles += r.cycles;
     double speedup = warm_s > 0.0 ? cold_s / warm_s : 0.0;
-    double batch_speedup = batch_s > 0.0 ? cold_s / batch_s : 0.0;
     double store_speedup = store_s > 0.0 ? cold_s / store_s : 0.0;
     std::printf("%zu-cell policy matrix (2 workload pairs x 16 policy "
-                "lanes), identical results all four ways:\n",
+                "lanes), identical results all three ways:\n",
                 sweep.size());
-    std::printf("  cold %.3f s, prefix-shared %.3f s (%.2fx), batched "
-                "w16 %.3f s (%.2fx), store-warm %.3f s (%.2fx)\n\n",
-                cold_s, warm_s, speedup, batch_s, batch_speedup,
-                store_s, store_speedup);
+    std::printf("  cold %.3f s, prefix-shared %.3f s (%.2fx), "
+                "store-warm %.3f s (%.2fx)\n\n",
+                cold_s, warm_s, speedup, store_s, store_speedup);
 
     // --- multi-RHS thermal kernel: lane-width scaling -------------------
     //
@@ -357,12 +344,6 @@ main()
                 warm_s > 0.0
                     ? static_cast<double>(sweep_cycles) / warm_s / 1e6
                     : 0.0);
-    std::printf("[hotpath] label=matrix_batched cycles=%llu host_s=%.4f "
-                "mcps=%.3f\n",
-                sweep_cycles, batch_s,
-                batch_s > 0.0
-                    ? static_cast<double>(sweep_cycles) / batch_s / 1e6
-                    : 0.0);
     std::printf("[hotpath] label=matrix_store_warm cycles=%llu "
                 "host_s=%.4f mcps=%.3f\n",
                 sweep_cycles, store_s,
@@ -370,8 +351,6 @@ main()
                     ? static_cast<double>(sweep_cycles) / store_s / 1e6
                     : 0.0);
     std::printf("[hotpath] label=matrix_speedup x=%.3f\n", speedup);
-    std::printf("[hotpath] label=matrix_batch_speedup x=%.3f\n",
-                batch_speedup);
     std::printf("[hotpath] label=matrix_store_speedup x=%.3f\n",
                 store_speedup);
     // Kernel rows report node-lane updates, not simulated cycles, so

@@ -4,8 +4,8 @@
 #
 #  - "hotpath_mcps": per-cost-centre throughput rows from
 #    bench_hotpath (tick / thermal / stalled / matrix_cold /
-#    matrix_prefix / matrix_batched / matrix_store_warm, Mcycles of
-#    simulated time per host second)
+#    matrix_prefix / matrix_store_warm, Mcycles of simulated time per
+#    host second)
 #  - "stepbatch_mups": the multi-RHS thermal kernel at lane widths
 #    2/8/32 (millions of node-lane updates per host second)
 #  - "matrix": cells/sec for every experiment-engine bench that has a

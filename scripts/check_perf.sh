@@ -17,10 +17,10 @@
 #                    perf change) — baselines are machine-specific.
 #
 # The gate compares each labelled row (tick / thermal / stalled /
-# matrix_cold / matrix_prefix / matrix_batched / matrix_store_warm)
-# independently so a regression can be attributed to the pipeline, the
-# thermal kernels, the stalled fast-forward path, or the experiment
-# engine's prefix sharing / lockstep batching / persistent store.
+# matrix_cold / matrix_prefix / matrix_store_warm) independently so a
+# regression can be attributed to the pipeline, the thermal kernels,
+# the stalled fast-forward path, or the experiment engine's prefix
+# sharing / persistent store.
 #
 # Registered with ctest as the opt-in "perf" label (ctest -L perf);
 # exits 77 (ctest SKIP) when no baseline exists on this machine.
@@ -74,7 +74,7 @@ fi
 
 FAIL=0
 for LABEL in tick thermal stalled matrix_cold matrix_prefix \
-             matrix_batched matrix_store_warm; do
+             matrix_store_warm; do
     NOW="$(printf '%s\n' "$LINES" |
         awk -v l="$LABEL" '
             { for (i = 1; i <= NF; ++i) {

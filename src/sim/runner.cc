@@ -191,12 +191,6 @@ makeSimulator(const RunSpec &spec)
     return sim;
 }
 
-SimConfig
-runSpecConfig(const RunSpec &spec)
-{
-    return runConfig(spec);
-}
-
 std::unique_ptr<Simulator>
 makePrefixSimulator(const RunSpec &spec)
 {
@@ -233,21 +227,12 @@ executeFromSnapshot(const RunSpec &spec, const SimSnapshot &snap)
 }
 
 ParallelRunner::ParallelRunner(int jobs, ResultStore *store)
-    : jobs_(jobs), store_(store), prefixSharing_(envPrefixSharing(true)),
-      batchWidth_(envBatchWidth(1))
+    : jobs_(jobs), store_(store), prefixSharing_(envPrefixSharing(true))
 {
     if (jobs_ <= 0) {
         unsigned hw = std::thread::hardware_concurrency();
         jobs_ = hw ? static_cast<int>(hw) : 1;
     }
-}
-
-void
-ParallelRunner::setBatchWidth(int width)
-{
-    if (width < 1)
-        fatal("ParallelRunner: batch width must be >= 1, got %d", width);
-    batchWidth_ = width;
 }
 
 void
@@ -312,8 +297,7 @@ ParallelRunner::prefixStats() const
 }
 
 std::vector<std::shared_ptr<const SimSnapshot>>
-ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs,
-                              const std::vector<char> *exclude)
+ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs)
 {
     std::vector<std::shared_ptr<const SimSnapshot>> snaps(specs.size());
 
@@ -326,8 +310,6 @@ ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs,
     std::vector<Group> groups; // insertion order: deterministic jobs
 
     for (size_t i = 0; i < specs.size(); ++i) {
-        if (exclude && (*exclude)[i])
-            continue; // the batch engine already forked this cell
         double act = minActingTemp(runConfig(specs[i]));
         if (act == -std::numeric_limits<double>::infinity())
             continue; // can act on usage alone: must run cold
@@ -379,30 +361,8 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
         return results;
 
     std::vector<std::shared_ptr<const SimSnapshot>> snaps(specs.size());
-    if (batchWidth_ >= 2) {
-        BatchRunner batch(batchWidth_, store_);
-        std::vector<char> handled;
-        snaps = batch.buildForkSnapshots(specs, handled);
-        const BatchStats &bs = batch.stats();
-        batchStats_.groups += bs.groups;
-        batchStats_.lanes += bs.lanes;
-        batchStats_.peeledLanes += bs.peeledLanes;
-        batchStats_.riddenLanes += bs.riddenLanes;
-        batchStats_.scoutCycles += bs.scoutCycles;
-        batchStats_.savedCycles += bs.savedCycles;
-        batchStats_.thermalBatchSteps += bs.thermalBatchSteps;
-        batchStats_.thermalBatchLanes += bs.thermalBatchLanes;
-        if (prefixSharing_) {
-            // Prefix sharing mops up what batching declined
-            // (multi-core groups, singletons).
-            auto fallback = buildPrefixes(specs, &handled);
-            for (size_t i = 0; i < specs.size(); ++i)
-                if (!snaps[i] && fallback[i])
-                    snaps[i] = std::move(fallback[i]);
-        }
-    } else if (prefixSharing_) {
+    if (prefixSharing_)
         snaps = buildPrefixes(specs);
-    }
 
     const size_t total = specs.size();
     for (size_t i = 0; i < total; ++i)
@@ -581,19 +541,6 @@ envPrefixSharing(bool default_on)
     return v != 0;
 }
 
-int
-envBatchWidth(int default_width)
-{
-    const char *env = std::getenv("HS_BATCH");
-    if (!env || !*env)
-        return default_width;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        fatal("HS_BATCH must be a positive integer, got '%s'", env);
-    return static_cast<int>(v);
-}
-
 std::vector<RunResult>
 runMatrix(const std::vector<RunSpec> &specs)
 {
@@ -642,17 +589,6 @@ runMatrix(const std::vector<RunSpec> &specs)
                  static_cast<unsigned long long>(ps.groups),
                  static_cast<unsigned long long>(ps.forkedRuns),
                  static_cast<double>(ps.savedCycles) / 1e6);
-    if (runner.batchWidth() > 1) {
-        BatchStats bs = runner.batchStats();
-        std::fprintf(stderr,
-                     " | batch(%d): %llu groups, %llu lanes "
-                     "(%llu peeled), %.1f Mcycles scouted",
-                     runner.batchWidth(),
-                     static_cast<unsigned long long>(bs.groups),
-                     static_cast<unsigned long long>(bs.lanes),
-                     static_cast<unsigned long long>(bs.peeledLanes),
-                     static_cast<double>(bs.scoutCycles) / 1e6);
-    }
     if (disk) {
         // Appended after every pre-existing field: bench_snapshot.sh
         // parses this line positionally from the left.

@@ -14,15 +14,9 @@
  * such cells by RunSpec::divergenceKey(), simulates that shared warm-up
  * prefix once with neutralised thresholds, snapshots it, and forks each
  * cell from the snapshot — the forked run is bit-identical to a cold
- * one (enforced by tests), just cheaper.
- *
- * With a batch width >= 2 the lockstep batch engine (sim/batch.hh)
- * replaces the prefix pass for eligible groups: per-cell lanes peel
- * out of a shared scout at their own trigger instead of the group
- * minimum, and same-shape scouts advance their thermal networks
- * through one multi-RHS CSR pass per sensor sample. The prefix engine
- * remains the fallback for groups batching declines (multi-core
- * topologies, singleton groups).
+ * one (enforced by tests), just cheaper. Prefix sharing is the
+ * engine's only work-sharing mechanism (docs/PERFORMANCE.md, "One
+ * work-sharing engine").
  *
  * Two further tiers extend the engine beyond one process:
  *  - a persistent content-addressed result store (sim/disk_store.hh)
@@ -39,8 +33,6 @@
  *    threads; must be a positive integer).
  *  - HS_PREFIX: 0 disables prefix sharing (default: on; must be a
  *    non-negative integer).
- *  - HS_BATCH: lockstep batch width (default 1 = solo path; must be a
- *    positive integer; >= 2 enables batching).
  *  - HS_STORE: directory of the persistent result store runMatrix()
  *    attaches (default: none). With a store attached, runMatrix()
  *    also maintains `<store>/manifest.hsm` (sim/manifest.hh): an
@@ -62,7 +54,6 @@
 #include <mutex>
 #include <vector>
 
-#include "sim/batch.hh"
 #include "sim/remote.hh"
 #include "sim/run_spec.hh"
 #include "sim/snapshot.hh"
@@ -72,14 +63,9 @@ namespace hs {
 
 class ResultStore;
 class Simulator;
-struct SimConfig;
 
 /** Build a configured simulator with @p spec 's workloads bound. */
 std::unique_ptr<Simulator> makeSimulator(const RunSpec &spec);
-
-/** Full SimConfig of @p spec (shared by the cold, prefix and batch
- *  simulators; callers must include sim/simulator.hh). */
-SimConfig runSpecConfig(const RunSpec &spec);
 
 /** Execute one spec serially (no cache). */
 RunResult executeRunSpec(const RunSpec &spec);
@@ -109,6 +95,15 @@ struct RemoteStats
      *  heartbeats, snapshot bytes saved). Host-dependent sidecar data:
      *  reported by hs_run, never folded into artifacts. */
     std::vector<WorkerTelemetry> perWorker;
+};
+
+/** Lockstep-batch counters, always zero (the engine shares work
+ *  through prefix snapshots only); perfbench/ still reads them. */
+struct BatchStats
+{
+    uint64_t lanes = 0;
+    uint64_t peeledLanes = 0;
+    uint64_t scoutCycles = 0;
 };
 
 /** Prefix-sharing counters accumulated by a ParallelRunner. */
@@ -173,12 +168,6 @@ class ParallelRunner
     void setPrefixSharing(bool on) { prefixSharing_ = on; }
     bool prefixSharing() const { return prefixSharing_; }
 
-    /** Set the lockstep batch width (construction default: HS_BATCH).
-     *  1 = exactly today's solo path; >= 2 caps the lanes each batch
-     *  scout tracks. */
-    void setBatchWidth(int width);
-    int batchWidth() const { return batchWidth_; }
-
     /**
      * Shard cells across TCP workers (hs_run --workers). Each endpoint
      * becomes one dispatcher lane next to the local threads; a worker
@@ -193,9 +182,8 @@ class ParallelRunner
     /** Cumulative prefix-sharing counters across run() calls. */
     PrefixShareStats prefixStats() const;
 
-    /** Cumulative batch-engine counters across run() calls (all zero
-     *  while batchWidth() == 1). */
-    BatchStats batchStats() const { return batchStats_; }
+    /** Always zero: kept for perfbench's batch.* rows. */
+    BatchStats batchStats() const { return {}; }
 
     /**
      * Install a lifecycle observer (progress bars, watchdogs). Calls
@@ -218,19 +206,14 @@ class ParallelRunner
     /**
      * Phase one of run(): group specs by divergence key, simulate each
      * eligible group's shared prefix in parallel, and return one
-     * snapshot pointer per spec (null = simulate cold). Specs flagged
-     * in @p exclude (may be null) were already handled by the batch
-     * engine and are skipped.
+     * snapshot pointer per spec (null = simulate cold).
      */
     std::vector<std::shared_ptr<const SimSnapshot>>
-    buildPrefixes(const std::vector<RunSpec> &specs,
-                  const std::vector<char> *exclude = nullptr);
+    buildPrefixes(const std::vector<RunSpec> &specs);
 
     int jobs_;
     ResultStore *store_;
     bool prefixSharing_;
-    int batchWidth_;
-    BatchStats batchStats_; ///< mutated only inside run()'s batch phase
     std::vector<Endpoint> workerEndpoints_;
     std::atomic<uint64_t> remoteWorkers_{0};
     std::atomic<uint64_t> remoteCells_{0};
@@ -252,10 +235,6 @@ int envJobs(int default_jobs = 0);
 
 /** @return false iff HS_PREFIX is set to 0 (else @p default_on). */
 bool envPrefixSharing(bool default_on = true);
-
-/** @return the HS_BATCH override (positive integer), or
- *  @p default_width. */
-int envBatchWidth(int default_width = 1);
 
 /**
  * Bench-harness convenience: run @p specs with HS_JOBS workers and the

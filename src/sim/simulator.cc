@@ -496,9 +496,19 @@ Simulator::countEmergencies(CoreState &core)
     }
 }
 
-void
-Simulator::samplePowers()
+double
+Simulator::sensorDt() const
 {
+    return static_cast<double>(config_.sensorInterval) /
+           config_.energy.frequencyHz;
+}
+
+void
+Simulator::sampleSensors()
+{
+    auto prof_start = profiling_ ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point{};
+    Cycles now = cores_[0].pipeline->cycle();
     size_t nb = static_cast<size_t>(numBlocks);
 
     // All sample buffers are members: this runs every 20 K cycles and
@@ -518,36 +528,8 @@ Simulator::samplePowers()
                   thermalPowerBuf_.begin() +
                       static_cast<ptrdiff_t>(static_cast<size_t>(c) * nb));
     }
-}
-
-double
-Simulator::sensorDt() const
-{
-    return static_cast<double>(config_.sensorInterval) /
-           config_.energy.frequencyHz;
-}
-
-void
-Simulator::sampleSensors()
-{
-    auto prof_start = profiling_ ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-    samplePowers();
-    thermal_->step(thermalPowerBuf_, sensorDt());
-    finishSensorSample();
-    if (profiling_)
-        profile_.thermalSeconds +=
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - prof_start)
-                .count();
-}
-
-void
-Simulator::finishSensorSample()
-{
-    Cycles now = cores_[0].pipeline->cycle();
-    size_t nb = static_cast<size_t>(numBlocks);
     double dt = sensorDt();
+    thermal_->step(thermalPowerBuf_, dt);
     energyAccumJ_ += EnergyModel::total(thermalPowerBuf_) * dt;
 
     Kelvin observed_max = 0.0;
@@ -612,6 +594,11 @@ Simulator::finishSensorSample()
     }
 
     ++profile_.sensorSamples;
+    if (profiling_)
+        profile_.thermalSeconds +=
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - prof_start)
+                .count();
 }
 
 RunResult
@@ -1014,38 +1001,42 @@ Simulator::restore(const SimSnapshot &snap)
                 .count();
 }
 
-void
-Simulator::beginScout()
+Cycles
+Simulator::runPrefix(Kelvin diverge_temp, Cycles stride_samples,
+                     SimSnapshot &out)
 {
     if (cores_[0].pipeline->cycle() != 0)
-        fatal("Simulator::beginScout: needs a freshly constructed "
+        fatal("Simulator::runPrefix: needs a freshly constructed "
               "simulator");
-    initNominalSteadyState();
-    scoutToMonitor_ = config_.monitorInterval;
-    scoutToSensor_ = config_.sensorInterval;
-}
+    if (stride_samples == 0)
+        stride_samples = 1;
 
-Simulator::ScoutChunk
-Simulator::runScoutChunk()
-{
-    // Mirrors run()'s cycle loop exactly (tick, monitor sample, sensor
-    // sample, halt test, in that order) so a scout's history is the
-    // same history every cold group member would have produced.
+    initNominalSteadyState();
+
     const Cycles quantum = config_.quantumCycles;
+    const Cycles sensor = config_.sensorInterval;
     const Cycles monitor = config_.monitorInterval;
+    Cycles toMonitor = monitor;
+    Cycles toSensor = sensor;
+    Cycles fork_cycle = 0;
+    Cycles samples_since_save = 0;
+
+    // Mirrors run()'s cycle loop exactly (tick, monitor sample, sensor
+    // sample, halt test, in that order) so the prefix's history is the
+    // same history every cold group member would have produced.
     while (cores_[0].pipeline->cycle() < quantum) {
         for (size_t c = 0; c < cores_.size(); ++c) {
             CoreState &core = cores_[c];
             if (core.pipeline->globalStalled())
-                fatal("Simulator::runScoutChunk: the pipeline stalled "
-                      "— the scout's DTM thresholds were not "
+                fatal("Simulator::runPrefix: the pipeline stalled — "
+                      "the prefix simulator's DTM thresholds were not "
                       "neutralised");
             if (tracer_)
                 tracer_->setCoreId(static_cast<uint8_t>(c));
             core.pipeline->tick();
         }
-        if (--scoutToMonitor_ == 0) {
-            scoutToMonitor_ = monitor;
+        if (--toMonitor == 0) {
+            toMonitor = monitor;
             for (size_t c = 0; c < cores_.size(); ++c) {
                 CoreState &core = cores_[c];
                 if (tracer_)
@@ -1057,56 +1048,29 @@ Simulator::runScoutChunk()
         }
         if (tracer_)
             tracer_->setCoreId(0);
-        if (--scoutToSensor_ == 0) {
-            scoutToSensor_ = config_.sensorInterval;
-            samplePowers();
-            return ScoutChunk::AtSensor;
-        }
-        // The halt test is skipped on sensor-boundary cycles (the
-        // caller re-tests after finishing the sample), matching
-        // run()'s `else if` ordering.
-        if (allCoresHalted())
-            return ScoutChunk::Halted;
-    }
-    return ScoutChunk::End;
-}
-
-Cycles
-Simulator::runPrefix(Kelvin diverge_temp, Cycles stride_samples,
-                     SimSnapshot &out)
-{
-    if (stride_samples == 0)
-        stride_samples = 1;
-
-    beginScout();
-
-    const Cycles quantum = config_.quantumCycles;
-    const Cycles sensor = config_.sensorInterval;
-    Cycles fork_cycle = 0;
-    Cycles samples_since_save = 0;
-
-    for (;;) {
-        if (runScoutChunk() != ScoutChunk::AtSensor)
+        if (--toSensor == 0) {
+            toSensor = sensor;
+            sampleSensors();
+            // Past this boundary some group member's policy could have
+            // observed an actionable temperature; the last snapshot
+            // already taken stays the fork point.
+            if (lastObservedMax_ >= diverge_temp)
+                break;
+            // Never hand out a snapshot at or beyond a halt: a cold
+            // run breaks here, while a restored run would tick once
+            // more before re-testing the halt.
+            if (allCoresHalted())
+                break;
+            ++samples_since_save;
+            bool last_boundary =
+                quantum - cores_[0].pipeline->cycle() < sensor;
+            if (samples_since_save >= stride_samples || last_boundary) {
+                save(out);
+                fork_cycle = cores_[0].pipeline->cycle();
+                samples_since_save = 0;
+            }
+        } else if (allCoresHalted()) {
             break;
-        thermal_->step(thermalPowerBuf_, sensorDt());
-        finishSensorSample();
-        // Past this boundary some group member's policy could have
-        // observed an actionable temperature; the last snapshot
-        // already taken stays the fork point.
-        if (lastObservedMax_ >= diverge_temp)
-            break;
-        // Never hand out a snapshot at or beyond a halt: a cold
-        // run breaks here, while a restored run would tick once
-        // more before re-testing the halt.
-        if (allCoresHalted())
-            break;
-        ++samples_since_save;
-        bool last_boundary =
-            quantum - cores_[0].pipeline->cycle() < sensor;
-        if (samples_since_save >= stride_samples || last_boundary) {
-            save(out);
-            fork_cycle = cores_[0].pipeline->cycle();
-            samples_since_save = 0;
         }
     }
     return fork_cycle;

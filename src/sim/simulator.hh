@@ -189,61 +189,8 @@ class Simulator : public DtmControl
     Cycles runPrefix(Kelvin diverge_temp, Cycles stride_samples,
                      SimSnapshot &out);
 
-    // --- scout-chunk stepping (batch engine, src/sim/batch.*) -------
-    // A lockstep driver advances several neutralised scouts one
-    // sensor interval at a time and steps their thermal networks
-    // together through ThermalModel::stepBatch; runPrefix() is built
-    // on the same primitives, so both paths share one cycle loop.
-
-    /** What stopped a runScoutChunk() call. */
-    enum class ScoutChunk {
-        AtSensor, ///< at a sensor boundary; thermal step pending
-        Halted,   ///< every working core halted between boundaries
-        End       ///< the quantum is exhausted
-    };
-
-    /** Enter scout mode on a fresh simulator: establish the nominal
-     *  steady state and arm the boundary countdowns. */
-    void beginScout();
-
-    /**
-     * Advance the cycle loop to the next sensor boundary, ticking
-     * every core and taking monitor samples exactly as run() /
-     * runPrefix() would. At the boundary the per-core window powers
-     * are already gathered into pendingThermalPower(); the caller
-     * must step the thermal model — alone or as one lane of
-     * ThermalModel::stepBatch — and then call finishSensorSample().
-     * Fatals if a pipeline stalls: scouts run with neutralised DTM
-     * thresholds, so a stall means the caller forgot to neutralise.
-     */
-    ScoutChunk runScoutChunk();
-
-    /** The per-block powers of the sample runScoutChunk() stopped at
-     *  (valid until finishSensorSample()). */
-    const std::vector<Watts> &pendingThermalPower() const
-    {
-        return thermalPowerBuf_;
-    }
-
     /** Seconds one sensor interval spans — the thermal step dt. */
     double sensorDt() const;
-
-    /**
-     * Complete the sensor sample runScoutChunk() stopped at, after
-     * the caller stepped the thermal model: energy accounting,
-     * temperature readback, emergency counting, episode detection,
-     * run-health histograms, sensor noise, policy evaluation and the
-     * temperature trace — byte for byte what the tail of a solo
-     * sensor sample does.
-     */
-    void finishSensorSample();
-
-    /** Hottest (noise-included) temperature any core's policies
-     *  observed at the most recent sensor sample. */
-    Kelvin lastObservedMax() const { return lastObservedMax_; }
-
-    /** @return true once every core that has work is fully halted. */
-    bool machineHalted() const { return allCoresHalted(); }
 
     /** Enable cost-centre accounting (see SimProfile). */
     void setProfiling(bool on) { profiling_ = on; }
@@ -349,9 +296,6 @@ class Simulator : public DtmControl
     };
 
     void sampleSensors();
-    /** Gather every core's window powers into thermalPowerBuf_ (the
-     *  first half of a sensor sample, before the thermal step). */
-    void samplePowers();
     void countEmergencies(CoreState &core);
     RunResult collectResults(double host_seconds) const;
     /** @return true once every core that has work is fully halted. */
@@ -395,10 +339,6 @@ class Simulator : public DtmControl
      *  noise) at the most recent sample; runPrefix()'s divergence
      *  test must see exactly what a cell's policy would see. */
     Kelvin lastObservedMax_ = 0.0;
-    /** Boundary countdowns for scout-chunk stepping (armed by
-     *  beginScout(), advanced by runScoutChunk()). */
-    Cycles scoutToMonitor_ = 0;
-    Cycles scoutToSensor_ = 0;
     bool resumedFromSnapshot_ = false;
     bool profiling_ = false;
     mutable SimProfile profile_; ///< save() is const but accounts here

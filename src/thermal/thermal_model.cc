@@ -183,65 +183,6 @@ ThermalModel::step(const std::vector<Watts> &block_power, double dt)
     net_->step(padBuf_, dt);
 }
 
-void
-ThermalModel::stepBatch(const std::vector<ThermalModel *> &models,
-                        const std::vector<const std::vector<Watts> *>
-                            &block_power,
-                        double dt, ThermalBatchScratch &scratch)
-{
-    size_t lanes = models.size();
-    if (lanes == 0)
-        return;
-    if (block_power.size() != lanes)
-        fatal("ThermalModel::stepBatch: %zu models but %zu power "
-              "vectors", lanes, block_power.size());
-
-    ThermalModel *m0 = models[0];
-    if (m0->params_.idealSink) {
-        // Infinite heat removal: every lane holds its steady
-        // temperatures, exactly as step() would.
-        for (size_t l = 0; l < lanes; ++l)
-            if (!models[l]->params_.idealSink)
-                fatal("ThermalModel::stepBatch: mixed sink models");
-        return;
-    }
-    if (lanes == 1) {
-        m0->step(*block_power[0], dt);
-        return;
-    }
-
-    int nodes = m0->net_->numNodes();
-    size_t nb = static_cast<size_t>(m0->totalBlocks());
-    size_t want = static_cast<size_t>(nodes) * lanes;
-    scratch.power.assign(want, 0.0); // spreader/sink rows inject 0 W
-    scratch.temps.resize(want);
-    for (size_t l = 0; l < lanes; ++l) {
-        ThermalModel *m = models[l];
-        if (m->net_->numNodes() != nodes || m->params_.idealSink)
-            fatal("ThermalModel::stepBatch: lane %zu has a different "
-                  "network shape", l);
-        const std::vector<Watts> &p = *block_power[l];
-        if (p.size() != nb)
-            fatal("ThermalModel::stepBatch: lane %zu expected %zu "
-                  "block powers, got %zu", l, nb, p.size());
-        const std::vector<Kelvin> &t = m->net_->temps();
-        for (size_t i = 0; i < nb; ++i)
-            scratch.power[i * lanes + l] = p[i];
-        for (size_t i = 0; i < static_cast<size_t>(nodes); ++i)
-            scratch.temps[i * lanes + l] = t[i];
-    }
-
-    m0->net_->stepBatch(scratch.power, scratch.temps,
-                        static_cast<int>(lanes), dt);
-
-    scratch.lane.resize(static_cast<size_t>(nodes));
-    for (size_t l = 0; l < lanes; ++l) {
-        for (size_t i = 0; i < static_cast<size_t>(nodes); ++i)
-            scratch.lane[i] = scratch.temps[i * lanes + l];
-        models[l]->net_->setTemps(scratch.lane);
-    }
-}
-
 std::vector<Kelvin>
 ThermalModel::steadyTemps(const std::vector<Watts> &block_power) const
 {

@@ -55,15 +55,6 @@ struct ThermalParams
                                 ///< floorplan (technology scaling)
 };
 
-/** Reusable SoA gather/scatter buffers for ThermalModel::stepBatch
- *  (owned by the caller so the lockstep loop stays allocation-free). */
-struct ThermalBatchScratch
-{
-    std::vector<Watts> power;
-    std::vector<Kelvin> temps;
-    std::vector<Kelvin> lane;
-};
-
 /** The die + package thermal model. */
 class ThermalModel
 {
@@ -92,24 +83,6 @@ class ThermalModel
 
     /** Advance by @p dt seconds with @p block_power injected. */
     void step(const std::vector<Watts> &block_power, double dt);
-
-    /**
-     * Advance several same-shape models in lockstep: gather every
-     * model's node temperatures and padded block powers into one
-     * node-major/lane-inner SoA block, run the multi-RHS CSR kernel
-     * of models[0]'s network once per substep, and scatter the lane
-     * temperatures back. All models must have been built from the
-     * same floorplan/topology and parameter set (deterministic
-     * construction then makes their conductances and capacitances
-     * identical doubles, so sharing lane 0's CSR is exact); node
-     * counts and the ideal-sink flag are checked, the rest is the
-     * caller's grouping contract. Each lane ends bit-identical to
-     * calling step() on that model alone.
-     */
-    static void stepBatch(const std::vector<ThermalModel *> &models,
-                          const std::vector<const std::vector<Watts> *>
-                              &block_power,
-                          double dt, ThermalBatchScratch &scratch);
 
     /** Steady-state block temperatures for @p block_power (no state
      *  change). */

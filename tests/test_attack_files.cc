@@ -12,28 +12,17 @@
 namespace hs {
 namespace {
 
-/** Locate the attacks/ directory relative to common build layouts. */
-std::string
-attackPath(const std::string &file)
-{
-    for (const char *prefix :
-         {"attacks/", "../attacks/", "../../attacks/"}) {
-        std::string path = std::string(prefix) + file;
-        if (std::ifstream(path).good())
-            return path;
-    }
-    return "";
-}
-
 Program
 loadAttack(const std::string &file)
 {
-    std::string path = attackPath(file);
-    if (path.empty()) {
-        ADD_FAILURE() << "cannot locate attacks/" << file;
+    // HS_SOURCE_DIR (compile-time) finds attacks/ from any build
+    // directory.
+    std::string path = std::string(HS_SOURCE_DIR "/attacks/") + file;
+    std::ifstream in(path);
+    if (!in) {
+        ADD_FAILURE() << "cannot open " << path;
         return Program("missing");
     }
-    std::ifstream in(path);
     std::stringstream buf;
     buf << in.rdbuf();
     Program p = assemble(buf.str(), file);

@@ -329,35 +329,55 @@ smallMatrix()
             .withDtm(DtmMode::SelectiveSedation));
     specs.push_back(soloSpec("mcf", opts));
     specs.push_back(specPairSpec("gcc", "mesa", opts));
+    // An innocent sedation threshold sweep: one prefix-shared group,
+    // so forked cells' histograms enter the fold too.
+    for (double upper : {356.0, 356.5, 357.0}) {
+        ExperimentOptions sed = opts;
+        sed.dtm = DtmMode::SelectiveSedation;
+        sed.upperThreshold = upper;
+        sed.lowerThreshold = upper - 1.0;
+        specs.push_back(specPairSpec("gcc", "mesa", sed));
+    }
     return specs;
 }
 
 /**
  * The cross-talk fix: per-cell histograms live in each RunResult and
  * are folded in submission order, so the merged registry is
- * byte-identical no matter how many workers raced to produce the
- * results. ("host"-named metrics are machine-dependent and are only
- * added when the caller passes cell timings — not here.)
+ * byte-identical to the fold of solo cold runs no matter how many
+ * workers raced to produce the results or which cells forked from a
+ * shared prefix. ("host"-named metrics are machine-dependent and are
+ * only added when the caller passes cell timings — not here.)
  */
 TEST(RunHealth, MergedMetricsIdenticalAcrossWorkerCounts)
 {
     std::vector<RunSpec> specs = smallMatrix();
 
-    ParallelRunner serial(1);
-    std::vector<RunResult> r1 = serial.run(specs);
-    ParallelRunner wide(4);
-    std::vector<RunResult> r4 = wide.run(specs);
-
-    MetricsRegistry m1, m4;
-    foldRunMetrics(m1, r1);
-    foldRunMetrics(m4, r4);
-
-    std::ostringstream j1, j4;
-    m1.writeJson(j1);
-    m4.writeJson(j4);
-    EXPECT_EQ(j1.str(), j4.str());
-    EXPECT_NE(j1.str().find("sim.episode_heat_cycles"),
+    std::vector<RunResult> solo;
+    for (const RunSpec &s : specs)
+        solo.push_back(executeRunSpec(s));
+    MetricsRegistry solo_m;
+    foldRunMetrics(solo_m, solo);
+    std::ostringstream solo_js;
+    solo_m.writeJson(solo_js);
+    EXPECT_NE(solo_js.str().find("sim.episode_heat_cycles"),
               std::string::npos);
+
+    for (int jobs : {1, 4}) {
+        for (bool prefix : {true, false}) {
+            ParallelRunner runner(jobs);
+            runner.setPrefixSharing(prefix);
+            MetricsRegistry m;
+            foldRunMetrics(m, runner.run(specs));
+            std::ostringstream js;
+            m.writeJson(js);
+            EXPECT_EQ(solo_js.str(), js.str())
+                << "jobs " << jobs << (prefix ? ", prefix" : "");
+            if (prefix) {
+                EXPECT_GE(runner.prefixStats().forkedRuns, 2u);
+            }
+        }
+    }
 }
 
 // --- lifecycle events and progress -------------------------------------

@@ -3,6 +3,7 @@
  *  semantics for every operation. */
 
 #include <functional>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +53,14 @@ struct RegRegCase
     const char *mnem;
     std::function<int64_t(int64_t, int64_t)> ref;
 };
+
+/** Names the case by its mnemonic; gtest's default byte dump would
+ *  put pointer values (which vary run to run) into the test name. */
+void
+PrintTo(const RegRegCase &c, std::ostream *os)
+{
+    *os << c.mnem;
+}
 
 class AluSemantics : public ::testing::TestWithParam<RegRegCase>
 {

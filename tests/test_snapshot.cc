@@ -8,8 +8,8 @@
  * family matrix below exercises every RunSpec family the bench
  * harnesses build — solo / malicious / mixed workloads, every DTM
  * mode, both sinks, the usage-threshold ablation, sensor noise,
- * temperature traces, die shrink, deschedule and wide SMT — at both
- * --jobs 1 and --jobs 4.
+ * temperature traces, die shrink, deschedule, wide SMT and 2-core
+ * dies — at --jobs 1 and --jobs 4, with prefix sharing on and off.
  *
  * All simulation-backed tests run at HS scale 2000 (250 K-cycle
  * quanta) so the whole file stays fast.
@@ -223,7 +223,7 @@ familyMatrix()
     std::vector<RunSpec> specs;
 
     // Innocent pair, sedation threshold sweep (prefix-shared).
-    for (RunSpec &s : innocentSweep({356.0, 357.0}))
+    for (RunSpec &s : innocentSweep({355.5, 356.0, 356.5, 357.0}))
         specs.push_back(std::move(s));
 
     // DTM-mode family sweep: one workload, every policy (one group).
@@ -247,9 +247,13 @@ familyMatrix()
         soloSpec("vortex", fastOpts()).withSink(SinkType::Ideal));
 
     // Usage-threshold ablation: the trigger depends on monitor state,
-    // not temperature, so these cells must always run cold.
+    // not temperature, so these cells must always run cold — on an
+    // attack mix and on the innocent pair that would otherwise share.
     for (double u : {356.0, 357.0}) {
         RunSpec s = withVariantSpec("applu", 2, sedationOpts(u));
+        s.opts.sedationUsageThreshold = true;
+        specs.push_back(s);
+        s = specPairSpec("gcc", "mesa", sedationOpts(u));
         s.opts.sedationUsageThreshold = true;
         specs.push_back(s);
     }
@@ -340,10 +344,16 @@ TEST(Snapshot, EveryFamilyBitIdenticalAtJobs1)
     std::vector<RunSpec> specs = familyMatrix();
     std::vector<RunResult> cold = runCold(specs);
 
-    ParallelRunner runner(1);
-    runner.setPrefixSharing(true);
-    expectMatches(cold, runner.run(specs));
-    EXPECT_GE(runner.prefixStats().forkedRuns, 2u);
+    for (bool prefix : {true, false}) {
+        SCOPED_TRACE(prefix ? "prefix on" : "prefix off");
+        ParallelRunner runner(1);
+        runner.setPrefixSharing(prefix);
+        expectMatches(cold, runner.run(specs));
+        if (prefix)
+            EXPECT_GE(runner.prefixStats().forkedRuns, 2u);
+        else
+            EXPECT_EQ(runner.prefixStats().forkedRuns, 0u);
+    }
 }
 
 TEST(Snapshot, EveryFamilyBitIdenticalAtJobs4WithStore)
@@ -351,18 +361,24 @@ TEST(Snapshot, EveryFamilyBitIdenticalAtJobs4WithStore)
     std::vector<RunSpec> specs = familyMatrix();
     std::vector<RunResult> cold = runCold(specs);
 
-    ResultStore store;
-    ParallelRunner runner(4, &store);
-    runner.setPrefixSharing(true);
-    expectMatches(cold, runner.run(specs));
-    EXPECT_GE(runner.prefixStats().forkedRuns, 2u);
+    for (bool prefix : {true, false}) {
+        SCOPED_TRACE(prefix ? "prefix on" : "prefix off");
+        ResultStore store;
+        ParallelRunner runner(4, &store);
+        runner.setPrefixSharing(prefix);
+        expectMatches(cold, runner.run(specs));
+        if (prefix)
+            EXPECT_GE(runner.prefixStats().forkedRuns, 2u);
+        else
+            EXPECT_EQ(runner.prefixStats().forkedRuns, 0u);
 
-    // A second pass is served entirely by the store; the prefix phase
-    // must not re-simulate already-cached groups.
-    PrefixShareStats before = runner.prefixStats();
-    expectMatches(cold, runner.run(specs));
-    EXPECT_EQ(runner.prefixStats().groups, before.groups);
-    EXPECT_EQ(runner.prefixStats().forkedRuns, before.forkedRuns);
+        // A second pass is served entirely by the store; the prefix
+        // phase must not re-simulate already-cached groups.
+        PrefixShareStats before = runner.prefixStats();
+        expectMatches(cold, runner.run(specs));
+        EXPECT_EQ(runner.prefixStats().groups, before.groups);
+        EXPECT_EQ(runner.prefixStats().forkedRuns, before.forkedRuns);
+    }
 }
 
 TEST(Snapshot, DisabledSharingStillMatchesCold)

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,21 +37,9 @@ namespace {
 
 using namespace hs;
 
-/** Repo-root prefix ("", "../", ...) that reaches attacks/. */
-const char *
-rootPrefix()
-{
-    static const char *prefix = [] () -> const char * {
-        for (const char *p : {"", "../", "../../"}) {
-            std::string probe =
-                std::string(p) + "attacks/figure1_hammer.s";
-            if (std::ifstream(probe).good())
-                return p;
-        }
-        return nullptr;
-    }();
-    return prefix;
-}
+/** Repository root (compile-time HS_SOURCE_DIR), so attacks/ and
+ *  tests/golden/ resolve from any build directory. */
+const std::string kRoot = HS_SOURCE_DIR "/";
 
 std::string
 readFile(const std::string &path)
@@ -68,6 +57,15 @@ struct GoldenCase
     DtmMode dtm;
     const char *policy; ///< golden-file suffix
 };
+
+/** Prints the policy (the test name already carries the attack);
+ *  gtest's default byte dump would put pointer values, which vary run
+ *  to run, into the test name. */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.policy;
+}
 
 const GoldenCase kGoldenCases[] = {
     {"figure1_hammer.s", DtmMode::StopAndGo, "stopgo"},
@@ -102,7 +100,7 @@ goldenSpec(const GoldenCase &c)
     s.opts = opts;
     s.traceEvents = true;
     s.workloads.push_back(WorkloadSpec::spec("gcc"));
-    std::string path = std::string(rootPrefix()) + "attacks/" + c.attack;
+    std::string path = kRoot + "attacks/" + c.attack;
     s.workloads.push_back(WorkloadSpec::assembly(
         std::string("attacks/") + c.attack, readFile(path)));
     s.label = caseName(c);
@@ -140,15 +138,13 @@ class TraceGolden : public ::testing::TestWithParam<GoldenCase>
 
 TEST_P(TraceGolden, MatchesCheckedInGolden)
 {
-    ASSERT_NE(rootPrefix(), nullptr)
-        << "cannot locate attacks/ from test cwd";
     const GoldenCase &c = GetParam();
     RunSpec spec = goldenSpec(c);
     std::string got = renderGolden(cachedColdRun(spec));
     EXPECT_FALSE(got.empty()) << "golden run emitted no events";
 
-    std::string golden_path = std::string(rootPrefix()) +
-                              "tests/golden/" + caseName(c) + ".jsonl";
+    std::string golden_path =
+        kRoot + "tests/golden/" + caseName(c) + ".jsonl";
     if (std::getenv("HS_REGOLDEN")) {
         std::ofstream out(golden_path, std::ios::binary);
         ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
@@ -184,7 +180,6 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(TraceSequence, SedationStorylineOnHammerAttack)
 {
-    ASSERT_NE(rootPrefix(), nullptr);
     RunSpec spec = goldenSpec(kGoldenCases[1]); // figure1 + sedation
     const RunResult &r = cachedColdRun(spec);
     ASSERT_FALSE(r.traceEvents.empty());
@@ -223,7 +218,6 @@ TEST(TraceSequence, SedationStorylineOnHammerAttack)
  */
 TEST(TraceBitIdentity, SameAcrossJobsAndPrefixSharing)
 {
-    ASSERT_NE(rootPrefix(), nullptr);
     std::vector<RunSpec> specs;
     std::vector<RunResult> cold;
     for (const GoldenCase &c : kGoldenCases) {
@@ -294,7 +288,6 @@ TEST(TraceBitIdentity, PrefixForkedTraceMatchesCold)
 
 TEST(TraceExport, ChromeTraceContainsSedationSpans)
 {
-    ASSERT_NE(rootPrefix(), nullptr);
     RunSpec spec = goldenSpec(kGoldenCases[1]); // figure1 + sedation
     const RunResult &r = cachedColdRun(spec);
 

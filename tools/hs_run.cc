@@ -24,9 +24,6 @@
  *                        core 0; needs --cores, not with --each)
  *   --jobs N             engine worker threads (default: HS_JOBS or
  *                        all hardware threads)
- *   --batch N            lockstep batch width (default: HS_BATCH or 1;
- *                        1 = solo path, >= 2 advances up to N sibling
- *                        cells per scout; see docs/PERFORMANCE.md)
  *   --store DIR          persistent content-addressed result store:
  *                        finished cells are written to DIR and later
  *                        runs (any process, any machine sharing DIR)
@@ -82,6 +79,7 @@
  *   --profile            print per-cost-centre cycle/time shares
  *                        (single run only)
  *   --list               list available SPEC profiles and exit
+ *   --help, -h           print the usage text to stdout and exit 0
  *
  * Every argument must parse exactly: unknown options, missing or
  * malformed values, and trailing garbage all exit 2 via usage().
@@ -115,14 +113,16 @@ namespace {
 
 using namespace hs;
 
+/** Print the usage text and exit with @p code: 0 (asked for with
+ *  --help) prints to stdout, anything else to stderr. */
 [[noreturn]] void
-usage(const char *argv0)
+usage(const char *argv0, int code = 2)
 {
-    std::fprintf(stderr,
+    std::fprintf(code == 0 ? stdout : stderr,
                  "usage: %s [--spec NAME]... [--variant N]... "
                  "[--asm FILE]...\n"
                  "       [--each] [--cores N] [--place a,b,...] "
-                 "[--jobs N] [--batch N] [--json FILE] [--csv FILE]\n"
+                 "[--jobs N] [--json FILE] [--csv FILE]\n"
                  "       [--store DIR] [--serve PORT] "
                  "[--workers host:port,...]\n"
                  "       [--log-json FILE] [--events FILE] "
@@ -134,9 +134,9 @@ usage(const char *argv0)
                  "       [--deschedule N] [--progress] [--trace FILE] "
                  "[--trace-filter CAT,...]\n"
                  "       [--temp-trace FILE] [--stats] [--profile] "
-                 "[--list]\n",
+                 "[--list] [--help]\n",
                  argv0);
-    std::exit(2);
+    std::exit(code);
 }
 
 /** Report a bad option value and exit through usage(). */
@@ -420,7 +420,6 @@ main(int argc, char **argv)
     double noise = 0.0;
     int deschedule = 0;
     int jobs = 0;
-    int batch = 0; // 0 = unset: the engine falls back to HS_BATCH
     std::string store_path;
     int serve_port = 0; // 0 = not a worker
     std::vector<Endpoint> worker_endpoints;
@@ -509,12 +508,6 @@ main(int argc, char **argv)
             if (n <= 0)
                 badValue(argv[0], arg, v, "a positive integer");
             jobs = static_cast<int>(n);
-        } else if (arg == "--batch") {
-            std::string v = value();
-            long n = parseInt(argv[0], arg, v);
-            if (n <= 0)
-                badValue(argv[0], arg, v, "a positive integer");
-            batch = static_cast<int>(n);
         } else if (arg == "--store") {
             store_path = value();
             if (store_path.empty())
@@ -610,6 +603,9 @@ main(int argc, char **argv)
             for (const SpecProfile &p : specSuite())
                 std::printf("%s\n", p.name.c_str());
             return 0;
+        } else if (arg == "--help" || arg == "-h") {
+            flagOnly();
+            usage(argv[0], 0);
         } else {
             std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                          argv[i]);
@@ -821,8 +817,6 @@ main(int argc, char **argv)
 
         int engine_jobs = jobs > 0 ? jobs : envJobs(0);
         ParallelRunner runner(engine_jobs, &ResultStore::global());
-        if (batch > 0)
-            runner.setBatchWidth(batch);
         if (!worker_endpoints.empty())
             runner.setWorkers(worker_endpoints);
         std::unique_ptr<ProgressReporter> reporter;
@@ -855,20 +849,6 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(
                             engine_stats.forkedRuns),
                         static_cast<double>(engine_stats.savedCycles) /
-                            1e6);
-        BatchStats batch_stats = runner.batchStats();
-        if (batch_stats.groups > 0)
-            std::printf("\nbatch(width %d): %llu group(s), %llu "
-                        "lane(s) (%llu peeled), %.1f Mcycles not "
-                        "re-simulated\n",
-                        runner.batchWidth(),
-                        static_cast<unsigned long long>(
-                            batch_stats.groups),
-                        static_cast<unsigned long long>(
-                            batch_stats.lanes),
-                        static_cast<unsigned long long>(
-                            batch_stats.peeledLanes),
-                        static_cast<double>(batch_stats.savedCycles) /
                             1e6);
         if (disk)
             std::printf("\nstore %s: %llu disk hit(s), %llu "
