@@ -36,7 +36,4 @@ for b in bench_calibration bench_fig3_access_rates bench_fig4_emergencies \
     echo "=== $b ==="
     ./build/bench/$b 2>&1 | tee results/$b.txt | tail -2
 done
-# Machine-readable throughput snapshot from the transcripts above
-# (best effort: the sweep results matter even if the snapshot fails).
-sh scripts/bench_snapshot.sh || echo "bench snapshot failed" >&2
 echo ALL_BENCHES_DONE

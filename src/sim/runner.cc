@@ -590,8 +590,6 @@ runMatrix(const std::vector<RunSpec> &specs)
                  static_cast<unsigned long long>(ps.forkedRuns),
                  static_cast<double>(ps.savedCycles) / 1e6);
     if (disk) {
-        // Appended after every pre-existing field: bench_snapshot.sh
-        // parses this line positionally from the left.
         std::fprintf(stderr,
                      " | store: %llu disk hits, %llu writes, "
                      "%llu corrupt",

@@ -10,7 +10,9 @@
  *    bit-identical to the legacy single-floorplan constructor (every
  *    temperature EXPECT_EQ-exact through init + stepping), and N-core
  *    dies really couple — heat injected on one core warms its
- *    neighbour, monotonically in couplingScale.
+ *    neighbour, monotonically in couplingScale. The network sizes at
+ *    1, 16 and 64 cores are pinned, and the 64-core build is bounded
+ *    in wall time.
  *  - The simulator / RunSpec surface: the default topology keys and
  *    results are byte-identical to an explicit 1-core topology, and
  *    multi-core runs are deterministic with the result shape (per-core
@@ -19,6 +21,7 @@
  * Simulation-backed tests run at HS scale 2000 (250 K-cycle quanta).
  */
 
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -248,6 +251,34 @@ TEST(TopologyThermal, SymmetricLoadHeatsTilesSymmetrically)
         EXPECT_EQ(split.coreBlockTemp(0, b),
                   split.coreBlockTemp(1, b))
             << blockName(b);
+    }
+}
+
+TEST(TopologyThermal, ManyCoreNetworkSizeAndBuildTime)
+{
+    // Pins the composed network's size at 1, 16 and 64 cores, and the
+    // 64-core build time. The sparse build takes about a millisecond;
+    // a reintroduced dense per-insert row refresh is O(n^3) over ~1100
+    // nodes and busts the generous 2000 ms bound by orders of
+    // magnitude.
+    struct Row
+    {
+        int cores, nodes;
+        size_t edges;
+    };
+    for (Row want : {Row{1, 19, 58}, Row{16, 274, 1009},
+                     Row{64, 1090, 4097}}) {
+        Topology topo(Floorplan::ev6(), params(want.cores));
+        auto t0 = std::chrono::steady_clock::now();
+        ThermalModel model(topo);
+        double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+        EXPECT_EQ(model.network().numNodes(), want.nodes) << want.cores;
+        EXPECT_EQ(model.network().numEdges(), want.edges) << want.cores;
+        if (want.cores == 64) {
+            EXPECT_LT(ms, 2000.0) << "64-core RC network build";
+        }
     }
 }
 
