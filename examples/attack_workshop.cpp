@@ -16,6 +16,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/config.hh"
 #include "isa/assembler.hh"
 #include "sim/experiment.hh"
 
@@ -52,7 +53,7 @@ main(int argc, char **argv)
     }
     std::string victim = argc > 2 ? argv[2] : "gcc";
     double scale = argc > 3 ? std::atof(argv[3])
-                            : hs::envTimeScale(50.0);
+                            : hs::knobNumber("HS_SCALE");
 
     hs::Program attack;
     try {

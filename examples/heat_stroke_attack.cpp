@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "common/config.hh"
 #include "sim/experiment.hh"
 
 int
@@ -20,7 +21,7 @@ main(int argc, char **argv)
     std::string spec = argc > 1 ? argv[1] : "gcc";
     int variant = argc > 2 ? std::atoi(argv[2]) : 2;
     double scale = argc > 3 ? std::atof(argv[3])
-                            : hs::envTimeScale(50.0);
+                            : hs::knobNumber("HS_SCALE");
 
     hs::ExperimentOptions opts;
     opts.timeScale = scale;

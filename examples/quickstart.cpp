@@ -11,6 +11,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/config.hh"
 #include "sim/runner.hh"
 
 int
@@ -19,7 +20,7 @@ main(int argc, char **argv)
     std::string a = argc > 1 ? argv[1] : "gcc";
     std::string b = argc > 2 ? argv[2] : "mesa";
     double scale = argc > 3 ? std::atof(argv[3])
-                            : hs::envTimeScale(50.0);
+                            : hs::knobNumber("HS_SCALE");
 
     hs::ExperimentOptions opts;
     opts.timeScale = scale;

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "common/config.hh"
 #include "sim/episodes.hh"
 #include "sim/experiment.hh"
 
@@ -23,7 +24,7 @@ main(int argc, char **argv)
     int variant = argc > 2 ? std::atoi(argv[2]) : 2;
     std::string path = argc > 3 ? argv[3] : "thermal_trace.csv";
     double scale = argc > 4 ? std::atof(argv[4])
-                            : hs::envTimeScale(50.0);
+                            : hs::knobNumber("HS_SCALE");
 
     hs::ExperimentOptions opts;
     opts.timeScale = scale;

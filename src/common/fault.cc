@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/config.hh"
 #include "common/log.hh"
 
 namespace hs {
@@ -244,12 +245,12 @@ faultPlan()
     if (!g_resolved.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(g_planMu);
         if (!g_resolved.load(std::memory_order_relaxed)) {
-            const char *env = std::getenv("HS_FAULTS");
-            if (env && *env) {
+            std::string env = knobText("HS_FAULTS");
+            if (!env.empty()) {
                 std::string why;
                 g_owned = FaultPlan::parse(env, why);
                 if (!g_owned)
-                    fatal("HS_FAULTS: %s (got '%s')", why.c_str(), env);
+                    panic("HS_FAULTS passed its check: %s", why.c_str());
                 warn("fault injection armed: %s",
                      g_owned->str().c_str());
                 logEvent("fault", "armed", LogSeverity::Warn,

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/config.hh"
+
 namespace hs {
 
 namespace {
@@ -85,9 +87,9 @@ resolveEnv()
     std::lock_guard<std::mutex> lock(g_eventMu);
     if (g_envResolved.load(std::memory_order_relaxed))
         return;
-    const char *env = std::getenv("HS_LOG_JSON");
-    if (env && *env && !g_jsonFile)
-        openLocked(env, "HS_LOG_JSON");
+    std::string path = knobText("HS_LOG_JSON");
+    if (!path.empty() && !g_jsonFile)
+        openLocked(path, "HS_LOG_JSON");
     g_envResolved.store(true, std::memory_order_release);
 }
 

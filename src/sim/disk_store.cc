@@ -12,6 +12,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/config.hh"
 #include "common/fault.hh"
 #include "common/log.hh"
 #include "sim/serialize.hh"
@@ -414,10 +415,10 @@ DiskResultStore *
 envDiskStore()
 {
     static std::unique_ptr<DiskResultStore> store = [] {
-        const char *env = std::getenv("HS_STORE");
-        if (!env || !*env)
+        std::string dir = knobText("HS_STORE");
+        if (dir.empty())
             return std::unique_ptr<DiskResultStore>();
-        return std::make_unique<DiskResultStore>(env);
+        return std::make_unique<DiskResultStore>(dir);
     }();
     return store.get();
 }

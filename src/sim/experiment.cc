@@ -1,31 +1,16 @@
 #include "sim/experiment.hh"
 
 #include <cmath>
-#include <cstdlib>
 
+#include "common/config.hh"
 #include "common/log.hh"
 
 namespace hs {
 
-double
-envTimeScale(double default_scale)
-{
-    const char *env = std::getenv("HS_SCALE");
-    if (!env || !*env)
-        return default_scale;
-    char *end = nullptr;
-    double v = std::strtod(env, &end);
-    if (end == env || *end != '\0' || v <= 0)
-        fatal("HS_SCALE must be a positive number (1 = paper scale), "
-              "got '%s'", env);
-    return v;
-}
-
 std::vector<std::string>
 benchmarkSet()
 {
-    const char *env = std::getenv("HS_BENCH_SET");
-    std::string which = env ? env : "paper";
+    std::string which = knobText("HS_BENCH_SET");
     if (which == "quick")
         return {"gcc", "crafty", "mcf", "applu"};
     if (which == "full") {
@@ -34,17 +19,14 @@ benchmarkSet()
             names.push_back(p.name);
         return names;
     }
-    if (which == "paper")
-        return paperFigureBenchmarks();
-    fatal("HS_BENCH_SET must be one of quick, paper, full; got '%s'",
-          which.c_str());
+    return paperFigureBenchmarks();
 }
 
 ExperimentOptions
 ExperimentOptions::fromEnv()
 {
     ExperimentOptions opts;
-    opts.timeScale = envTimeScale(opts.timeScale);
+    opts.timeScale = knobNumber("HS_SCALE");
     return opts;
 }
 

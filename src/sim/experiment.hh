@@ -49,16 +49,9 @@ struct ExperimentOptions
 };
 
 /**
- * @return the effective time scale (HS_SCALE env or the default).
- * fatal() if HS_SCALE is set to anything but a positive number.
- */
-double envTimeScale(double default_scale = 25.0);
-
-/**
  * Benchmark subset selected by the HS_BENCH_SET environment variable:
  * "quick" (4 benchmarks), "paper" (the 10 shown in the paper's
- * figures; the default), or "full" (all 18 profiles). fatal() on any
- * other value.
+ * figures; the default), or "full" (all 18 profiles).
  */
 std::vector<std::string> benchmarkSet();
 

@@ -1,7 +1,6 @@
 #include "sim/progress.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include <unistd.h>
@@ -15,20 +14,6 @@ streamIsTty(std::FILE *stream)
 {
     int fd = fileno(stream);
     return fd >= 0 && isatty(fd) == 1;
-}
-
-double
-envWatchdogFactor(double default_factor)
-{
-    const char *env = std::getenv("HS_WATCHDOG");
-    if (!env || !*env)
-        return default_factor;
-    char *end = nullptr;
-    double v = std::strtod(env, &end);
-    if (end == env || *end != '\0' || v < 0)
-        fatal("HS_WATCHDOG must be a non-negative number, got '%s'",
-              env);
-    return v;
 }
 
 namespace {

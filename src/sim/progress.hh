@@ -15,10 +15,6 @@
  * is redrawn in place with carriage returns; otherwise plain periodic
  * lines are printed (no ANSI, no \r), so logs stay readable under CI
  * and redirection.
- *
- * Environment knobs:
- *  - HS_WATCHDOG: slow-cell threshold as a multiple of the median cell
- *    time (default 4.0; 0 disables; must be a non-negative number).
  */
 
 #ifndef HS_SIM_PROGRESS_HH
@@ -105,9 +101,6 @@ class ProgressReporter
 
 /** @return true when @p stream is attached to a terminal. */
 bool streamIsTty(std::FILE *stream);
-
-/** @return the HS_WATCHDOG override, or @p default_factor. */
-double envWatchdogFactor(double default_factor = 4.0);
 
 } // namespace hs
 

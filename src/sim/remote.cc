@@ -10,6 +10,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "common/config.hh"
 #include "common/fault.hh"
 #include "common/log.hh"
 #include "common/state_buffer.hh"
@@ -51,7 +52,7 @@ uint32_t
 localCaps()
 {
     uint32_t caps = kCapSnapshotCache;
-    if (envTelemetry())
+    if (knobInt("HS_HEARTBEAT_MS") > 0)
         caps |= kCapTelemetry;
     return caps;
 }
@@ -318,9 +319,9 @@ class HeartbeatSender
         : conn_(conn), sendMu_(sendMu),
           t0_(std::chrono::steady_clock::now())
     {
-        if (!enabled)
+        int period = knobInt("HS_HEARTBEAT_MS");
+        if (!enabled || period <= 0)
             return;
-        int period = envHeartbeatMs();
         thread_ = std::thread([this, period] { pump(period); });
     }
 
@@ -632,7 +633,8 @@ RemoteWorker::runJob(uint64_t id, const RunSpec &spec,
     }
     std::vector<uint8_t> frame;
     for (;;) {
-        RecvStatus st = recvFrame(sock_, frame, envRemoteTimeoutMs());
+        RecvStatus st =
+            recvFrame(sock_, frame, knobInt("HS_REMOTE_TIMEOUT_MS"));
         if (st != RecvStatus::Ok) {
             warn("worker %s lost (%s); requeueing cell locally",
                  ep_.str().c_str(),
@@ -705,48 +707,6 @@ RemoteWorker::sendShutdown()
     sendFrame(sock_, bytes);
     sock_.close();
     state_ = State::Fresh;
-}
-
-int
-envRemoteTimeoutMs(int default_ms)
-{
-    const char *env = std::getenv("HS_REMOTE_TIMEOUT_MS");
-    if (!env || !*env)
-        return default_ms;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        fatal("HS_REMOTE_TIMEOUT_MS must be a positive integer, got "
-              "'%s'",
-              env);
-    return static_cast<int>(v);
-}
-
-int
-envHeartbeatMs(int default_ms)
-{
-    const char *env = std::getenv("HS_HEARTBEAT_MS");
-    if (!env || !*env)
-        return default_ms;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        fatal("HS_HEARTBEAT_MS must be a positive integer, got '%s'",
-              env);
-    return static_cast<int>(v);
-}
-
-bool
-envTelemetry(bool default_on)
-{
-    const char *env = std::getenv("HS_TELEMETRY");
-    if (!env || !*env)
-        return default_on;
-    if (std::strcmp(env, "0") == 0)
-        return false;
-    if (std::strcmp(env, "1") == 0)
-        return true;
-    fatal("HS_TELEMETRY must be 0 or 1, got '%s'", env);
 }
 
 } // namespace hs

@@ -42,13 +42,7 @@
  * rides in sidecar structs (JobTelemetry, WorkerTelemetry) that never
  * touch RunResult or the canonical artifacts.
  *
- * Environment knobs:
- *  - HS_REMOTE_TIMEOUT_MS: per-job coordinator-side wait before a
- *    worker is declared lost (default 600000; positive integer).
- *  - HS_TELEMETRY: 0 drops the telemetry capability bit on this side
- *    (default 1; must be 0 or 1).
- *  - HS_HEARTBEAT_MS: worker heartbeat period (default 1000; positive
- *    integer).
+ * Knobs (HS_REMOTE_TIMEOUT_MS, HS_HEARTBEAT_MS): `hs_run --help`.
  */
 
 #ifndef HS_SIM_REMOTE_HH
@@ -78,7 +72,7 @@ constexpr uint32_t kRemoteProtocolVersion = 2;
 constexpr uint32_t kCapTelemetry = 1u << 0;     ///< telemetry + heartbeats
 constexpr uint32_t kCapSnapshotCache = 1u << 1; ///< snapshot-by-reference
 
-/** This build's capability word (HS_TELEMETRY=0 drops telemetry). */
+/** This build's capability word (HS_HEARTBEAT_MS=0 drops telemetry). */
 uint32_t localCaps();
 
 /** First payload byte of every frame. */
@@ -274,15 +268,6 @@ class RemoteWorker
     /** Content hashes of snapshots this connection already shipped. */
     std::unordered_set<uint64_t> shippedSnapshots_;
 };
-
-/** @return the HS_REMOTE_TIMEOUT_MS override, or @p default_ms. */
-int envRemoteTimeoutMs(int default_ms = 600000);
-
-/** @return the HS_HEARTBEAT_MS override, or @p default_ms. */
-int envHeartbeatMs(int default_ms = 1000);
-
-/** @return false iff HS_TELEMETRY=0 (default true; strict 0/1). */
-bool envTelemetry(bool default_on = true);
 
 /** @return this process's peak RSS in KiB (0 where unsupported). */
 uint64_t currentPeakRssKb();

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -14,6 +13,7 @@
 #include <unordered_set>
 
 #include "common/fault.hh"
+#include "common/config.hh"
 #include "common/log.hh"
 #include "isa/assembler.hh"
 #include "sim/disk_store.hh"
@@ -227,7 +227,7 @@ executeFromSnapshot(const RunSpec &spec, const SimSnapshot &snap)
 }
 
 ParallelRunner::ParallelRunner(int jobs, ResultStore *store)
-    : jobs_(jobs), store_(store), prefixSharing_(envPrefixSharing(true))
+    : jobs_(jobs), store_(store), prefixSharing_(knobInt("HS_PREFIX") != 0)
 {
     if (jobs_ <= 0) {
         unsigned hw = std::thread::hardware_concurrency();
@@ -515,32 +515,6 @@ ParallelRunner::remoteStats() const
     return s;
 }
 
-int
-envJobs(int default_jobs)
-{
-    const char *env = std::getenv("HS_JOBS");
-    if (!env || !*env)
-        return default_jobs;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        fatal("HS_JOBS must be a positive integer, got '%s'", env);
-    return static_cast<int>(v);
-}
-
-bool
-envPrefixSharing(bool default_on)
-{
-    const char *env = std::getenv("HS_PREFIX");
-    if (!env || !*env)
-        return default_on;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 0)
-        fatal("HS_PREFIX must be a non-negative integer, got '%s'", env);
-    return v != 0;
-}
-
 std::vector<RunResult>
 runMatrix(const std::vector<RunSpec> &specs)
 {
@@ -570,7 +544,7 @@ runMatrix(const std::vector<RunSpec> &specs)
     uint64_t dhits0 = disk ? disk->hits() : 0;
     uint64_t dwrites0 = disk ? disk->writes() : 0;
     uint64_t dcorrupt0 = disk ? disk->corrupt() : 0;
-    ParallelRunner runner(envJobs(0), &store);
+    ParallelRunner runner(knobInt("HS_JOBS"), &store);
 
     auto t0 = std::chrono::steady_clock::now();
     std::vector<RunResult> results = runner.run(specs);

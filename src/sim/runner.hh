@@ -28,19 +28,11 @@
  * Neither can change results: cells are deterministic, results always
  * fold in submission order.
  *
- * Environment knobs:
- *  - HS_JOBS: worker count for runMatrix() (default: all hardware
- *    threads; must be a positive integer).
- *  - HS_PREFIX: 0 disables prefix sharing (default: on; must be a
- *    non-negative integer).
- *  - HS_STORE: directory of the persistent result store runMatrix()
- *    attaches (default: none). With a store attached, runMatrix()
- *    also maintains `<store>/manifest.hsm` (sim/manifest.hh): an
- *    interrupted campaign restarted with the same command line
- *    resumes, simulating only the cells the store is missing.
- *  - HS_FAULTS: seeded deterministic fault-injection plan for chaos
- *    testing (grammar and site list in common/fault.hh; default:
- *    none, which compiles down to one null check per site).
+ * Knobs (HS_JOBS, HS_PREFIX, HS_STORE, HS_FAULTS): `hs_run --help`.
+ * With a store attached, runMatrix() also maintains
+ * `<store>/manifest.hsm` (sim/manifest.hh): an interrupted campaign
+ * restarted with the same command line resumes, simulating only the
+ * cells the store is missing.
  */
 
 #ifndef HS_SIM_RUNNER_HH
@@ -229,12 +221,6 @@ class ParallelRunner
     std::atomic<uint64_t> prefixCycles_{0};
     std::atomic<uint64_t> savedCycles_{0};
 };
-
-/** @return the HS_JOBS override, or @p default_jobs (0 = all cores). */
-int envJobs(int default_jobs = 0);
-
-/** @return false iff HS_PREFIX is set to 0 (else @p default_on). */
-bool envPrefixSharing(bool default_on = true);
 
 /**
  * Bench-harness convenience: run @p specs with HS_JOBS workers and the

@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/log.hh"
@@ -58,21 +57,6 @@ StatusServer::serveLoop()
             off += static_cast<size_t>(n);
         }
     }
-}
-
-uint16_t
-envStatusPort()
-{
-    const char *env = std::getenv("HS_STATUS_PORT");
-    if (!env || !*env)
-        return 0;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1 || v > 65535)
-        fatal("HS_STATUS_PORT must be a port number (1..65535), got "
-              "'%s'",
-              env);
-    return static_cast<uint16_t>(v);
 }
 
 } // namespace hs

@@ -15,9 +15,6 @@
  * (HTTP/1.0, connection closed after one response) — deliberately not
  * framing.hh frames, which are length-prefixed for peers, not
  * curl-friendly.
- *
- * Environment knob: HS_STATUS_PORT (same as --status-port; the CLI
- * flag wins; must be a port number 1..65535).
  */
 
 #ifndef HS_SIM_STATUS_HH
@@ -61,10 +58,6 @@ class StatusServer
     std::atomic<bool> stop_{false};
     std::thread thread_;
 };
-
-/** @return the HS_STATUS_PORT override (1..65535), or 0 when unset.
- *  fatal() on garbage, matching the other env knobs. */
-uint16_t envStatusPort();
 
 } // namespace hs
 

@@ -122,6 +122,22 @@ expect_usage "events with stats" --spec gcc $FAST \
 expect_usage "status port with profile" --spec gcc $FAST \
     --status-port 7999 --profile
 
+# A --serve worker takes every run setting from its coordinator, so
+# each option it would ignore is refused (--log-json stays legal).
+expect_usage "serve with jobs" --serve 7471 --jobs 4
+expect_usage "serve with store" --serve 7471 --store "$TMP/store"
+expect_usage "serve with cores" --serve 7471 --cores 3
+expect_usage "serve with place" --serve 7471 --place 0
+expect_usage "serve with dtm" --serve 7471 --dtm none
+expect_usage "serve with sink" --serve 7471 --sink ideal
+expect_usage "serve with scale" --serve 7471 --scale 7
+expect_usage "serve with conv" --serve 7471 --conv 0.7
+expect_usage "serve with upper" --serve 7471 --upper 357
+expect_usage "serve with lower" --serve 7471 --lower 354
+expect_usage "serve with noise" --serve 7471 --noise 0.5
+expect_usage "serve with deschedule" --serve 7471 --deschedule 3
+expect_usage "serve with trace filter" --serve 7471 --trace-filter dtm
+
 # --- well-formed invocations -------------------------------------------
 
 # Asking for help is not an error: the usage text goes to stdout and
@@ -130,6 +146,19 @@ for h in --help -h; do
     expect_ok "help $h" $h
     grep -q "usage:" "$TMP/out" || fail "help $h: no usage text on stdout"
     [ -s "$TMP/err" ] && fail "help $h: unexpected stderr output"
+done
+
+# The docs point at --help for the knob list, so every HS_* name they
+# mention must be in it. Build- and test-only variables are exempt.
+"$BIN" --help >"$TMP/help"
+for name in $(grep -ohE 'HS_[A-Z][A-Z_]*' "$ROOT/README.md" \
+        "$ROOT"/docs/*.md | sort -u); do
+    case $name in
+        HS_SANITIZE | HS_TSAN | HS_REGOLDEN | HS_SOURCE_DIR | \
+            HS_CHAOS_* | HS_PERF_REFRESH) continue ;;
+    esac
+    grep -qw "$name" "$TMP/help" ||
+        fail "docs name $name, which hs_run --help does not list"
 done
 
 # Progress output goes to stderr; when stderr is not a TTY (as here)
@@ -144,19 +173,34 @@ grep -q "$(printf '\033')" "$TMP/err" &&
 grep -q "$(printf '\r')" "$TMP/err" &&
     fail "progress: carriage return in non-TTY output"
 
-# HS_WATCHDOG is validated strictly like every other HS_* knob.
-HS_WATCHDOG=banana "$BIN" --spec gcc $FAST --progress \
-    >"$TMP/out" 2>"$TMP/err"
-[ $? -eq 1 ] || fail "progress: bad HS_WATCHDOG not rejected"
-grep -q "HS_WATCHDOG" "$TMP/err" ||
-    fail "progress: HS_WATCHDOG error message missing"
+# expect_bad_env DESC VAR=VALUE ARGS... : a malformed HS_* knob must
+# exit 1 at start-up and name the knob, whichever path would read it.
+# The timeout bounds a --serve case that wrongly starts serving.
+expect_bad_env()
+{
+    desc=$1
+    setting=$2
+    shift 2
+    env "$setting" timeout 60 "$BIN" "$@" >"$TMP/out" 2>"$TMP/err"
+    rc=$?
+    [ "$rc" -eq 1 ] || fail "$desc: expected exit 1, got $rc"
+    grep -q "${setting%%=*}" "$TMP/err" ||
+        fail "$desc: error does not name ${setting%%=*}"
+}
 
-# The observability knobs follow the same strict-env contract.
-HS_STATUS_PORT=banana "$BIN" --spec gcc $FAST \
-    >"$TMP/out" 2>"$TMP/err"
-[ $? -eq 1 ] || fail "status: bad HS_STATUS_PORT not rejected"
-grep -q "HS_STATUS_PORT" "$TMP/err" ||
-    fail "status: HS_STATUS_PORT error message missing"
+expect_bad_env "bad HS_STATUS_PORT" HS_STATUS_PORT=banana --spec gcc $FAST
+expect_bad_env "bad HS_JOBS under --jobs" HS_JOBS=abc --spec gcc $FAST \
+    --jobs 1
+expect_bad_env "bad HS_PREFIX under --stats" HS_PREFIX=zz --spec gcc \
+    $FAST --stats
+expect_bad_env "HS_STATUS_PORT out of range under --stats" \
+    HS_STATUS_PORT=99999 --spec gcc $FAST --stats
+expect_bad_env "bad HS_REMOTE_TIMEOUT_MS" HS_REMOTE_TIMEOUT_MS=abc \
+    --spec gcc $FAST
+expect_bad_env "bad HS_HEARTBEAT_MS under --serve" HS_HEARTBEAT_MS=abc \
+    --serve 47999
+expect_bad_env "bad HS_SCALE" HS_SCALE=50x --spec gcc
+expect_bad_env "bad HS_FAULTS" HS_FAULTS=garbage --spec gcc $FAST
 
 HS_LOG_JSON="$TMP/no-such-dir/log.jsonl" "$BIN" --spec gcc $FAST \
     >"$TMP/out" 2>"$TMP/err"

@@ -75,23 +75,10 @@ TEST(Experiment, MaliciousParamsScale)
 TEST(Experiment, EnvScaleOverride)
 {
     setenv("HS_SCALE", "123", 1);
-    EXPECT_DOUBLE_EQ(envTimeScale(50.0), 123.0);
+    EXPECT_DOUBLE_EQ(ExperimentOptions::fromEnv().timeScale, 123.0);
     unsetenv("HS_SCALE");
-    EXPECT_DOUBLE_EQ(envTimeScale(50.0), 50.0);
-}
-
-TEST(ExperimentDeathTest, EnvScaleRejectsGarbage)
-{
-    setenv("HS_SCALE", "garbage", 1);
-    EXPECT_EXIT(envTimeScale(50.0), testing::ExitedWithCode(1),
-                "HS_SCALE");
-    setenv("HS_SCALE", "-2", 1);
-    EXPECT_EXIT(envTimeScale(50.0), testing::ExitedWithCode(1),
-                "HS_SCALE");
-    setenv("HS_SCALE", "50x", 1);
-    EXPECT_EXIT(envTimeScale(50.0), testing::ExitedWithCode(1),
-                "HS_SCALE");
-    unsetenv("HS_SCALE");
+    EXPECT_DOUBLE_EQ(ExperimentOptions::fromEnv().timeScale,
+                     ExperimentOptions{}.timeScale);
 }
 
 TEST(Experiment, RunSoloSmoke)

@@ -456,22 +456,4 @@ TEST(RunHealth, ProgressReporterPlainModeHasNoAnsi)
     EXPECT_EQ(text.find('\r'), std::string::npos) << "carriage return";
 }
 
-TEST(RunHealth, WatchdogEnvIsStrict)
-{
-    setenv("HS_WATCHDOG", "2.5", 1);
-    EXPECT_DOUBLE_EQ(envWatchdogFactor(), 2.5);
-    setenv("HS_WATCHDOG", "0", 1);
-    EXPECT_DOUBLE_EQ(envWatchdogFactor(), 0.0);
-    unsetenv("HS_WATCHDOG");
-    EXPECT_DOUBLE_EQ(envWatchdogFactor(3.0), 3.0);
-
-    setenv("HS_WATCHDOG", "fast", 1);
-    EXPECT_EXIT(envWatchdogFactor(), testing::ExitedWithCode(1),
-                "HS_WATCHDOG");
-    setenv("HS_WATCHDOG", "-1", 1);
-    EXPECT_EXIT(envWatchdogFactor(), testing::ExitedWithCode(1),
-                "HS_WATCHDOG");
-    unsetenv("HS_WATCHDOG");
-}
-
 } // namespace

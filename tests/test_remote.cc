@@ -514,7 +514,9 @@ TEST(RemoteTelemetry, TwoWorkerArtifactsIdenticalAndEventsParse)
 
 TEST(RemoteTelemetry, TelemetryOffKeepsResultsIdentical)
 {
-    setenv("HS_TELEMETRY", "0", 1);
+    // Both sides stop advertising kCapTelemetry.
+    setenv("HS_HEARTBEAT_MS", "0", 1);
+    EXPECT_EQ(localCaps() & kCapTelemetry, 0u);
     {
         std::vector<RunSpec> specs = smallMatrix();
         std::vector<RunResult> serial;
@@ -536,7 +538,7 @@ TEST(RemoteTelemetry, TelemetryOffKeepsResultsIdentical)
         EXPECT_EQ(rs.perWorker[0].heartbeats, 0u);
         EXPECT_EQ(rs.perWorker[0].simSeconds, 0.0);
     }
-    unsetenv("HS_TELEMETRY");
+    unsetenv("HS_HEARTBEAT_MS");
 }
 
 } // namespace

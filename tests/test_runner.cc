@@ -275,26 +275,6 @@ TEST(Runner, MatrixJsonAndCsvEmission)
               1 + static_cast<long>(results[0].threads.size()));
 }
 
-TEST(Runner, EnvJobsParses)
-{
-    unsetenv("HS_JOBS");
-    EXPECT_EQ(envJobs(3), 3);
-    setenv("HS_JOBS", "5", 1);
-    EXPECT_EQ(envJobs(3), 5);
-    unsetenv("HS_JOBS");
-}
-
-TEST(RunnerDeathTest, EnvJobsRejectsGarbage)
-{
-    setenv("HS_JOBS", "many", 1);
-    EXPECT_EXIT(envJobs(0), testing::ExitedWithCode(1), "HS_JOBS");
-    setenv("HS_JOBS", "0", 1);
-    EXPECT_EXIT(envJobs(0), testing::ExitedWithCode(1), "HS_JOBS");
-    setenv("HS_JOBS", "-4", 1);
-    EXPECT_EXIT(envJobs(0), testing::ExitedWithCode(1), "HS_JOBS");
-    unsetenv("HS_JOBS");
-}
-
 TEST(Runner, BenchmarkSetSelection)
 {
     unsetenv("HS_BENCH_SET");

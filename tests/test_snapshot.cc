@@ -496,30 +496,15 @@ TEST(SnapshotDeathTest, MultiCoreSnapshotRefusesOtherTopologies)
 TEST(Snapshot, EnvPrefixDefaultsOn)
 {
     unsetenv("HS_PREFIX");
-    EXPECT_TRUE(envPrefixSharing());
-    EXPECT_FALSE(envPrefixSharing(false));
     EXPECT_TRUE(ParallelRunner(1).prefixSharing());
 }
 
 TEST(Snapshot, EnvPrefixZeroDisables)
 {
     setenv("HS_PREFIX", "0", 1);
-    EXPECT_FALSE(envPrefixSharing());
     EXPECT_FALSE(ParallelRunner(1).prefixSharing());
     setenv("HS_PREFIX", "1", 1);
-    EXPECT_TRUE(envPrefixSharing());
     EXPECT_TRUE(ParallelRunner(1).prefixSharing());
-    unsetenv("HS_PREFIX");
-}
-
-TEST(SnapshotDeathTest, EnvPrefixRejectsGarbage)
-{
-    setenv("HS_PREFIX", "fast", 1);
-    EXPECT_EXIT(envPrefixSharing(), testing::ExitedWithCode(1),
-                "HS_PREFIX");
-    setenv("HS_PREFIX", "-1", 1);
-    EXPECT_EXIT(envPrefixSharing(), testing::ExitedWithCode(1),
-                "HS_PREFIX");
     unsetenv("HS_PREFIX");
 }
 

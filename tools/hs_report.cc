@@ -22,26 +22,14 @@
  *    fault-fire markers, lane utilization / straggler table, cell
  *    source breakdown and per-worker telemetry rollups
  *
- * Usage:
- *   hs_report [options]
- * Options (values as "--opt VALUE" or "--opt=VALUE"):
- *   --json FILE   matrix JSON from hs_run --json (repeatable)
- *   --trace FILE  JSONL event trace from hs_run --trace (repeatable)
- *   --events FILE campaign timeline from hs_run --events (first file
- *                 is rendered; see docs/OBSERVABILITY.md)
- *   --out FILE    output HTML path (default hs_report.html, "-" =
- *                 stdout)
- *   --title TEXT  report title (default "Heat Stroke run report")
- *
- * Every argument must parse exactly: unknown options, missing values
- * and trailing garbage all exit 2 via usage().
+ * Flags: the table at the top of main(). Malformed arguments exit 2
+ * with the usage text.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -50,6 +38,7 @@
 #include <vector>
 
 #include "common/blocks.hh"
+#include "common/config.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "thermal/floorplan.hh"
@@ -57,17 +46,6 @@
 namespace {
 
 using namespace hs;
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--json FILE]... [--trace FILE]... "
-                 "[--events FILE]...\n"
-                 "       [--out FILE] [--title TEXT]\n",
-                 argv0);
-    std::exit(2);
-}
 
 std::string
 readFile(const std::string &path)
@@ -1425,53 +1403,28 @@ emitReport(std::ostream &os, const std::string &title,
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> json_paths, trace_paths, events_paths;
-    std::string out_path = "hs_report.html";
-    std::string title = "Heat Stroke run report";
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string inline_value;
-        bool has_inline = false;
-        if (arg.size() > 2 && arg.compare(0, 2, "--") == 0) {
-            size_t eq = arg.find('=');
-            if (eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                arg = arg.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto value = [&]() -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
-                             arg.c_str());
-                usage(argv[0]);
-            }
-            return argv[++i];
-        };
-        if (arg == "--json")
-            json_paths.push_back(value());
-        else if (arg == "--trace")
-            trace_paths.push_back(value());
-        else if (arg == "--events")
-            events_paths.push_back(value());
-        else if (arg == "--out")
-            out_path = value();
-        else if (arg == "--title")
-            title = value();
-        else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
-                         argv[i]);
-            usage(argv[0]);
-        }
-    }
+    static const Knob flags[] = {
+        {.flag = "--json", .type = KnobType::Path, .arg = "FILE",
+         .repeat = true, .help = "matrix JSON from hs_run --json"},
+        {.flag = "--trace", .type = KnobType::Path, .arg = "FILE",
+         .repeat = true, .help = "JSONL event trace from hs_run --trace"},
+        {.flag = "--events", .type = KnobType::Path, .arg = "FILE",
+         .repeat = true,
+         .help = "campaign timeline from hs_run --events (first file)"},
+        {.flag = "--out", .type = KnobType::Path, .arg = "FILE",
+         .def = "hs_report.html", .help = "output HTML (\"-\" = stdout)"},
+        {.flag = "--title", .type = KnobType::Custom, .arg = "TEXT",
+         .def = "Heat Stroke run report", .help = "report title"},
+    };
+    CommandLine cl(argc, argv, flags);
+    const std::vector<std::string> json_paths = cl.values("--json");
+    const std::vector<std::string> trace_paths = cl.values("--trace");
+    const std::vector<std::string> events_paths = cl.values("--events");
+    const std::string out_path = cl.text("--out");
+    const std::string title = cl.text("--title");
     if (json_paths.empty() && trace_paths.empty() &&
         events_paths.empty()) {
-        std::fprintf(stderr, "%s: nothing to report; pass --json, "
-                             "--trace and/or --events\n", argv[0]);
-        usage(argv[0]);
+        cl.fail("nothing to report; pass --json, --trace and/or --events");
     }
 
     std::vector<RunView> runs;

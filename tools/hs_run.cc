@@ -7,96 +7,26 @@
  * temperature-trace CSV, a structured event trace (JSONL or Chrome
  * trace_event JSON), or a structured JSON/CSV result file. With --each
  * the workloads become independent solo runs executed by the parallel
- * experiment engine.
+ * experiment engine; with --serve the process is a TCP worker.
  *
- * Usage:
- *   hs_run [options]
- * Options (values as "--opt VALUE" or "--opt=VALUE"):
- *   --spec NAME          add a synthetic SPEC thread (repeatable)
- *   --variant N          add malicious variant N in {1..4} (repeatable)
- *   --asm FILE           add a thread assembled from FILE (repeatable)
- *   --each               run each workload as its own solo quantum
- *                        (a RunSpec matrix) instead of co-scheduled
- *   --cores N            compose N core tiles on one shared die
- *                        (default 1; see docs/TOPOLOGY.md)
- *   --place a,b,...      core of each workload in listing order
- *                        (entries in [0,cores); default: all on
- *                        core 0; needs --cores, not with --each)
- *   --jobs N             engine worker threads (default: HS_JOBS or
- *                        all hardware threads)
- *   --store DIR          persistent content-addressed result store:
- *                        finished cells are written to DIR and later
- *                        runs (any process, any machine sharing DIR)
- *                        serve them from disk instead of simulating;
- *                        a campaign manifest (DIR/manifest.hsm) makes
- *                        interrupted sweeps resumable
- *                        (default: HS_STORE; see docs/DISTRIBUTED.md)
- *   --serve PORT         run as a TCP worker: listen on PORT, execute
- *                        RunSpecs a coordinator ships, stream results
- *                        back (no workloads on the command line)
- *   --workers LIST       shard cells across TCP workers, e.g.
- *                        "host:7401,host:7402"; each worker is one
- *                        extra engine lane, with local fallback when
- *                        a worker dies
- *   --log-json FILE      write the structured operational log (one
- *                        JSON object per line; see
- *                        docs/OBSERVABILITY.md) to FILE; same sink
- *                        as HS_LOG_JSON, the flag wins
- *   --events FILE        write the campaign timeline — runner cell
- *                        lifecycle plus fleet telemetry events — to
- *                        FILE for hs_report --events (default:
- *                        <store>/events.jsonl when --store is set)
- *   --status-port P      serve live Prometheus-style campaign
- *                        counters over HTTP on port P while the
- *                        engine runs (HS_STATUS_PORT; the flag wins)
- *   --json FILE          write specs + results + metrics as JSON
- *                        ("-" = stdout)
- *   --csv FILE           write per-thread results as CSV ("-" = stdout)
- *   --dtm MODE           none|stopgo|sedation|dvfs|fetchgate
- *                        (default stopgo)
- *   --sink ideal|real    heat sink model (default real)
- *   --scale S            time scale (default 50; 1 = paper scale)
- *   --conv R             convection resistance K/W (default 0.8)
- *   --upper K --lower K  sedation thresholds (default 356 / 355)
- *   --noise K            sensor noise amplitude (default 0)
- *   --deschedule N       OS extension: deschedule after N reports
- *   --progress           live engine status on stderr: completed/total
- *                        cells, ETA from the cell-time histogram, and
- *                        a slow-cell watchdog (HS_WATCHDOG multiple of
- *                        the median). Single-line redraw on a TTY,
- *                        plain periodic lines otherwise.
- *   --trace FILE         write the structured event trace (single run
- *                        only); *.jsonl = one JSON object per line,
- *                        anything else = Chrome trace_event JSON
- *                        (load in chrome://tracing or Perfetto).
- *                        Implies the temperature trace, so a single
- *                        --trace --json run carries everything
- *                        hs_report needs.
- *   --trace-filter CATS  comma list of categories to write
- *                        (dtm,thermal,monitor,fetch,episode)
- *   --temp-trace FILE    write temperature trace CSV (single run only)
- *   --stats              dump full statistics (single run only)
- *   --profile            print per-cost-centre cycle/time shares
- *                        (single run only)
- *   --list               list available SPEC profiles and exit
- *   --help, -h           print the usage text to stdout and exit 0
- *
- * Every argument must parse exactly: unknown options, missing or
- * malformed values, and trailing garbage all exit 2 via usage().
+ * Flags and HS_* variables: the knob table in common/config.cc, printed
+ * by `hs_run --help`. Malformed arguments exit 2 with the usage.
  */
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "sim/disk_store.hh"
 #include "sim/manifest.hh"
@@ -112,86 +42,6 @@
 namespace {
 
 using namespace hs;
-
-/** Print the usage text and exit with @p code: 0 (asked for with
- *  --help) prints to stdout, anything else to stderr. */
-[[noreturn]] void
-usage(const char *argv0, int code = 2)
-{
-    std::fprintf(code == 0 ? stdout : stderr,
-                 "usage: %s [--spec NAME]... [--variant N]... "
-                 "[--asm FILE]...\n"
-                 "       [--each] [--cores N] [--place a,b,...] "
-                 "[--jobs N] [--json FILE] [--csv FILE]\n"
-                 "       [--store DIR] [--serve PORT] "
-                 "[--workers host:port,...]\n"
-                 "       [--log-json FILE] [--events FILE] "
-                 "[--status-port PORT]\n"
-                 "       [--dtm none|stopgo|sedation|dvfs|fetchgate] "
-                 "[--sink ideal|real]\n"
-                 "       [--scale S] [--conv R] [--upper K] "
-                 "[--lower K] [--noise K]\n"
-                 "       [--deschedule N] [--progress] [--trace FILE] "
-                 "[--trace-filter CAT,...]\n"
-                 "       [--temp-trace FILE] [--stats] [--profile] "
-                 "[--list] [--help]\n",
-                 argv0);
-    std::exit(code);
-}
-
-/** Report a bad option value and exit through usage(). */
-[[noreturn]] void
-badValue(const char *argv0, const std::string &opt,
-         const std::string &value, const char *expected)
-{
-    std::fprintf(stderr, "%s: bad value '%s' for %s (expected %s)\n",
-                 argv0, value.c_str(), opt.c_str(), expected);
-    usage(argv0);
-}
-
-/** Strict integer parse: the whole string must be consumed. */
-long
-parseInt(const char *argv0, const std::string &opt,
-         const std::string &value)
-{
-    const char *s = value.c_str();
-    char *end = nullptr;
-    long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0')
-        badValue(argv0, opt, value, "an integer");
-    return v;
-}
-
-/** Strict floating-point parse: the whole string must be consumed. */
-double
-parseDouble(const char *argv0, const std::string &opt,
-            const std::string &value)
-{
-    const char *s = value.c_str();
-    char *end = nullptr;
-    double v = std::strtod(s, &end);
-    if (end == s || *end != '\0')
-        badValue(argv0, opt, value, "a number");
-    return v;
-}
-
-bool
-parseDtm(const std::string &s, DtmMode &out)
-{
-    if (s == "none")
-        out = DtmMode::None;
-    else if (s == "stopgo" || s == "stop-and-go")
-        out = DtmMode::StopAndGo;
-    else if (s == "sedation")
-        out = DtmMode::SelectiveSedation;
-    else if (s == "dvfs")
-        out = DtmMode::DvfsThrottle;
-    else if (s == "fetchgate" || s == "fetch-gating")
-        out = DtmMode::FetchGating;
-    else
-        return false;
-    return true;
-}
 
 WorkloadSpec
 loadAsm(const std::string &path)
@@ -413,309 +263,124 @@ countEvent(StatusCounters &c, const LogEventView &v)
 int
 main(int argc, char **argv)
 {
-    std::vector<WorkloadSpec> workloads;
-    ExperimentOptions opts;
-    opts.timeScale = envTimeScale(50.0);
-    opts.dtm = DtmMode::StopAndGo;
-    double noise = 0.0;
-    int deschedule = 0;
-    int jobs = 0;
-    std::string store_path;
-    int serve_port = 0; // 0 = not a worker
-    std::vector<Endpoint> worker_endpoints;
-    bool each = false;
-    int cores = 1;
-    std::vector<int> place;
-    bool have_place = false;
-    std::string temp_trace_path, trace_path, trace_filter;
-    std::string json_path, csv_path;
-    std::string log_json_path, events_path;
-    int status_port = 0; // 0 = no status server (or HS_STATUS_PORT)
-    bool dump_stats = false;
-    bool profile = false;
-    bool progress = false;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        // Accept both "--opt VALUE" and "--opt=VALUE".
-        std::string inline_value;
-        bool has_inline = false;
-        if (arg.size() > 2 && arg.compare(0, 2, "--") == 0) {
-            size_t eq = arg.find('=');
-            if (eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                arg = arg.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto value = [&]() -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
-                             arg.c_str());
-                usage(argv[0]);
-            }
-            return argv[++i];
-        };
-        auto flagOnly = [&]() {
-            if (has_inline) {
-                std::fprintf(stderr, "%s: %s takes no value\n", argv[0],
-                             arg.c_str());
-                usage(argv[0]);
-            }
-        };
-
-        if (arg == "--spec") {
-            workloads.push_back(WorkloadSpec::spec(value()));
-        } else if (arg == "--variant") {
-            std::string v = value();
-            long n = parseInt(argv[0], arg, v);
-            if (n < 1 || n > 4)
-                badValue(argv[0], arg, v, "1..4");
-            workloads.push_back(
-                WorkloadSpec::maliciousVariant(static_cast<int>(n)));
-        } else if (arg == "--asm") {
-            workloads.push_back(loadAsm(value()));
-        } else if (arg == "--each") {
-            flagOnly();
-            each = true;
-        } else if (arg == "--cores") {
-            std::string v = value();
-            long n = parseInt(argv[0], arg, v);
-            if (n < 1)
-                badValue(argv[0], arg, v, "a positive integer");
-            cores = static_cast<int>(n);
-        } else if (arg == "--place") {
-            std::string v = value();
-            place.clear();
-            have_place = true;
-            size_t pos = 0;
-            while (true) {
-                size_t comma = v.find(',', pos);
-                std::string item = v.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                long n = parseInt(argv[0], arg, item);
-                place.push_back(static_cast<int>(n));
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-        } else if (arg == "--jobs") {
-            std::string v = value();
-            long n = parseInt(argv[0], arg, v);
-            if (n <= 0)
-                badValue(argv[0], arg, v, "a positive integer");
-            jobs = static_cast<int>(n);
-        } else if (arg == "--store") {
-            store_path = value();
-            if (store_path.empty())
-                badValue(argv[0], arg, store_path, "a directory path");
-        } else if (arg == "--serve") {
-            std::string v = value();
-            long n = parseInt(argv[0], arg, v);
-            if (n < 1 || n > 65535)
-                badValue(argv[0], arg, v, "a port in 1..65535");
-            serve_port = static_cast<int>(n);
-        } else if (arg == "--workers") {
-            std::string v = value();
-            if (!parseEndpoints(v, worker_endpoints))
-                badValue(argv[0], arg, v,
-                         "a comma list of host:port endpoints");
-        } else if (arg == "--log-json") {
-            log_json_path = value();
-            if (log_json_path.empty())
-                badValue(argv[0], arg, log_json_path, "a file path");
-        } else if (arg == "--events") {
-            events_path = value();
-            if (events_path.empty())
-                badValue(argv[0], arg, events_path, "a file path");
-        } else if (arg == "--status-port") {
-            std::string v = value();
-            long n = parseInt(argv[0], arg, v);
-            if (n < 1 || n > 65535)
-                badValue(argv[0], arg, v, "a port in 1..65535");
-            status_port = static_cast<int>(n);
-        } else if (arg == "--json") {
-            json_path = value();
-        } else if (arg == "--csv") {
-            csv_path = value();
-        } else if (arg == "--dtm") {
-            std::string v = value();
-            if (!parseDtm(v, opts.dtm))
-                badValue(argv[0], arg, v,
-                         "none|stopgo|sedation|dvfs|fetchgate");
-        } else if (arg == "--sink") {
-            std::string v = value();
-            if (v == "ideal")
-                opts.sink = SinkType::Ideal;
-            else if (v == "real")
-                opts.sink = SinkType::Realistic;
-            else
-                badValue(argv[0], arg, v, "ideal|real");
-        } else if (arg == "--scale") {
-            std::string v = value();
-            opts.timeScale = parseDouble(argv[0], arg, v);
-            if (opts.timeScale <= 0)
-                badValue(argv[0], arg, v, "a positive number");
-        } else if (arg == "--conv") {
-            std::string v = value();
-            opts.convectionR = parseDouble(argv[0], arg, v);
-            if (opts.convectionR <= 0)
-                badValue(argv[0], arg, v, "a positive number");
-        } else if (arg == "--upper") {
-            opts.upperThreshold = parseDouble(argv[0], arg, value());
-        } else if (arg == "--lower") {
-            opts.lowerThreshold = parseDouble(argv[0], arg, value());
-        } else if (arg == "--noise") {
-            std::string v = value();
-            noise = parseDouble(argv[0], arg, v);
-            if (noise < 0)
-                badValue(argv[0], arg, v, "a non-negative number");
-        } else if (arg == "--deschedule") {
-            std::string v = value();
-            long n = parseInt(argv[0], arg, v);
-            if (n < 0)
-                badValue(argv[0], arg, v, "a non-negative integer");
-            deschedule = static_cast<int>(n);
-        } else if (arg == "--progress") {
-            flagOnly();
-            progress = true;
-        } else if (arg == "--trace") {
-            trace_path = value();
-            // A traced run should be enough for hs_report on its own,
-            // so it also carries the temperature time series.
-            opts.recordTempTrace = true;
-        } else if (arg == "--trace-filter") {
-            trace_filter = value();
-        } else if (arg == "--temp-trace") {
-            temp_trace_path = value();
-            opts.recordTempTrace = true;
-        } else if (arg == "--stats") {
-            flagOnly();
-            dump_stats = true;
-        } else if (arg == "--profile") {
-            flagOnly();
-            profile = true;
-        } else if (arg == "--list") {
-            flagOnly();
-            for (const SpecProfile &p : specSuite())
-                std::printf("%s\n", p.name.c_str());
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            flagOnly();
-            usage(argv[0], 0);
-        } else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
-                         argv[i]);
-            usage(argv[0]);
-        }
+    CommandLine cl(argc, argv, knobTable());
+    if (cl.has("--list")) {
+        for (const SpecProfile &p : specSuite())
+            std::printf("%s\n", p.name.c_str());
+        return 0;
     }
-    if (serve_port > 0) {
-        // A worker is pure transport + compute: it takes its RunSpecs
-        // from the coordinator, so a command line that also declares
-        // local work is a confused command line. --log-json stays
-        // legal: a worker's operational log is exactly what the fleet
-        // view wants.
-        if (!workloads.empty() || !worker_endpoints.empty() || each ||
-            dump_stats || profile || progress || !json_path.empty() ||
-            !csv_path.empty() || !trace_path.empty() ||
-            !temp_trace_path.empty() || !events_path.empty() ||
-            status_port > 0) {
-            std::fprintf(stderr,
-                         "%s: --serve runs a bare worker; drop "
-                         "workloads and output options\n",
-                         argv[0]);
-            usage(argv[0]);
-        }
-        if (!log_json_path.empty())
-            openJsonLog(log_json_path);
-        serveWorker(static_cast<uint16_t>(serve_port));
+    const unsigned mode = cl.has("--serve") ? kModeServe
+                          : cl.has("--stats") || cl.has("--profile")
+                              ? kModeSingle
+                          : cl.has("--each") ? kModeEach
+                                             : kModeEngine;
+    cl.requireMode(mode);
+    if (mode == kModeServe) {
+        // A worker takes its RunSpecs from the coordinator; its
+        // operational log is what the fleet view wants.
+        if (cl.has("--log-json"))
+            openJsonLog(cl.text("--log-json"));
+        serveWorker(static_cast<uint16_t>(cl.integer("--serve")));
         closeJsonLog();
         return 0;
     }
-    if (workloads.empty()) {
-        std::fprintf(stderr, "no workloads given; try --spec gcc "
-                             "--variant 2\n");
-        usage(argv[0]);
+
+    std::vector<WorkloadSpec> workloads;
+    for (const auto &[knob, value] : cl.given()) {
+        std::string_view flag = knob->flag;
+        if (flag == "--spec")
+            workloads.push_back(WorkloadSpec::spec(value));
+        else if (flag == "--variant")
+            workloads.push_back(
+                WorkloadSpec::maliciousVariant(std::stoi(value)));
+        else if (flag == "--asm")
+            workloads.push_back(loadAsm(value));
     }
-    if (have_place) {
-        if (each) {
-            std::fprintf(stderr,
-                         "%s: --place maps one co-scheduled mix; drop "
-                         "--each\n",
-                         argv[0]);
-            usage(argv[0]);
+    if (workloads.empty())
+        cl.fail("no workloads given; try --spec gcc --variant 2");
+
+    RunSpec base; // every cell's settings
+    ExperimentOptions &opts = base.opts;
+    opts.timeScale = cl.number("--scale");
+    static const std::map<std::string, DtmMode> dtm_modes = {
+        {"none", DtmMode::None}, {"stopgo", DtmMode::StopAndGo},
+        {"stop-and-go", DtmMode::StopAndGo},
+        {"sedation", DtmMode::SelectiveSedation},
+        {"dvfs", DtmMode::DvfsThrottle}, {"fetchgate", DtmMode::FetchGating},
+        {"fetch-gating", DtmMode::FetchGating}};
+    opts.dtm = dtm_modes.at(cl.text("--dtm"));
+    opts.sink = cl.text("--sink") == "ideal" ? SinkType::Ideal
+                                             : SinkType::Realistic;
+    opts.convectionR = cl.number("--conv");
+    opts.upperThreshold = cl.number("--upper");
+    opts.lowerThreshold = cl.number("--lower");
+    // A traced run should be enough for hs_report on its own, so it
+    // also carries the temperature time series.
+    opts.recordTempTrace = cl.has("--trace") || cl.has("--temp-trace");
+    base.sensorNoiseK = cl.number("--noise");
+    base.descheduleAfter = cl.integer("--deschedule");
+    base.numCores = cl.integer("--cores");
+    const bool dump_stats = cl.has("--stats");
+    const bool profile = cl.has("--profile");
+    const std::string trace_path = cl.text("--trace");
+    const std::string temp_trace_path = cl.text("--temp-trace");
+    const std::string json_path = cl.text("--json");
+    const std::string csv_path = cl.text("--csv");
+    std::string events_path = cl.text("--events");
+
+    std::vector<int> place;
+    if (cl.has("--place")) {
+        const std::string list = cl.text("--place");
+        const Knob entry{.type = KnobType::Int, .min = 0,
+                         .max = static_cast<double>(base.numCores - 1)};
+        for (size_t pos = 0;;) {
+            size_t comma = list.find(',', pos);
+            double core = 0;
+            std::string why;
+            if (!knobParse(entry, list.substr(pos, comma - pos), core,
+                           why))
+                cl.badValue("--place");
+            place.push_back(static_cast<int>(core));
+            if (comma == std::string::npos)
+                break;
+            pos = comma + 1;
         }
-        if (place.size() != workloads.size()) {
-            std::fprintf(stderr,
-                         "%s: --place lists %zu cores for %zu "
-                         "workloads\n",
-                         argv[0], place.size(), workloads.size());
-            usage(argv[0]);
-        }
-        for (int c : place) {
-            if (c < 0 || c >= cores) {
-                std::fprintf(stderr,
-                             "%s: --place entry %d is outside [0, %d); "
-                             "raise --cores\n",
-                             argv[0], c, cores);
-                usage(argv[0]);
-            }
-        }
+        if (place.size() != workloads.size())
+            cl.fail("--place needs one core per workload");
     }
     uint32_t trace_mask = traceAllCategories;
-    if (!trace_filter.empty()) {
-        if (trace_path.empty()) {
-            std::fprintf(stderr,
-                         "%s: --trace-filter requires --trace\n",
-                         argv[0]);
-            usage(argv[0]);
-        }
-        if (!parseTraceFilter(trace_filter, trace_mask))
-            badValue(argv[0], "--trace-filter", trace_filter,
-                     "a comma list of "
-                     "dtm,thermal,monitor,fetch,episode");
+    if (cl.has("--trace-filter")) {
+        if (!cl.has("--trace"))
+            cl.fail("--trace-filter requires --trace");
+        if (!parseTraceFilter(cl.text("--trace-filter"), trace_mask))
+            cl.badValue("--trace-filter");
     }
+    std::vector<Endpoint> worker_endpoints;
+    if (cl.has("--workers") &&
+        !parseEndpoints(cl.text("--workers"), worker_endpoints))
+        cl.badValue("--workers");
 
     // Declare the run matrix: one co-scheduled mix, or (--each) one
     // solo run per workload.
     std::vector<RunSpec> specs;
-    if (each) {
-        if (dump_stats || profile || !temp_trace_path.empty() ||
-            !trace_path.empty()) {
-            std::fprintf(stderr,
-                         "%s: --stats/--profile/--trace/--temp-trace "
-                         "apply to a single run; drop --each\n",
-                         argv[0]);
-            usage(argv[0]);
-        }
+    if (mode == kModeEach) {
         for (const WorkloadSpec &w : workloads) {
-            RunSpec s;
+            RunSpec s = base;
             s.workloads.push_back(w);
-            s.opts = opts;
-            s.sensorNoiseK = noise;
-            s.descheduleAfter = deschedule;
-            s.numCores = cores;
             s.label = w.name;
             specs.push_back(s);
         }
     } else {
-        RunSpec s;
+        RunSpec s = base;
         s.workloads = workloads;
-        s.opts = opts;
-        s.sensorNoiseK = noise;
-        s.descheduleAfter = deschedule;
         s.traceEvents = !trace_path.empty();
-        s.numCores = cores;
         s.placement = place;
         s.label = "mix";
         specs.push_back(s);
     }
 
-    if (!log_json_path.empty())
-        openJsonLog(log_json_path);
+    if (cl.has("--log-json"))
+        openJsonLog(cl.text("--log-json"));
 
     StatusCounters counters;
     std::ofstream events_out;
@@ -727,28 +392,7 @@ main(int argc, char **argv)
     bool have_engine_stats = false;
     Histogram cell_seconds;
     std::unique_ptr<DiskResultStore> cli_store;
-    if (dump_stats || profile) {
-        if (progress) {
-            std::fprintf(stderr,
-                         "%s: --progress needs the engine; drop "
-                         "--stats/--profile\n",
-                         argv[0]);
-            usage(argv[0]);
-        }
-        if (!worker_endpoints.empty() || !store_path.empty()) {
-            std::fprintf(stderr,
-                         "%s: --workers/--store need the engine; drop "
-                         "--stats/--profile\n",
-                         argv[0]);
-            usage(argv[0]);
-        }
-        if (!events_path.empty() || status_port > 0) {
-            std::fprintf(stderr,
-                         "%s: --events/--status-port need the engine; "
-                         "drop --stats/--profile\n",
-                         argv[0]);
-            usage(argv[0]);
-        }
+    if (mode == kModeSingle) {
         // The statistics/profile dumps need the live simulator, so
         // this path runs serially outside the engine.
         std::unique_ptr<Simulator> sim = makeSimulator(specs[0]);
@@ -761,11 +405,10 @@ main(int argc, char **argv)
             printProfile(sim->profile());
     } else {
         DiskResultStore *disk = nullptr;
+        const std::string store_path = cl.text("--store");
         if (!store_path.empty()) {
             cli_store = std::make_unique<DiskResultStore>(store_path);
             disk = cli_store.get();
-        } else {
-            disk = envDiskStore();
         }
 
         // Campaign timeline + live status: both are one observer tee
@@ -773,9 +416,8 @@ main(int argc, char **argv)
         // every lifecycle event lands in the timeline.
         if (events_path.empty() && disk)
             events_path = disk->dir() + "/events.jsonl";
-        uint16_t sport = status_port > 0
-                             ? static_cast<uint16_t>(status_port)
-                             : envStatusPort();
+        const auto sport =
+            static_cast<uint16_t>(cl.integer("--status-port"));
         if (!events_path.empty() || sport > 0) {
             if (!events_path.empty()) {
                 events_out.open(events_path);
@@ -815,15 +457,14 @@ main(int argc, char **argv)
             }
         }
 
-        int engine_jobs = jobs > 0 ? jobs : envJobs(0);
-        ParallelRunner runner(engine_jobs, &ResultStore::global());
+        ParallelRunner runner(cl.integer("--jobs"),
+                              &ResultStore::global());
         if (!worker_endpoints.empty())
             runner.setWorkers(worker_endpoints);
         std::unique_ptr<ProgressReporter> reporter;
-        if (progress) {
+        if (cl.has("--progress")) {
             ProgressOptions popts;
             popts.ansi = streamIsTty(stderr);
-            popts.watchdogFactor = envWatchdogFactor();
             reporter = std::make_unique<ProgressReporter>(
                 specs.size(), runner.jobs(), popts);
             runner.setCellObserver([&](const CellEvent &ev) {
