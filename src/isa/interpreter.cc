@@ -14,7 +14,8 @@ constexpr Addr dataSegMask = 0xFFFFFFFFull;
 Addr
 effAddr(int64_t base, int64_t imm)
 {
-    return (static_cast<Addr>(base + imm) & dataSegMask) & ~Addr{7};
+    return (static_cast<Addr>(wrapAdd(base, imm)) & dataSegMask) &
+           ~Addr{7};
 }
 
 } // namespace
@@ -49,10 +50,10 @@ interpret(const Program &program, uint64_t max_steps,
         int64_t b = r[si.rs2];
 
         switch (si.op) {
-          case Opcode::Add: r[si.rd] = a + b; break;
-          case Opcode::Sub: r[si.rd] = a - b; break;
-          case Opcode::Mul: r[si.rd] = a * b; break;
-          case Opcode::Div: r[si.rd] = b == 0 ? 0 : a / b; break;
+          case Opcode::Add: r[si.rd] = wrapAdd(a, b); break;
+          case Opcode::Sub: r[si.rd] = wrapSub(a, b); break;
+          case Opcode::Mul: r[si.rd] = wrapMul(a, b); break;
+          case Opcode::Div: r[si.rd] = wrapDiv(a, b); break;
           case Opcode::And: r[si.rd] = a & b; break;
           case Opcode::Or: r[si.rd] = a | b; break;
           case Opcode::Xor: r[si.rd] = a ^ b; break;
@@ -63,7 +64,7 @@ interpret(const Program &program, uint64_t max_steps,
             break;
           case Opcode::Sra: r[si.rd] = a >> (b & 63); break;
           case Opcode::Slt: r[si.rd] = a < b ? 1 : 0; break;
-          case Opcode::Addi: r[si.rd] = a + si.imm; break;
+          case Opcode::Addi: r[si.rd] = wrapAdd(a, si.imm); break;
           case Opcode::Andi: r[si.rd] = a & si.imm; break;
           case Opcode::Ori: r[si.rd] = a | si.imm; break;
           case Opcode::Xori: r[si.rd] = a ^ si.imm; break;

@@ -265,6 +265,41 @@ instClassLatency(InstClass c)
     return detail::kClassLatency[static_cast<size_t>(c)];
 }
 
+// Integer arithmetic wraps in two's complement, as the hardware does;
+// both execution engines use these so neither relies on signed
+// overflow (undefined in C++). Shifts need no helper: C++20 defines
+// them on negative operands.
+
+constexpr int64_t
+wrapAdd(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
+constexpr int64_t
+wrapSub(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                                static_cast<uint64_t>(b));
+}
+
+constexpr int64_t
+wrapMul(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                                static_cast<uint64_t>(b));
+}
+
+/** Div: x / 0 is 0, and INT64_MIN / -1 wraps to INT64_MIN. */
+constexpr int64_t
+wrapDiv(int64_t a, int64_t b)
+{
+    if (b == 0)
+        return 0;
+    return b == -1 ? wrapSub(0, a) : a / b;
+}
+
 } // namespace hs
 
 #endif // HS_ISA_ISA_HH

@@ -1,5 +1,6 @@
 #include "sim/disk_store.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -42,26 +44,95 @@ ensureDir(const std::string &path)
     return false;
 }
 
-std::string
-hashHex(const RunSpec &spec)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(spec.hash()));
-    return buf;
-}
+/// Sanity caps on the header's length fields: no real record comes
+/// anywhere close, and a corrupt field must not be trusted.
+constexpr uint64_t kMaxKeyBytes = 1ull << 20;
+constexpr uint64_t kMaxPayloadBytes = 1ull << 30;
+constexpr uint64_t kMaxRecordBytes =
+    sizeof(StoreHeader) + kMaxKeyBytes + kMaxPayloadBytes;
 
-/** RAII stdio handle so every early return closes the file. */
-struct File
+/** What readRecord() found at a path. */
+struct RecordRead
 {
-    std::FILE *f = nullptr;
-    explicit File(std::FILE *fp) : f(fp) {}
-    ~File()
-    {
-        if (f)
-            std::fclose(f);
-    }
+    int openErrno = 0;          ///< nonzero: the file could not be opened
+    const char *why = nullptr;  ///< opened but rejected: the reason
+    std::vector<uint8_t> bytes; ///< the file as read
+    size_t payloadAt = 0;       ///< accepted: payload offset in bytes
+    size_t payloadBytes = 0;
 };
+
+/**
+ * The one .hsr reader: one open/fstat/read/close into memory, then
+ * every check on the buffer. The order matters — magic and version
+ * gate the header layout, the size caps gate the length fields, the
+ * config echo gates the addressing and the checksum gates the
+ * payload — so nothing is trusted before the bytes that describe it
+ * have been vetted. The buffer is sized from the file, never from a
+ * header field; a file past the largest possible record is read only
+ * up to its config echo (it can only fail, as trailing bytes).
+ * @p key, when non-null, is the canonical key the record must echo
+ * (load()); null skips that check (validateRecordFile()).
+ */
+RecordRead
+readRecord(const std::string &path, const std::string *key)
+{
+    RecordRead rec;
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        rec.openErrno = errno;
+        return rec;
+    }
+    struct stat st;
+    uint64_t fileBytes =
+        ::fstat(fd, &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
+    rec.bytes.resize(fileBytes <= kMaxRecordBytes
+                         ? fileBytes
+                         : sizeof(StoreHeader) + kMaxKeyBytes);
+    // A regular file reads whole in one call; a short or failed read
+    // (the file shrank, or is not a file) leaves a truncated record.
+    ssize_t got = ::read(fd, rec.bytes.data(), rec.bytes.size());
+    ::close(fd);
+    if (got < static_cast<ssize_t>(rec.bytes.size()))
+        rec.bytes.resize(fileBytes = got > 0 ? got : 0);
+
+    auto reject = [&](const char *why) {
+        rec.why = why;
+        return std::move(rec);
+    };
+    StoreHeader hdr;
+    if (rec.bytes.size() < sizeof(hdr))
+        return reject("truncated header");
+    std::memcpy(&hdr, rec.bytes.data(), sizeof(hdr));
+    if (hdr.magic != kStoreMagic)
+        return reject("bad magic");
+    if (hdr.version != kResultFormatVersion)
+        return reject("result-format version mismatch");
+    if (hdr.keyBytes > kMaxKeyBytes)
+        return reject("implausible key length");
+    if (hdr.payloadBytes > kMaxPayloadBytes)
+        return reject("implausible payload length");
+    if (key && hdr.keyBytes != key->size())
+        return reject("stale config echo (key length)");
+    const uint64_t keyEnd = sizeof(hdr) + hdr.keyBytes;
+    if (fileBytes < keyEnd)
+        return reject("truncated config echo");
+    if (key && std::memcmp(rec.bytes.data() + sizeof(hdr), key->data(),
+                           key->size()) != 0)
+        return reject("stale config echo (key mismatch)");
+    const uint64_t end = keyEnd + hdr.payloadBytes;
+    if (fileBytes < end)
+        return reject("truncated payload");
+    if (fileBytes > end)
+        return reject("trailing bytes");
+    // Here fileBytes == end <= kMaxRecordBytes: the whole file is in
+    // the buffer.
+    rec.payloadAt = static_cast<size_t>(keyEnd);
+    rec.payloadBytes = static_cast<size_t>(hdr.payloadBytes);
+    if (fnv1a64(rec.bytes.data() + rec.payloadAt, rec.payloadBytes) !=
+        hdr.payloadChecksum)
+        return reject("payload checksum mismatch");
+    return rec;
+}
 
 } // namespace
 
@@ -75,88 +146,51 @@ DiskResultStore::DiskResultStore(std::string dir) : dir_(std::move(dir))
 }
 
 std::string
-DiskResultStore::entryPath(const RunSpec &spec) const
+DiskResultStore::entryPath(uint64_t hash) const
 {
-    std::string hex = hashHex(spec);
-    return dir_ + "/" + hex.substr(0, 2) + "/" + hex + ".hsr";
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return dir_ + "/" + std::string(hex, 2) + "/" + hex + ".hsr";
 }
 
 bool
-DiskResultStore::contains(const RunSpec &spec) const
+DiskResultStore::contains(uint64_t hash) const
 {
     struct stat st;
-    return ::stat(entryPath(spec).c_str(), &st) == 0;
+    return ::stat(entryPath(hash).c_str(), &st) == 0;
 }
 
 DiskResultStore::LoadStatus
-DiskResultStore::load(const RunSpec &spec, RunResult &out)
+DiskResultStore::load(const std::string &key, RunResult &out)
 {
-    const std::string path = entryPath(spec);
-    File file(std::fopen(path.c_str(), "rb"));
-    if (!file.f) {
+    const std::string path = entryPath(keyHash(key));
+    RecordRead rec = readRecord(path, &key);
+    if (rec.openErrno) {
         misses_.fetch_add(1);
         return LoadStatus::Miss;
     }
-
-    // From here on every failure is "corrupt": an entry exists but
-    // cannot be trusted, so log and let the caller recompute. The
-    // validation order matters — magic and version gate the header
-    // layout, the config echo (canonical key) gates the addressing,
-    // and the checksum gates the payload, so nothing is parsed before
-    // the bytes that describe it have been vetted.
-    auto reject = [&](const char *why) {
+    if (rec.why) {
+        // An entry exists but cannot be trusted: log and let the
+        // caller recompute.
         warn("result store: dropping '%s' (%s); recomputing",
-             path.c_str(), why);
+             path.c_str(), rec.why);
         logEvent("store", "record_corrupt", LogSeverity::Warn,
                  {LogField::text("path", path),
-                  LogField::text("why", why)});
+                  LogField::text("why", rec.why)});
         corrupt_.fetch_add(1);
         return LoadStatus::Corrupt;
-    };
-
-    StoreHeader hdr;
-    if (std::fread(&hdr, sizeof(hdr), 1, file.f) != 1)
-        return reject("truncated header");
-    if (hdr.magic != kStoreMagic)
-        return reject("bad magic");
-    if (hdr.version != kResultFormatVersion)
-        return reject("result-format version mismatch");
-
-    const std::string key = spec.canonicalKey();
-    if (hdr.keyBytes != key.size())
-        return reject("stale config echo (key length)");
-    std::string storedKey(key.size(), '\0');
-    if (!key.empty() &&
-        std::fread(storedKey.data(), 1, key.size(), file.f) !=
-            key.size())
-        return reject("truncated config echo");
-    if (storedKey != key)
-        return reject("stale config echo (key mismatch)");
-
-    // 1 GiB sanity cap: no real result record comes anywhere close,
-    // and a corrupt length field must not drive a giant allocation.
-    if (hdr.payloadBytes > (1ull << 30))
-        return reject("implausible payload length");
-    std::vector<uint8_t> payload(static_cast<size_t>(hdr.payloadBytes));
-    if (!payload.empty() &&
-        std::fread(payload.data(), 1, payload.size(), file.f) !=
-            payload.size())
-        return reject("truncated payload");
-    if (std::fgetc(file.f) != EOF)
-        return reject("trailing bytes");
-    if (fnv1a64(payload.data(), payload.size()) != hdr.payloadChecksum)
-        return reject("payload checksum mismatch");
-
-    out = decodeRunResult(payload);
+    }
+    out = decodeRunResult(std::span<const uint8_t>(rec.bytes).subspan(
+        rec.payloadAt, rec.payloadBytes));
     hits_.fetch_add(1);
     return LoadStatus::Hit;
 }
 
 bool
-DiskResultStore::store(const RunSpec &spec, const RunResult &result)
+DiskResultStore::store(const std::string &key, const RunResult &result)
 {
-    const std::string key = spec.canonicalKey();
-    const std::string path = entryPath(spec);
+    const std::string path = entryPath(keyHash(key));
     const std::string bucket = path.substr(0, path.rfind('/'));
     if (!ensureDir(bucket)) {
         warn("result store: cannot create '%s': %s", bucket.c_str(),
@@ -188,28 +222,27 @@ DiskResultStore::store(const RunSpec &spec, const RunResult &result)
     size_t payloadWrite = payload.size();
     if (faultFire("store_torn_write"))
         payloadWrite = payload.size() / 2;
-    {
-        File file(std::fopen(tmp.c_str(), "wb"));
-        if (!file.f) {
-            warn("result store: cannot write '%s': %s", tmp.c_str(),
-                 std::strerror(errno));
-            return false;
-        }
-        bool ok =
-            std::fwrite(&hdr, sizeof(hdr), 1, file.f) == 1 &&
-            (key.empty() ||
-             std::fwrite(key.data(), 1, key.size(), file.f) ==
-                 key.size()) &&
-            (payloadWrite == 0 ||
-             std::fwrite(payload.data(), 1, payloadWrite, file.f) ==
-                 payloadWrite) &&
-            std::fflush(file.f) == 0;
-        if (!ok) {
-            warn("result store: short write to '%s': %s", tmp.c_str(),
-                 std::strerror(errno));
-            std::remove(tmp.c_str());
-            return false;
-        }
+    // The whole record goes out in one write(), the mirror of the
+    // reader's single read().
+    std::vector<uint8_t> image(sizeof(hdr) + key.size() + payloadWrite);
+    std::memcpy(image.data(), &hdr, sizeof(hdr));
+    auto body = std::copy(key.begin(), key.end(), image.begin() + sizeof(hdr));
+    std::copy_n(payload.begin(), payloadWrite, body);
+    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                    0666);
+    if (fd < 0) {
+        warn("result store: cannot write '%s': %s", tmp.c_str(),
+             std::strerror(errno));
+        return false;
+    }
+    bool ok = ::write(fd, image.data(), image.size()) ==
+              static_cast<ssize_t>(image.size());
+    ok = ::close(fd) == 0 && ok;
+    if (!ok) {
+        warn("result store: short write to '%s': %s", tmp.c_str(),
+             std::strerror(errno));
+        std::remove(tmp.c_str());
+        return false;
     }
     if (faultFire("store_rename_fail")) {
         warn("result store: cannot publish '%s': injected fault",
@@ -240,57 +273,12 @@ DiskResultStore::store(const RunSpec &spec, const RunResult &result)
 bool
 validateRecordFile(const std::string &path, std::string &why)
 {
-    File file(std::fopen(path.c_str(), "rb"));
-    if (!file.f) {
-        why = std::string("unreadable: ") + std::strerror(errno);
-        return false;
-    }
-    StoreHeader hdr;
-    if (std::fread(&hdr, sizeof(hdr), 1, file.f) != 1) {
-        why = "truncated header";
-        return false;
-    }
-    if (hdr.magic != kStoreMagic) {
-        why = "bad magic";
-        return false;
-    }
-    if (hdr.version != kResultFormatVersion) {
-        why = "result-format version mismatch";
-        return false;
-    }
-    // Same sanity caps as load(): a corrupt length field must not
-    // drive a giant allocation during a GC sweep either.
-    if (hdr.keyBytes > (1ull << 20)) {
-        why = "implausible key length";
-        return false;
-    }
-    if (hdr.payloadBytes > (1ull << 30)) {
-        why = "implausible payload length";
-        return false;
-    }
-    std::vector<uint8_t> key(static_cast<size_t>(hdr.keyBytes));
-    if (!key.empty() &&
-        std::fread(key.data(), 1, key.size(), file.f) != key.size()) {
-        why = "truncated config echo";
-        return false;
-    }
-    std::vector<uint8_t> payload(static_cast<size_t>(hdr.payloadBytes));
-    if (!payload.empty() &&
-        std::fread(payload.data(), 1, payload.size(), file.f) !=
-            payload.size()) {
-        why = "truncated payload";
-        return false;
-    }
-    if (std::fgetc(file.f) != EOF) {
-        why = "trailing bytes";
-        return false;
-    }
-    if (fnv1a64(payload.data(), payload.size()) !=
-        hdr.payloadChecksum) {
-        why = "payload checksum mismatch";
-        return false;
-    }
-    return true;
+    RecordRead rec = readRecord(path, nullptr);
+    if (rec.openErrno)
+        why = std::string("unreadable: ") + std::strerror(rec.openErrno);
+    else if (rec.why)
+        why = rec.why;
+    return !rec.openErrno && !rec.why;
 }
 
 namespace {

@@ -65,24 +65,33 @@ class DiskResultStore
     DiskResultStore(const DiskResultStore &) = delete;
     DiskResultStore &operator=(const DiskResultStore &) = delete;
 
-    /** Probe the store for @p spec 's result. */
-    LoadStatus load(const RunSpec &spec, RunResult &out);
+    /** Probe the store for the cell with canonical key @p key. */
+    LoadStatus load(const std::string &key, RunResult &out);
+    LoadStatus load(const RunSpec &spec, RunResult &out)
+    {
+        return load(spec.canonicalKey(), out);
+    }
 
     /**
-     * Persist @p result under @p spec 's hash (atomic tmp+rename).
+     * Persist @p result under its key's hash (atomic tmp+rename).
      * @return false (after a warn()) if the write failed; the result
      * is still valid in memory, the campaign just loses persistence.
      */
-    bool store(const RunSpec &spec, const RunResult &result);
+    bool store(const std::string &key, const RunResult &result);
+    bool store(const RunSpec &spec, const RunResult &result)
+    {
+        return store(spec.canonicalKey(), result);
+    }
 
-    /** @return true if a (not-yet-validated) entry exists on disk. */
-    bool contains(const RunSpec &spec) const;
+    /** @return true if a (not-yet-validated) entry exists on disk for
+     *  the spec hash @p hash (RunSpec::hash()). */
+    bool contains(uint64_t hash) const;
 
     /** Absolute or relative store root this instance serves. */
     const std::string &dir() const { return dir_; }
 
-    /** Path an entry for @p spec lives at (tests / tooling). */
-    std::string entryPath(const RunSpec &spec) const;
+    /** Path the entry for spec hash @p hash lives at. */
+    std::string entryPath(uint64_t hash) const;
 
     uint64_t hits() const { return hits_.load(); }
     uint64_t misses() const { return misses_.load(); }

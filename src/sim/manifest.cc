@@ -45,29 +45,30 @@ cellsChecksum(const std::vector<uint64_t> &cells)
                    cells.size() * sizeof(uint64_t));
 }
 
-} // namespace
-
-uint64_t
-matrixHash(const std::vector<RunSpec> &specs)
+/** The manifest of a matrix whose cell hashes are @p cells: the
+ *  matrix hash is FNV-1a chained over them, in order. */
+CampaignManifest
+manifestOf(std::vector<uint64_t> cells)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const RunSpec &spec : specs) {
-        uint64_t cell = spec.hash();
-        h = fnv1a64(reinterpret_cast<const uint8_t *>(&cell),
-                    sizeof(cell), h);
-    }
-    return h;
+    CampaignManifest m;
+    m.matrixHash = 0xcbf29ce484222325ull;
+    for (uint64_t cell : cells)
+        m.matrixHash = fnv1a64(reinterpret_cast<const uint8_t *>(&cell),
+                               sizeof(cell), m.matrixHash);
+    m.cells = std::move(cells);
+    return m;
 }
+
+} // namespace
 
 CampaignManifest
 makeManifest(const std::vector<RunSpec> &specs)
 {
-    CampaignManifest m;
-    m.cells.reserve(specs.size());
+    std::vector<uint64_t> cells;
+    cells.reserve(specs.size());
     for (const RunSpec &spec : specs)
-        m.cells.push_back(spec.hash());
-    m.matrixHash = matrixHash(specs);
-    return m;
+        cells.push_back(spec.hash());
+    return manifestOf(std::move(cells));
 }
 
 bool
@@ -163,15 +164,11 @@ loadManifest(const std::string &path, CampaignManifest &out)
 
     // Internal consistency: the header's matrix hash must re-derive
     // from the cell list it rode in with.
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (uint64_t cell : cells)
-        h = fnv1a64(reinterpret_cast<const uint8_t *>(&cell),
-                    sizeof(cell), h);
-    if (h != hdr.matrixHash)
+    CampaignManifest m = manifestOf(std::move(cells));
+    if (m.matrixHash != hdr.matrixHash)
         return reject("matrix hash mismatch");
 
-    out.matrixHash = hdr.matrixHash;
-    out.cells = std::move(cells);
+    out = std::move(m);
     return ManifestStatus::Ok;
 }
 
@@ -185,6 +182,8 @@ CampaignResume
 prepareCampaign(DiskResultStore &store,
                 const std::vector<RunSpec> &specs)
 {
+    // One key build per cell: the manifest and the stored-cell probe
+    // share the hashes.
     CampaignManifest fresh = makeManifest(specs);
     const std::string path = manifestPath(store.dir());
 
@@ -214,8 +213,8 @@ prepareCampaign(DiskResultStore &store,
         break;
     }
 
-    for (const RunSpec &spec : specs)
-        if (store.contains(spec))
+    for (uint64_t cell : fresh.cells)
+        if (store.contains(cell))
             ++res.storedCells;
 
     saveManifest(path, fresh);

@@ -46,9 +46,6 @@ struct CampaignManifest
     std::vector<uint64_t> cells; ///< spec hash per cell, submission order
 };
 
-/** Combined hash pinning a matrix's membership and order. */
-uint64_t matrixHash(const std::vector<RunSpec> &specs);
-
 /** Build the manifest describing @p specs. */
 CampaignManifest makeManifest(const std::vector<RunSpec> &specs);
 

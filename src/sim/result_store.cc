@@ -12,12 +12,10 @@ ResultStore::global()
 }
 
 RunResult
-ResultStore::getOrCompute(const RunSpec &spec,
+ResultStore::getOrCompute(const std::string &key,
                           const std::function<RunResult()> &compute,
                           Source *source)
 {
-    const std::string key = spec.canonicalKey();
-
     std::promise<RunResult> promise;
     std::shared_future<RunResult> fut;
     bool owner = false;
@@ -48,7 +46,7 @@ ResultStore::getOrCompute(const RunSpec &spec,
     // where the bytes came from.
     if (disk_) {
         RunResult stored;
-        if (disk_->load(spec, stored) ==
+        if (disk_->load(key, stored) ==
             DiskResultStore::LoadStatus::Hit) {
             promise.set_value(stored);
             if (source)
@@ -61,7 +59,7 @@ ResultStore::getOrCompute(const RunSpec &spec,
         RunResult r = compute();
         promise.set_value(r);
         if (disk_)
-            disk_->store(spec, r);
+            disk_->store(key, r);
         if (source)
             *source = Source::Computed;
         return r;
@@ -74,16 +72,16 @@ ResultStore::getOrCompute(const RunSpec &spec,
 }
 
 bool
-ResultStore::contains(const RunSpec &spec) const
+ResultStore::contains(const std::string &key) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return cache_.count(spec.canonicalKey()) > 0;
+    return cache_.count(key) > 0;
 }
 
 bool
-ResultStore::available(const RunSpec &spec) const
+ResultStore::available(const std::string &key) const
 {
-    return contains(spec) || (disk_ && disk_->contains(spec));
+    return contains(key) || (disk_ && disk_->contains(keyHash(key)));
 }
 
 void

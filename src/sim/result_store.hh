@@ -71,14 +71,24 @@ class ResultStore
      */
     RunResult getOrCompute(const RunSpec &spec,
                            const std::function<RunResult()> &compute,
+                           Source *source = nullptr)
+    {
+        return getOrCompute(spec.canonicalKey(), compute, source);
+    }
+    /** getOrCompute() for a caller that already holds the spec's
+     *  canonical key @p key. */
+    RunResult getOrCompute(const std::string &key,
+                           const std::function<RunResult()> &compute,
                            Source *source = nullptr);
 
-    /** @return true if @p spec 's result is already cached in memory. */
-    bool contains(const RunSpec &spec) const;
+    /** @return true if the cell with canonical key @p key is already
+     *  cached in memory. */
+    bool contains(const std::string &key) const;
 
-    /** @return true if any tier (memory or disk) already has @p spec —
-     *  i.e. asking for it will not simulate. */
-    bool available(const RunSpec &spec) const;
+    /** @return true if any tier (memory or disk) already has the cell
+     *  with canonical key @p key — i.e. asking for it will not
+     *  simulate. */
+    bool available(const std::string &key) const;
 
     /** Drop every cached result (tests). */
     void clear();

@@ -1,8 +1,9 @@
 #include "sim/run_spec.hh"
 
-#include <cstdio>
+#include <charconv>
 
 #include "common/log.hh"
+#include "sim/serialize.hh"
 
 namespace hs {
 
@@ -40,12 +41,15 @@ WorkloadSpec::assembly(std::string label, std::string text)
 
 namespace {
 
+/** Append @p v exactly as printf's "%.17g" prints it (the key text
+ *  every existing store is addressed by), without printf's cost. */
 void
 appendNum(std::string &out, double v)
 {
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
+    auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                           std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 const char *
@@ -141,13 +145,14 @@ RunSpec::buildKey(bool with_policy) const
 uint64_t
 RunSpec::hash() const
 {
-    // FNV-1a, 64-bit.
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : canonicalKey()) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return keyHash(canonicalKey());
+}
+
+uint64_t
+keyHash(const std::string &key)
+{
+    return fnv1a64(reinterpret_cast<const uint8_t *>(key.data()),
+                   key.size());
 }
 
 RunSpec

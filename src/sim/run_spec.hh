@@ -119,6 +119,10 @@ struct RunSpec
     std::string buildKey(bool with_policy) const;
 };
 
+/** FNV-1a 64-bit hash of a canonical key: RunSpec::hash() for callers
+ *  that already hold the key. */
+uint64_t keyHash(const std::string &key);
+
 /** Spec for @p name running alone. */
 RunSpec soloSpec(const std::string &name, const ExperimentOptions &opts);
 /** Spec for malicious variant @p variant running alone. */

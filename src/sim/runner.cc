@@ -8,6 +8,7 @@
 #include <limits>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -297,7 +298,8 @@ ParallelRunner::prefixStats() const
 }
 
 std::vector<std::shared_ptr<const SimSnapshot>>
-ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs)
+ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs,
+                              const std::vector<std::string> &keys)
 {
     std::vector<std::shared_ptr<const SimSnapshot>> snaps(specs.size());
 
@@ -323,14 +325,17 @@ ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs)
     }
 
     // A prefix only pays for itself when at least two distinct,
-    // not-yet-cached cells will fork from it.
+    // not-yet-cached cells will fork from it, so a singleton group is
+    // never probed.
     std::vector<size_t> jobs;
     for (size_t gi = 0; gi < groups.size(); ++gi) {
-        std::unordered_set<std::string> fresh_keys;
+        if (groups[gi].members.size() < 2)
+            continue;
+        std::unordered_set<std::string_view> fresh_keys;
         for (size_t i : groups[gi].members) {
-            if (store_ && store_->available(specs[i]))
+            if (store_ && store_->available(keys[i]))
                 continue;
-            fresh_keys.insert(specs[i].canonicalKey());
+            fresh_keys.insert(keys[i]);
         }
         if (fresh_keys.size() >= 2)
             jobs.push_back(gi);
@@ -360,9 +365,16 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
     if (specs.empty())
         return results;
 
+    // Each cell's canonical key is built once, here: the prefix
+    // grouping and every store tier address the cell by it.
+    std::vector<std::string> keys;
+    keys.reserve(specs.size());
+    for (const RunSpec &spec : specs)
+        keys.push_back(spec.canonicalKey());
+
     std::vector<std::shared_ptr<const SimSnapshot>> snaps(specs.size());
     if (prefixSharing_)
-        snaps = buildPrefixes(specs);
+        snaps = buildPrefixes(specs, keys);
 
     const size_t total = specs.size();
     for (size_t i = 0; i < total; ++i)
@@ -407,7 +419,7 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
         };
         auto t0 = std::chrono::steady_clock::now();
         ResultStore::Source src = ResultStore::Source::Computed;
-        results[i] = store_ ? store_->getOrCompute(spec, compute, &src)
+        results[i] = store_ ? store_->getOrCompute(keys[i], compute, &src)
                             : compute();
         double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)

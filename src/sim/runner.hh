@@ -198,10 +198,12 @@ class ParallelRunner
     /**
      * Phase one of run(): group specs by divergence key, simulate each
      * eligible group's shared prefix in parallel, and return one
-     * snapshot pointer per spec (null = simulate cold).
+     * snapshot pointer per spec (null = simulate cold). @p keys holds
+     * each spec's canonical key.
      */
     std::vector<std::shared_ptr<const SimSnapshot>>
-    buildPrefixes(const std::vector<RunSpec> &specs);
+    buildPrefixes(const std::vector<RunSpec> &specs,
+                  const std::vector<std::string> &keys);
 
     int jobs_;
     ResultStore *store_;

@@ -197,9 +197,9 @@ encodeRunResult(const RunResult &result)
 }
 
 RunResult
-decodeRunResult(const std::vector<uint8_t> &bytes)
+decodeRunResult(std::span<const uint8_t> bytes)
 {
-    StateReader r(bytes);
+    StateReader r(bytes.data(), bytes.size());
     RunResult result = loadRunResult(r);
     if (!r.done())
         fatal("decodeRunResult: %zu trailing bytes after the result "

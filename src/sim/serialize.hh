@@ -27,6 +27,7 @@
 #define HS_SIM_SERIALIZE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/state_buffer.hh"
@@ -61,7 +62,7 @@ std::vector<uint8_t> encodeRunResult(const RunResult &result);
 /** Inverse of encodeRunResult(). fatal() on malformed input — callers
  *  that must survive corruption (the disk store) verify a checksum
  *  first. */
-RunResult decodeRunResult(const std::vector<uint8_t> &bytes);
+RunResult decodeRunResult(std::span<const uint8_t> bytes);
 
 } // namespace hs
 

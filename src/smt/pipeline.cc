@@ -590,12 +590,10 @@ Pipeline::executeFunctional(DynInst &inst, ThreadContext &tc)
     double fb = inst.srcFp[1];
 
     switch (si.op) {
-      case Opcode::Add: inst.intResult = a + b; break;
-      case Opcode::Sub: inst.intResult = a - b; break;
-      case Opcode::Mul: inst.intResult = a * b; break;
-      case Opcode::Div:
-        inst.intResult = (b == 0) ? 0 : a / b;
-        break;
+      case Opcode::Add: inst.intResult = wrapAdd(a, b); break;
+      case Opcode::Sub: inst.intResult = wrapSub(a, b); break;
+      case Opcode::Mul: inst.intResult = wrapMul(a, b); break;
+      case Opcode::Div: inst.intResult = wrapDiv(a, b); break;
       case Opcode::And: inst.intResult = a & b; break;
       case Opcode::Or: inst.intResult = a | b; break;
       case Opcode::Xor: inst.intResult = a ^ b; break;
@@ -608,7 +606,7 @@ Pipeline::executeFunctional(DynInst &inst, ThreadContext &tc)
         break;
       case Opcode::Sra: inst.intResult = a >> (b & 63); break;
       case Opcode::Slt: inst.intResult = a < b ? 1 : 0; break;
-      case Opcode::Addi: inst.intResult = a + si.imm; break;
+      case Opcode::Addi: inst.intResult = wrapAdd(a, si.imm); break;
       case Opcode::Andi: inst.intResult = a & si.imm; break;
       case Opcode::Ori: inst.intResult = a | si.imm; break;
       case Opcode::Xori: inst.intResult = a ^ si.imm; break;
@@ -663,7 +661,7 @@ Pipeline::tryIssueMemOp(DynInst &inst, ThreadContext &tc)
     bool is_load = si.instClass() == InstClass::Load;
 
     if (!inst.addrValid) {
-        Addr raw = static_cast<Addr>(inst.srcInt[0] + si.imm) &
+        Addr raw = static_cast<Addr>(wrapAdd(inst.srcInt[0], si.imm)) &
                    dataSegMask;
         inst.effAddr = tc.dataBase() + (raw & ~Addr{7});
         inst.addrValid = true;

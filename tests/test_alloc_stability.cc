@@ -11,9 +11,10 @@
  * that reintroduces per-tick allocation fails loudly rather than
  * showing up as a silent throughput regression.
  *
- * The counting overrides are binary-wide but only observed inside this
- * file; the counter is atomic because other suites in this binary spawn
- * worker threads.
+ * The counting overrides are binary-wide; the counter is atomic because
+ * other suites in this binary spawn worker threads. Besides the count
+ * they track the largest single request, which the .hsr mutation fuzz
+ * (test_disk_store.cc) reads through takeLargestAlloc().
  */
 
 #include <atomic>
@@ -33,13 +34,33 @@
 namespace {
 
 std::atomic<uint64_t> gAllocs{0};
+std::atomic<std::size_t> gLargest{0};
+
+/// Kept out of line: inlined into operator new, it makes gcc 12 flag
+/// the free() in operator delete as a mismatched deallocation.
+[[gnu::noinline]] void
+countAlloc(std::size_t size)
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    // A racing larger request may be lost; the one reader runs its
+    // allocations on a single thread.
+    if (size > gLargest.load(std::memory_order_relaxed))
+        gLargest.store(size, std::memory_order_relaxed);
+}
 
 } // namespace
+
+/** Largest single allocation since the previous call (binary-wide). */
+std::size_t
+takeLargestAlloc()
+{
+    return gLargest.exchange(0, std::memory_order_relaxed);
+}
 
 void *
 operator new(std::size_t size)
 {
-    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(size);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -48,7 +69,7 @@ operator new(std::size_t size)
 void *
 operator new[](std::size_t size)
 {
-    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    countAlloc(size);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();

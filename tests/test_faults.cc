@@ -236,7 +236,7 @@ TEST_F(FaultStoreSite, TornWritePublishesButNeverServes)
         ScopedFaultPlan chaos("1:store_torn_write=1");
         EXPECT_TRUE(store.store(spec_, result_));
     }
-    EXPECT_TRUE(store.contains(spec_));
+    EXPECT_TRUE(store.contains(spec_.hash()));
     RunResult back;
     EXPECT_EQ(store.load(spec_, back),
               DiskResultStore::LoadStatus::Corrupt);
@@ -266,7 +266,7 @@ TEST_F(FaultStoreSite, RenameFailureLosesOnlyPersistence)
         ScopedFaultPlan chaos("1:store_rename_fail=1");
         EXPECT_FALSE(store.store(spec_, result_));
     }
-    EXPECT_FALSE(store.contains(spec_));
+    EXPECT_FALSE(store.contains(spec_.hash()));
     RunResult out;
     EXPECT_EQ(store.load(spec_, out), DiskResultStore::LoadStatus::Miss);
     // No temp litter left behind for prune to trip over.

@@ -3,6 +3,7 @@
  *  semantics for every operation. */
 
 #include <functional>
+#include <limits>
 #include <ostream>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "isa/assembler.hh"
+#include "isa/interpreter.hh"
 #include "smt/pipeline.hh"
 
 namespace hs {
@@ -139,6 +141,67 @@ TEST(AluSemantics, LuiShifts16)
     while (!pipe.allHalted() && pipe.cycle() < 10000)
         pipe.tick();
     EXPECT_EQ(pipe.thread(0).intRegs[3], 5 << 16);
+}
+
+/** Run @p src with r1 = @p a, r2 = @p b on the pipeline and on the
+ *  interpreter; both r3 values must agree, and that value is returned. */
+int64_t
+evalBothEngines(const std::string &src, int64_t a, int64_t b)
+{
+    Program p = assemble(src);
+    p.setInitReg(1, a);
+    p.setInitReg(2, b);
+    SmtParams params;
+    params.numThreads = 1;
+    Pipeline pipe(params);
+    pipe.setThreadProgram(0, &p);
+    while (!pipe.allHalted() && pipe.cycle() < 10000)
+        pipe.tick();
+    EXPECT_TRUE(pipe.allHalted()) << src;
+    InterpResult ref = interpret(p, 100);
+    EXPECT_TRUE(ref.halted) << src;
+    EXPECT_EQ(pipe.thread(0).intRegs[3], ref.intRegs[3])
+        << src << " with " << a << ", " << b;
+    return ref.intRegs[3];
+}
+
+// Operands at the edges of int64_t: arithmetic wraps in two's
+// complement in both engines, and INT64_MIN / -1 is INT64_MIN.
+TEST(AluSemantics, OverflowWrapsIdenticallyInBothEngines)
+{
+    const int64_t kMax = std::numeric_limits<int64_t>::max();
+    const int64_t kMin = std::numeric_limits<int64_t>::min();
+    const int64_t edges[] = {kMax, kMin, -1, 1, 0, kMax - 1, kMin + 1};
+    for (int64_t a : edges) {
+        for (int64_t b : edges) {
+            uint64_t ua = static_cast<uint64_t>(a);
+            uint64_t ub = static_cast<uint64_t>(b);
+            EXPECT_EQ(evalBothEngines("add r3, r1, r2\nhalt\n", a, b),
+                      static_cast<int64_t>(ua + ub));
+            EXPECT_EQ(evalBothEngines("sub r3, r1, r2\nhalt\n", a, b),
+                      static_cast<int64_t>(ua - ub));
+            EXPECT_EQ(evalBothEngines("mul r3, r1, r2\nhalt\n", a, b),
+                      static_cast<int64_t>(ua * ub));
+            int64_t quot = b == 0    ? 0
+                           : b == -1 ? static_cast<int64_t>(0 - ua)
+                                     : a / b;
+            EXPECT_EQ(evalBothEngines("div r3, r1, r2\nhalt\n", a, b),
+                      quot);
+        }
+        EXPECT_EQ(evalBothEngines("addi r3, r1, 7\nhalt\n", a, 0),
+                  static_cast<int64_t>(static_cast<uint64_t>(a) + 7));
+        EXPECT_EQ(evalBothEngines("addi r3, r1, -7\nhalt\n", a, 0),
+                  static_cast<int64_t>(static_cast<uint64_t>(a) - 7));
+        // The load/store address add wraps too: the store and the load
+        // meet at the same wrapped address.
+        EXPECT_EQ(evalBothEngines(
+                      "st r2, 8(r1)\nld r3, 8(r1)\nhalt\n", a, 4242),
+                  4242);
+        EXPECT_EQ(evalBothEngines(
+                      "st r2, -8(r1)\nld r3, -8(r1)\nhalt\n", a, 77),
+                  77);
+    }
+    EXPECT_EQ(evalBothEngines("div r3, r1, r2\nhalt\n", kMin, -1), kMin);
 }
 
 TEST(FpSemantics, ArithmeticMatchesDoubles)

@@ -82,14 +82,14 @@ spit(const std::string &path, const std::vector<char> &bytes)
 TEST(Manifest, MatrixHashPinsMembershipAndOrder)
 {
     std::vector<RunSpec> specs = smallMatrix();
-    uint64_t h = matrixHash(specs);
-    EXPECT_EQ(h, matrixHash(specs)); // stable
+    uint64_t h = makeManifest(specs).matrixHash;
+    EXPECT_EQ(h, makeManifest(specs).matrixHash); // stable
 
     std::vector<RunSpec> reordered = {specs[1], specs[0], specs[2]};
-    EXPECT_NE(h, matrixHash(reordered));
+    EXPECT_NE(h, makeManifest(reordered).matrixHash);
 
     std::vector<RunSpec> shorter = {specs[0], specs[1]};
-    EXPECT_NE(h, matrixHash(shorter));
+    EXPECT_NE(h, makeManifest(shorter).matrixHash);
 }
 
 TEST(Manifest, SaveThenLoadRoundTrips)
@@ -229,7 +229,7 @@ TEST(Campaign, DifferentMatrixReplacesTheManifest)
     // The manifest now describes the new campaign.
     CampaignManifest m;
     ASSERT_EQ(loadManifest(manifestPath(dir), m), ManifestStatus::Ok);
-    EXPECT_EQ(m.matrixHash, matrixHash(other));
+    EXPECT_EQ(m.matrixHash, makeManifest(other).matrixHash);
 }
 
 TEST(Campaign, CorruptManifestIsReplacedNotFatal)
@@ -245,7 +245,7 @@ TEST(Campaign, CorruptManifestIsReplacedNotFatal)
 
     CampaignManifest m;
     ASSERT_EQ(loadManifest(manifestPath(dir), m), ManifestStatus::Ok);
-    EXPECT_EQ(m.matrixHash, matrixHash(specs));
+    EXPECT_EQ(m.matrixHash, makeManifest(specs).matrixHash);
 }
 
 TEST(Campaign, ResumeRunsOnlyTheMissingCells)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "isa/assembler.hh"
+#include "isa/isa.hh"
 #include "smt/pipeline.hh"
 #include "workload/generator.hh"
 
@@ -60,12 +61,13 @@ runChecksum(const SmtParams &params)
 int64_t
 referenceChecksum()
 {
-    // Functional reference, computed directly.
+    // Functional reference, computed directly with the ISA's
+    // wrapping arithmetic (the LCG overflows int64_t).
     int64_t lcg = 17, sum = 0;
     for (int i = 0; i < 200; ++i) {
-        lcg = lcg * 2891 + 12345;
-        sum += lcg;        // store+load round trip
-        sum += (lcg & 1) ? 7 : 3;
+        lcg = wrapAdd(wrapMul(lcg, 2891), 12345);
+        sum = wrapAdd(sum, lcg); // store+load round trip
+        sum = wrapAdd(sum, (lcg & 1) ? 7 : 3);
     }
     return sum;
 }

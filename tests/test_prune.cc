@@ -86,7 +86,7 @@ populate(const std::string &dir, const std::vector<RunSpec> &specs)
     std::vector<std::string> paths;
     for (const RunSpec &spec : specs) {
         EXPECT_TRUE(store.store(spec, executeRunSpec(spec)));
-        paths.push_back(store.entryPath(spec));
+        paths.push_back(store.entryPath(spec.hash()));
     }
     return paths;
 }
@@ -245,7 +245,7 @@ TEST(Prune, PrunedStoreStillServesAndRecomputes)
         for (const RunSpec &spec : specs) {
             originals.push_back(executeRunSpec(spec));
             ASSERT_TRUE(store.store(spec, originals.back()));
-            paths.push_back(store.entryPath(spec));
+            paths.push_back(store.entryPath(spec.hash()));
         }
     }
     ageFile(paths[0], 10.0 * 86400.0);

@@ -9,7 +9,11 @@
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -151,6 +155,158 @@ TEST(RunSpec, HashIsStableAcrossCopies)
     EXPECT_NE(a.hash(), b.hash());
 }
 
+/**
+ * Specs whose keys and hashes are pinned below: single-core, 2-core
+ * with placement, an asm workload, every DtmMode, and the awkward
+ * numbers (0.8, 1e-7 steps, -0.0, thirds).
+ */
+std::vector<RunSpec>
+pinnedSpecs()
+{
+    ExperimentOptions opts = fastOpts();
+    std::vector<RunSpec> specs;
+    specs.push_back(soloSpec("gcc", ExperimentOptions{}));
+    specs.push_back(
+        withVariantSpec("gcc", 2, opts).withTopology(2, {0, 1}));
+    {
+        RunSpec s;
+        s.workloads.push_back(WorkloadSpec::spec("mesa"));
+        s.workloads.push_back(WorkloadSpec::assembly(
+            "loop", "loop: addi r1, r1, 1\n      jmp loop\n"));
+        s.opts = opts;
+        specs.push_back(s);
+    }
+    for (DtmMode mode :
+         {DtmMode::None, DtmMode::StopAndGo, DtmMode::SelectiveSedation,
+          DtmMode::DvfsThrottle, DtmMode::FetchGating})
+        specs.push_back(withVariantSpec("mcf", 1, opts).withDtm(mode));
+    {
+        RunSpec s = specPairSpec("crafty", "vortex", opts);
+        s.sensorNoiseK = 0.8;
+        s.dieShrink = 1e-7 * 3;
+        s.opts.convectionR = -0.0;
+        s.opts.sedationUsageThreshold = true;
+        s.opts.recordTempTrace = true;
+        s.traceEvents = true;
+        s.numThreads = 3;
+        s.descheduleAfter = 2;
+        specs.push_back(s);
+    }
+    for (int k : {1, 4096}) {
+        RunSpec s = maliciousSoloSpec(4, opts);
+        s.opts.convectionR += 1e-7 * k;
+        s.opts.upperThreshold = 357.25;
+        s.opts.lowerThreshold = 1.0 / 3.0;
+        s.opts.sink = SinkType::Ideal;
+        specs.push_back(s);
+    }
+    return specs;
+}
+
+// Every persistent store and campaign manifest is addressed by these
+// bytes: a change here silently re-addresses existing stores, so the
+// literals may only change together with kResultFormatVersion.
+TEST(RunSpec, CanonicalKeyTextIsPinned)
+{
+    struct Pin
+    {
+        const char *key;
+        uint64_t hash;
+    };
+    const Pin pins[] = {
+        {"ts=50;sink=real;dtm=stop-and-go;conv=0.80000000000000004;"
+         "upper=356;lower=355;usage=0;trace=0;etrace=0;nthreads=0;"
+         "shrink=1;noise=0;desched=0|spec:gcc",
+         0x9ee2b454d2bcf7d0ull},
+        {"ts=2000;sink=real;dtm=stop-and-go;conv=0.80000000000000004;"
+         "upper=356;lower=355;usage=0;trace=0;etrace=0;nthreads=0;"
+         "shrink=1;noise=0;desched=0;cores=2;place=0,1|spec:gcc|"
+         "variant:2",
+         0x6b623d700b109666ull},
+        {"ts=2000;sink=real;dtm=stop-and-go;conv=0.80000000000000004;"
+         "upper=356;lower=355;usage=0;trace=0;etrace=0;nthreads=0;"
+         "shrink=1;noise=0;desched=0|spec:mesa|asm:loop: addi r1, r1, "
+         "1\n      jmp loop\n",
+         0xce7d902ceb21c3b7ull},
+        {"ts=2000;sink=real;dtm=none;conv=0.80000000000000004;"
+         "upper=356;lower=355;usage=0;trace=0;etrace=0;nthreads=0;"
+         "shrink=1;noise=0;desched=0|spec:mcf|variant:1",
+         0xe58f22e8a6e22503ull},
+        {"ts=2000;sink=real;dtm=stop-and-go;conv=0.80000000000000004;"
+         "upper=356;lower=355;usage=0;trace=0;etrace=0;nthreads=0;"
+         "shrink=1;noise=0;desched=0|spec:mcf|variant:1",
+         0xd7e5ac50e9bdf9dcull},
+        {"ts=2000;sink=real;dtm=selective-sedation;"
+         "conv=0.80000000000000004;upper=356;lower=355;usage=0;"
+         "trace=0;etrace=0;nthreads=0;shrink=1;noise=0;desched=0|"
+         "spec:mcf|variant:1",
+         0xbb60aff06c10c295ull},
+        {"ts=2000;sink=real;dtm=dvfs-throttle;conv=0.80000000000000004;"
+         "upper=356;lower=355;usage=0;trace=0;etrace=0;nthreads=0;"
+         "shrink=1;noise=0;desched=0|spec:mcf|variant:1",
+         0xab5e7e53cdd6bd0bull},
+        {"ts=2000;sink=real;dtm=fetch-gating;conv=0.80000000000000004;"
+         "upper=356;lower=355;usage=0;trace=0;etrace=0;nthreads=0;"
+         "shrink=1;noise=0;desched=0|spec:mcf|variant:1",
+         0x419d2b0fc71afca4ull},
+        {"ts=2000;sink=real;dtm=stop-and-go;conv=-0;upper=356;"
+         "lower=355;usage=1;trace=1;etrace=1;nthreads=3;"
+         "shrink=2.9999999999999999e-07;noise=0.80000000000000004;"
+         "desched=2|spec:crafty|spec:vortex",
+         0xf7ddb1e7271137efull},
+        {"ts=2000;sink=ideal;dtm=stop-and-go;conv=0.80000009999999999;"
+         "upper=357.25;lower=0.33333333333333331;usage=0;trace=0;"
+         "etrace=0;nthreads=0;shrink=1;noise=0;desched=0|variant:4",
+         0xf33bbc526488fe53ull},
+        {"ts=2000;sink=ideal;dtm=stop-and-go;conv=0.80040960000000005;"
+         "upper=357.25;lower=0.33333333333333331;usage=0;trace=0;"
+         "etrace=0;nthreads=0;shrink=1;noise=0;desched=0|variant:4",
+         0x58c24bf263eaa721ull},
+    };
+    std::vector<RunSpec> specs = pinnedSpecs();
+    ASSERT_EQ(specs.size(), std::size(pins));
+    for (size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(specs[i].canonicalKey(), pins[i].key) << "spec " << i;
+        EXPECT_EQ(specs[i].hash(), pins[i].hash) << "spec " << i;
+    }
+}
+
+// Numbers in the key must print exactly as printf's "%.17g" always
+// did, whatever formatter the key builder uses.
+TEST(RunSpec, KeyNumbersMatchPrintfG17)
+{
+    std::vector<double> values = {
+        0.0, -0.0, 0.8, 1.0 / 3.0, 357.25, 1e300, -1e-300,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min() * 12345,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest()};
+    for (int k = 0; k < 5000; ++k)
+        values.push_back(0.8 + 1e-7 * k);
+    uint64_t bits = 0x9e3779b97f4a7c15ull;
+    for (int k = 0; k < 5000; ++k) {
+        bits ^= bits << 13;
+        bits ^= bits >> 7;
+        bits ^= bits << 17;
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        values.push_back(v);
+    }
+    RunSpec s = soloSpec("gcc", fastOpts());
+    for (double v : values) {
+        s.sensorNoiseK = v;
+        char want[64];
+        std::snprintf(want, sizeof(want), ";noise=%.17g;", v);
+        EXPECT_NE(s.canonicalKey().find(want), std::string::npos)
+            << want;
+    }
+}
+
 TEST(Runner, ParallelBitIdenticalToSerial)
 {
     std::vector<RunSpec> specs = sampleMatrix();
@@ -205,7 +361,7 @@ TEST(Runner, ResultStoreMemoises)
     EXPECT_EQ(computed, 1);
     EXPECT_EQ(store.misses(), 1u);
     EXPECT_EQ(store.hits(), 0u);
-    EXPECT_TRUE(store.contains(spec));
+    EXPECT_TRUE(store.contains(spec.canonicalKey()));
 
     RunResult again = store.getOrCompute(spec, compute);
     EXPECT_EQ(computed, 1) << "second lookup must be served from cache";
@@ -221,7 +377,7 @@ TEST(Runner, ResultStoreMemoises)
     // ...but any option change is a distinct cell.
     RunSpec changed = spec;
     changed.opts.convectionR = 0.6;
-    EXPECT_FALSE(store.contains(changed));
+    EXPECT_FALSE(store.contains(changed.canonicalKey()));
     store.getOrCompute(changed, [&]() {
         ++computed;
         return executeRunSpec(changed);
@@ -231,7 +387,7 @@ TEST(Runner, ResultStoreMemoises)
 
     store.clear();
     EXPECT_EQ(store.size(), 0u);
-    EXPECT_FALSE(store.contains(spec));
+    EXPECT_FALSE(store.contains(spec.canonicalKey()));
 }
 
 TEST(Runner, CachedMatrixRunsAreBitIdentical)
