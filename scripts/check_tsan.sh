@@ -23,8 +23,10 @@ cmake -B "$BUILD" -S . -DHS_SANITIZE=thread >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" --target hs_tests
 # Remote* exercises the coordinator/worker threads, Fault*/Chaos* the
 # fault-injection layer under concurrent firing (a small seed sweep —
-# the full 100-seed sweep belongs to the uninstrumented suite).
+# the full 100-seed sweep belongs to the uninstrumented suite), and
+# StatusEndpoint*/CellTally*/RunHealth* the cell tally, which worker
+# lanes write while the status and watchdog threads read it.
 HS_CHAOS_SEEDS=8 TSAN_OPTIONS="halt_on_error=1" \
-    "./$BUILD/tests/hs_tests" \
-    --gtest_filter='Runner*:RunSpec*:RunnerDeathTest*:Snapshot*:Remote*:Fault*:Chaos*:Manifest*:Campaign*'
+    "$BUILD/tests/hs_tests" \
+    --gtest_filter='Runner*:RunSpec*:RunnerDeathTest*:Snapshot*:Remote*:Fault*:Chaos*:Manifest*:Campaign*:StatusEndpoint*:CellTally*:RunHealth*'
 echo TSAN_CLEAN

@@ -32,7 +32,7 @@ struct StoreHeader
     uint32_t version = kResultFormatVersion;
     uint64_t keyBytes = 0;
     uint64_t payloadBytes = 0;
-    uint64_t payloadChecksum = 0;
+    uint64_t checksum = 0; ///< FNV-1a over key echo + payload
 };
 
 /** mkdir -p for the two-level store layout; EEXIST is success. */
@@ -65,8 +65,8 @@ struct RecordRead
  * The one .hsr reader: one open/fstat/read/close into memory, then
  * every check on the buffer. The order matters — magic and version
  * gate the header layout, the size caps gate the length fields, the
- * config echo gates the addressing and the checksum gates the
- * payload — so nothing is trusted before the bytes that describe it
+ * config echo gates the addressing and the checksum gates the echo
+ * and the payload together — so nothing is trusted before the bytes that describe it
  * have been vetted. The buffer is sized from the file, never from a
  * header field; a file past the largest possible record is read only
  * up to its config echo (it can only fail, as trailing bytes).
@@ -128,9 +128,11 @@ readRecord(const std::string &path, const std::string *key)
     // the buffer.
     rec.payloadAt = static_cast<size_t>(keyEnd);
     rec.payloadBytes = static_cast<size_t>(hdr.payloadBytes);
-    if (fnv1a64(rec.bytes.data() + rec.payloadAt, rec.payloadBytes) !=
-        hdr.payloadChecksum)
-        return reject("payload checksum mismatch");
+    // The echo and the payload are contiguous: one pass covers both,
+    // so a payload spliced under another cell's echo cannot pass.
+    if (fnv1a64(rec.bytes.data() + sizeof(hdr),
+                hdr.keyBytes + hdr.payloadBytes) != hdr.checksum)
+        return reject("record checksum mismatch");
     return rec;
 }
 
@@ -202,7 +204,9 @@ DiskResultStore::store(const std::string &key, const RunResult &result)
     StoreHeader hdr;
     hdr.keyBytes = key.size();
     hdr.payloadBytes = payload.size();
-    hdr.payloadChecksum = fnv1a64(payload.data(), payload.size());
+    hdr.checksum = fnv1a64(
+        payload.data(), payload.size(),
+        fnv1a64(reinterpret_cast<const uint8_t *>(key.data()), key.size()));
 
     // Write to a hidden per-process temp name in the target directory,
     // then rename() into place: readers never observe a partial file,
@@ -218,7 +222,7 @@ DiskResultStore::store(const std::string &key, const RunResult &result)
     // rename() (e.g. power loss reordering), and a rename that fails
     // outright. All of them must cost at most a recompute.
     if (faultFire("store_checksum_flip"))
-        hdr.payloadChecksum ^= 1;
+        hdr.checksum ^= 1;
     size_t payloadWrite = payload.size();
     if (faultFire("store_torn_write"))
         payloadWrite = payload.size() / 2;

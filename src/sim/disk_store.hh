@@ -14,13 +14,16 @@
  * digits (256-way fan-out keeps directories small on big sweeps). Each
  * .hsr file is a self-validating record:
  *
- *     magic "HSR1" | format version | canonical key | payload length
- *     | payload FNV-1a checksum | payload (serialised RunResult)
+ *     magic "HSR1" | format version | key length | payload length
+ *     | FNV-1a checksum | canonical key | payload (serialised RunResult)
  *
  * The full canonical key rides along as the config echo: a lookup only
  * hits when the stored key matches byte-for-byte, so a (vanishingly
  * unlikely) hash collision or a stale entry written by a build whose
- * key layout changed is recomputed instead of served wrong. Writes go
+ * key layout changed is recomputed instead of served wrong. The
+ * checksum covers the echo and the payload together (since format
+ * version 2), so one cell's payload spliced under another cell's echo
+ * is rejected too. Writes go
  * through a hidden temp file in the same directory plus rename(), so
  * concurrent writers — sibling workers, other hosts on a shared
  * filesystem — can race on one cell and the loser simply overwrites
@@ -118,7 +121,7 @@ DiskResultStore *envDiskStore();
  * Structural validation of one .hsr record file — everything load()
  * checks except the config echo, which needs the requesting spec
  * (magic, version, internal lengths vs. file size, trailing bytes,
- * payload checksum). @return false with @p why filled when the
+ * the checksum over key echo + payload). @return false with @p why filled when the
  * record could not have been produced by a completed store() call.
  */
 bool validateRecordFile(const std::string &path, std::string &why);

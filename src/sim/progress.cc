@@ -58,10 +58,11 @@ ProgressReporter::statusLine(char *buf, size_t n) const
     // ETA: cells left, executed jobs_ at a time, each taking about the
     // median observed cell time. Crude on purpose — it is a progress
     // line, not a scheduler.
+    const CellTally &t = tally_;
     char eta[32] = "";
-    if (done_ > memHits_ + diskHits_ && done_ < total_) {
-        double median = cellSeconds_.percentile(0.5);
-        double left = static_cast<double>(total_ - done_) * median /
+    if (!t.cellSeconds.empty() && t.done < total_) {
+        double median = t.cellSeconds.percentile(0.5);
+        double left = static_cast<double>(total_ - t.done) * median /
                       static_cast<double>(jobs_);
         char d[16];
         fmtDuration(d, sizeof(d), left);
@@ -72,9 +73,9 @@ ProgressReporter::statusLine(char *buf, size_t n) const
     std::snprintf(buf, n,
                   "[progress] %zu/%zu cells (%zu running, %zu mem "
                   "hit%s, %zu disk hit%s, %zu remote, %zu forked%s)",
-                  done_, total_, running_.size(), memHits_,
-                  memHits_ == 1 ? "" : "s", diskHits_,
-                  diskHits_ == 1 ? "" : "s", remote_, forked_, eta);
+                  t.done, total_, t.running, t.memHits,
+                  t.memHits == 1 ? "" : "s", t.diskHits,
+                  t.diskHits == 1 ? "" : "s", t.remote, t.forked, eta);
 }
 
 void
@@ -102,45 +103,23 @@ ProgressReporter::onEvent(const CellEvent &ev)
     std::lock_guard<std::mutex> lock(mu_);
     if (finished_)
         return;
-    auto now = std::chrono::steady_clock::now();
-    switch (ev.kind) {
-      case CellEvent::Kind::Queued:
+    if (ev.kind == CellEvent::Kind::Queued)
         return; // nothing to paint: total_ was given up front
-      case CellEvent::Kind::Started:
+    tally_ = *ev.tally;
+    auto now = std::chrono::steady_clock::now();
+    if (ev.kind == CellEvent::Kind::Started) {
         running_.push_back(
             {ev.index, ev.label ? ev.label : "", now, false});
-        break;
-      case CellEvent::Kind::PrefixForked:
-        ++forked_;
-        break;
-      case CellEvent::Kind::CacheHit:
-      case CellEvent::Kind::DiskHit:
-      case CellEvent::Kind::Finished:
-      case CellEvent::Kind::RemoteFinished: {
-        auto it = std::find_if(running_.begin(), running_.end(),
-                               [&](const Running &r) {
-                                   return r.index == ev.index;
-                               });
-        if (it != running_.end())
-            running_.erase(it);
-        ++done_;
-        if (ev.kind == CellEvent::Kind::CacheHit) {
-            ++memHits_;
-        } else if (ev.kind == CellEvent::Kind::DiskHit) {
-            ++diskHits_;
-        } else {
-            if (ev.kind == CellEvent::Kind::RemoteFinished)
-                ++remote_;
-            cellSeconds_.observe(ev.hostSeconds);
-        }
-        break;
-      }
+    } else if (ev.kind != CellEvent::Kind::PrefixForked) {
+        std::erase_if(running_, [&](const Running &r) {
+            return r.index == ev.index;
+        });
     }
     // ANSI redraws on every event (cheap, in place). Plain mode rations
     // itself to one line per interval, plus the last cell.
     double since_paint =
         std::chrono::duration<double>(now - lastPaint_).count();
-    if (opts_.ansi || done_ == total_ ||
+    if (opts_.ansi || tally_.done == total_ ||
         since_paint >= opts_.minPlainInterval)
         render();
 }
@@ -154,9 +133,9 @@ ProgressReporter::watchdogLoop()
         if (stopped_)
             return;
         auto now = std::chrono::steady_clock::now();
-        if (opts_.watchdogFactor > 0 && cellSeconds_.count() >= 2) {
-            double median = cellSeconds_.percentile(0.5);
-            double limit = opts_.watchdogFactor * median;
+        if (tally_.cellSeconds.count() >= 2) {
+            double median = tally_.cellSeconds.percentile(0.5);
+            double limit = kWatchdogFactor * median;
             for (Running &r : running_) {
                 double secs =
                     std::chrono::duration<double>(now - r.since)
@@ -169,7 +148,7 @@ ProgressReporter::watchdogLoop()
                                  "%.1fs (> %.1fx median %.2fs)\n",
                                  opts_.ansi ? "\r\n" : "", r.index,
                                  r.label.c_str(), secs,
-                                 opts_.watchdogFactor, median);
+                                 kWatchdogFactor, median);
                     paintedLen_ = 0;
                     if (opts_.ansi)
                         render();
@@ -177,7 +156,7 @@ ProgressReporter::watchdogLoop()
             }
         }
         // Keep the in-place ETA ticking even between events.
-        if (opts_.ansi && done_ > 0 && done_ < total_)
+        if (opts_.ansi && tally_.done > 0 && tally_.done < total_)
             render();
     }
 }
@@ -205,9 +184,10 @@ ProgressReporter::finish()
     std::fprintf(opts_.out,
                  "%s[progress] %zu/%zu cells in %s (%zu mem hit%s, "
                  "%zu disk hit%s, %zu remote, %zu forked%s%llu slow)\n",
-                 opts_.ansi ? "\r" : "", done_, total_, d, memHits_,
-                 memHits_ == 1 ? "" : "s", diskHits_,
-                 diskHits_ == 1 ? "" : "s", remote_, forked_,
+                 opts_.ansi ? "\r" : "", tally_.done, total_, d,
+                 tally_.memHits, tally_.memHits == 1 ? "" : "s",
+                 tally_.diskHits, tally_.diskHits == 1 ? "" : "s",
+                 tally_.remote, tally_.forked,
                  slow_ ? ", slow cells flagged: " : ", ",
                  static_cast<unsigned long long>(slow_));
     std::fflush(opts_.out);

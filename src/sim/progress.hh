@@ -2,12 +2,13 @@
  * @file
  * Live run-health display for ParallelRunner matrices.
  *
- * ProgressReporter consumes CellEvents and paints a single-line status
- * (completed/total, cache accounting split by tier — in-memory hits,
- * persistent disk-store hits, cells completed by remote workers —
- * prefix forks, an ETA estimated from the per-cell wall-time
- * histogram) plus a watchdog that flags cells running longer than a
- * configurable multiple of the median cell time.
+ * ProgressReporter paints a single-line status from the runner's
+ * CellTally, which every CellEvent carries (completed/total, cache
+ * accounting split by tier — in-memory hits, persistent disk-store
+ * hits, cells completed by remote workers — prefix forks, an ETA from
+ * the tally's cell-seconds histogram). It keeps no counts of its own:
+ * only the list of running cells its watchdog needs, which flags cells
+ * running longer than kWatchdogFactor times the median cell time.
  * Everything here observes host wall-clock only — it never touches the
  * simulated path, so enabling it cannot perturb results.
  *
@@ -29,18 +30,18 @@
 #include <vector>
 
 #include "sim/runner.hh"
-#include "trace/metrics.hh"
 
 namespace hs {
+
+/** The watchdog flags cells running longer than this multiple of the
+ *  median simulated-cell time. */
+constexpr double kWatchdogFactor = 4.0;
 
 /** How a ProgressReporter paints. */
 struct ProgressOptions
 {
     /** Redraw one line in place (TTY); false = plain periodic lines. */
     bool ansi = false;
-    /** Flag cells running longer than this multiple of the median
-     *  finished-cell time (0 disables the watchdog). */
-    double watchdogFactor = 4.0;
     /** Plain mode: minimum seconds between status lines. */
     double minPlainInterval = 1.0;
     /** Destination stream (stderr keeps stdout machine-readable). */
@@ -55,7 +56,8 @@ class ProgressReporter
     ProgressReporter(size_t total, int jobs, ProgressOptions opts);
     ~ProgressReporter();
 
-    /** Feed one lifecycle event (wire via setCellObserver). */
+    /** Feed one lifecycle event (wire via setCellObserver); paints
+     *  from @c ev.tally. */
     void onEvent(const CellEvent &ev);
 
     /** Stop the watchdog and print the final summary (idempotent). */
@@ -85,13 +87,8 @@ class ProgressReporter
     std::condition_variable cv_;
     bool stopped_ = false;
     bool finished_ = false;
-    size_t done_ = 0;      ///< every terminal CellEvent kind
-    size_t memHits_ = 0;   ///< served from the in-memory store
-    size_t diskHits_ = 0;  ///< served from the persistent store tier
-    size_t remote_ = 0;    ///< simulated by TCP workers
-    size_t forked_ = 0;
+    CellTally tally_; ///< the runner's tally as of the latest event
     uint64_t slow_ = 0;
-    Histogram cellSeconds_;
     std::vector<Running> running_;
     std::chrono::steady_clock::time_point start_;
     std::chrono::steady_clock::time_point lastPaint_;

@@ -650,6 +650,8 @@ RemoteWorker::runJob(uint64_t id, const RunSpec &spec,
             // beats is slow, not lost.
             HeartbeatInfo hb = decodeHeartbeat(frame);
             ++telemetry_.heartbeats;
+            if (onHeartbeat_)
+                onHeartbeat_(hb);
             logEvent("remote", "heartbeat",
                      {LogField::text("worker", ep_.str()),
                       LogField::num("jobs_done", hb.jobsDone),

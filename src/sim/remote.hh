@@ -222,7 +222,12 @@ uint64_t serveWorker(uint16_t port);
 class RemoteWorker
 {
   public:
-    explicit RemoteWorker(Endpoint ep) : ep_(std::move(ep))
+    /** Called on the dispatcher thread for every heartbeat folded, so
+     *  a live view can count them while a long remote cell runs. */
+    using HeartbeatHook = std::function<void(const HeartbeatInfo &)>;
+
+    explicit RemoteWorker(Endpoint ep, HeartbeatHook on_heartbeat = {})
+        : ep_(std::move(ep)), onHeartbeat_(std::move(on_heartbeat))
     {
         telemetry_.endpoint = ep_.str();
     }
@@ -261,6 +266,7 @@ class RemoteWorker
     enum class State { Fresh, Connected, Dead };
 
     Endpoint ep_;
+    HeartbeatHook onHeartbeat_;
     Socket sock_;
     State state_ = State::Fresh;
     uint32_t caps_ = 0;

@@ -243,11 +243,29 @@ ParallelRunner::setCellObserver(CellObserver fn)
     observer_ = std::move(fn);
 }
 
-Histogram
-ParallelRunner::cellSecondsHistogram() const
+CellTally
+ParallelRunner::tally() const
 {
     std::lock_guard<std::mutex> lock(observerMu_);
-    return cellSeconds_;
+    return tally_;
+}
+
+void
+CellTally::fold(const CellEvent &ev)
+{
+    switch (ev.kind) {
+      case CellEvent::Kind::Queued: ++total; return;
+      case CellEvent::Kind::Started: ++running; return;
+      case CellEvent::Kind::PrefixForked: ++forked; return;
+      case CellEvent::Kind::CacheHit: ++memHits; break;
+      case CellEvent::Kind::DiskHit: ++diskHits; break;
+      case CellEvent::Kind::RemoteFinished: ++remote; [[fallthrough]];
+      case CellEvent::Kind::Finished:
+        cellSeconds.observe(ev.hostSeconds);
+        break;
+    }
+    --running; // every other kind resolves a started cell
+    ++done;
 }
 
 /** Structured-log event name for a cell lifecycle kind. */
@@ -267,7 +285,7 @@ cellEventName(CellEvent::Kind kind)
 }
 
 void
-ParallelRunner::notify(const CellEvent &ev)
+ParallelRunner::notify(CellEvent ev)
 {
     if (logEventActive()) {
         logEvent("runner", cellEventName(ev.kind),
@@ -280,8 +298,8 @@ ParallelRunner::notify(const CellEvent &ev)
                   LogField::num("seconds", ev.hostSeconds)});
     }
     std::lock_guard<std::mutex> lock(observerMu_);
-    if (ev.kind == CellEvent::Kind::Finished)
-        cellSeconds_.observe(ev.hostSeconds);
+    tally_.fold(ev);
+    ev.tally = &tally_;
     if (observer_)
         observer_(ev);
 }
@@ -291,7 +309,7 @@ ParallelRunner::prefixStats() const
 {
     PrefixShareStats s;
     s.groups = prefixGroups_.load();
-    s.forkedRuns = forkedRuns_.load();
+    s.forkedRuns = tally().forked;
     s.prefixCycles = prefixCycles_.load();
     s.savedCycles = savedCycles_.load();
     return s;
@@ -364,6 +382,8 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
     std::vector<RunResult> results(specs.size());
     if (specs.empty())
         return results;
+    const auto runStart = std::chrono::steady_clock::now();
+    const size_t memHits0 = tally().memHits;
 
     // Each cell's canonical key is built once, here: the prefix
     // grouping and every store tier address the cell by it.
@@ -395,7 +415,6 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
         bool viaRemote = false;
         auto compute = [&]() -> RunResult {
             if (snap) {
-                forkedRuns_.fetch_add(1);
                 savedCycles_.fetch_add(snap->cycle);
                 notify({CellEvent::Kind::PrefixForked, i, total,
                         spec.label.c_str(), 0.0, lane});
@@ -404,7 +423,6 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
                 RunResult r;
                 if (remote->runJob(i, spec, snap, r)) {
                     viaRemote = true;
-                    remoteCells_.fetch_add(1);
                     return r;
                 }
                 // The worker died mid-campaign: requeue this cell as
@@ -452,7 +470,8 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
     // whatever the lane mix.
     std::vector<std::unique_ptr<RemoteWorker>> remotes;
     for (const Endpoint &ep : workerEndpoints_) {
-        auto rw = std::make_unique<RemoteWorker>(ep);
+        auto rw = std::make_unique<RemoteWorker>(
+            ep, [this](const HeartbeatInfo &) { heartbeats_.fetch_add(1); });
         if (rw->ensureConnected()) {
             remoteWorkers_.fetch_add(1);
             remotes.push_back(std::move(rw));
@@ -503,6 +522,15 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
     }
     if (error)
         std::rethrow_exception(error);
+    logEvent("runner", "matrix_done",
+             {LogField::num("runs", static_cast<uint64_t>(total)),
+              LogField::num("cached", static_cast<uint64_t>(
+                                          tally().memHits - memHits0)),
+              LogField::num("jobs", jobs_),
+              LogField::num("seconds",
+                            std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - runStart)
+                                .count())});
     return results;
 }
 
@@ -517,14 +545,34 @@ ParallelRunner::remoteStats() const
 {
     RemoteStats s;
     s.workers = remoteWorkers_.load();
-    s.remoteCells = remoteCells_.load();
+    s.remoteCells = tally().remote;
     s.lostWorkers = lostWorkers_.load();
     s.requeuedCells = requeuedCells_.load();
+    s.heartbeats = heartbeats_.load();
     {
         std::lock_guard<std::mutex> lock(telemetryMu_);
         s.perWorker = workerTelemetry_;
     }
     return s;
+}
+
+void
+startCampaign(DiskResultStore &disk, const std::vector<RunSpec> &specs)
+{
+    // Persist the campaign's identity before any cell simulates: a
+    // coordinator killed mid-sweep can be restarted with the same
+    // command line and pick up exactly the missing cells.
+    CampaignResume resume = prepareCampaign(disk, specs);
+    if (!resume.resumed)
+        return;
+    std::fprintf(stderr,
+                 "[campaign] resuming: %llu of %llu cells already "
+                 "stored\n",
+                 static_cast<unsigned long long>(resume.storedCells),
+                 static_cast<unsigned long long>(resume.totalCells));
+    logEvent("runner", "campaign_resumed",
+             {LogField::num("stored", resume.storedCells),
+              LogField::num("total", resume.totalCells)});
 }
 
 std::vector<RunResult>
@@ -534,26 +582,8 @@ runMatrix(const std::vector<RunSpec> &specs)
     if (DiskResultStore *disk = envDiskStore())
         store.attachDisk(disk);
     DiskResultStore *disk = store.disk();
-    if (disk) {
-        // Persist the campaign's identity before any cell simulates:
-        // a coordinator killed mid-sweep can be restarted with the
-        // same command line and pick up exactly the missing cells.
-        CampaignResume resume = prepareCampaign(*disk, specs);
-        if (resume.resumed) {
-            std::fprintf(stderr,
-                         "[campaign] resuming: %llu of %llu cells "
-                         "already stored\n",
-                         static_cast<unsigned long long>(
-                             resume.storedCells),
-                         static_cast<unsigned long long>(
-                             resume.totalCells));
-            logEvent("runner", "campaign_resumed",
-                     {LogField::num("stored", resume.storedCells),
-                      LogField::num("total", resume.totalCells)});
-        }
-    }
-    uint64_t hits0 = store.hits();
-    uint64_t dhits0 = disk ? disk->hits() : 0;
+    if (disk)
+        startCampaign(*disk, specs);
     uint64_t dwrites0 = disk ? disk->writes() : 0;
     uint64_t dcorrupt0 = disk ? disk->corrupt() : 0;
     ParallelRunner runner(knobInt("HS_JOBS"), &store);
@@ -564,35 +594,27 @@ runMatrix(const std::vector<RunSpec> &specs)
                       std::chrono::steady_clock::now() - t0)
                       .count();
 
+    CellTally t = runner.tally();
     PrefixShareStats ps = runner.prefixStats();
     std::fprintf(stderr,
-                 "[engine] %zu runs (%llu cached) on %d workers in "
+                 "[engine] %zu runs (%zu cached) on %d workers in "
                  "%.1f s | prefix: %llu groups, %llu forks, %.1f "
                  "Mcycles shared",
-                 specs.size(),
-                 static_cast<unsigned long long>(store.hits() - hits0),
-                 runner.jobs(), secs,
+                 specs.size(), t.memHits, runner.jobs(), secs,
                  static_cast<unsigned long long>(ps.groups),
                  static_cast<unsigned long long>(ps.forkedRuns),
                  static_cast<double>(ps.savedCycles) / 1e6);
     if (disk) {
         std::fprintf(stderr,
-                     " | store: %llu disk hits, %llu writes, "
+                     " | store: %zu disk hits, %llu writes, "
                      "%llu corrupt",
-                     static_cast<unsigned long long>(disk->hits() -
-                                                     dhits0),
+                     t.diskHits,
                      static_cast<unsigned long long>(disk->writes() -
                                                      dwrites0),
                      static_cast<unsigned long long>(disk->corrupt() -
                                                      dcorrupt0));
     }
     std::fprintf(stderr, "\n");
-    logEvent("runner", "matrix_done",
-             {LogField::num("runs",
-                            static_cast<uint64_t>(specs.size())),
-              LogField::num("cached", store.hits() - hits0),
-              LogField::num("jobs", runner.jobs()),
-              LogField::num("seconds", secs)});
     return results;
 }
 

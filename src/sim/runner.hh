@@ -28,6 +28,10 @@
  * Neither can change results: cells are deterministic, results always
  * fold in submission order.
  *
+ * Run health is one counter set: the CellTally folded from every
+ * CellEvent. `--progress`, `--status-port`, the `[engine]` line and the
+ * `matrix_done` event all render it; none counts on its own.
+ *
  * Knobs (HS_JOBS, HS_PREFIX, HS_STORE, HS_FAULTS): `hs_run --help`.
  * With a store attached, runMatrix() also maintains
  * `<store>/manifest.hsm` (sim/manifest.hh): an interrupted campaign
@@ -53,6 +57,7 @@
 
 namespace hs {
 
+class DiskResultStore;
 class ResultStore;
 class Simulator;
 
@@ -83,6 +88,7 @@ struct RemoteStats
     uint64_t remoteCells = 0; ///< cells simulated by TCP workers
     uint64_t lostWorkers = 0; ///< workers that died mid-campaign
     uint64_t requeuedCells = 0; ///< cells recovered by local fallback
+    uint64_t heartbeats = 0;  ///< heartbeat frames folded so far (live)
     /** Per-worker fleet telemetry (job counts, remote wall time,
      *  heartbeats, snapshot bytes saved). Host-dependent sidecar data:
      *  reported by hs_run, never folded into artifacts. */
@@ -106,6 +112,8 @@ struct PrefixShareStats
     uint64_t prefixCycles = 0;///< cycles simulated by shared prefixes
     uint64_t savedCycles = 0; ///< cycles forked cells did not re-run
 };
+
+struct CellTally;
 
 /**
  * One cell-lifecycle notification from a ParallelRunner (run health,
@@ -134,6 +142,31 @@ struct CellEvent
      *  fleet timeline attribute each cell to the worker that ran
      *  it. */
     int lane = -1;
+    /** The runner's tally with this event already folded in (valid
+     *  during the callback, like @c label). */
+    const CellTally *tally = nullptr;
+};
+
+/**
+ * The runner's one per-cell counter set, folded from every CellEvent
+ * it emits. Cumulative across run() calls. Invariants: running + done
+ * <= total after every fold, and running is 0 once run() returns.
+ */
+struct CellTally
+{
+    size_t total = 0;    ///< cells queued
+    size_t running = 0;  ///< started, not yet resolved
+    size_t done = 0;     ///< resolved by any terminal kind
+    size_t memHits = 0;  ///< served by the in-memory ResultStore
+    size_t diskHits = 0; ///< served by the persistent store tier
+    size_t remote = 0;   ///< simulated by TCP workers
+    size_t forked = 0;   ///< resumed from a shared prefix
+    /** Host wall time of every simulated cell, local or remote. Host
+     *  measurement — never feed it into anything deterministic. */
+    Histogram cellSeconds;
+
+    /** Fold one lifecycle event into the counts. */
+    void fold(const CellEvent &ev);
 };
 
 /** Thread-pool executor for RunSpec matrices. */
@@ -180,20 +213,19 @@ class ParallelRunner
     /**
      * Install a lifecycle observer (progress bars, watchdogs). Calls
      * are serialised under an internal mutex, so the observer may keep
-     * plain state; it runs on worker threads and must not touch the
-     * runner. Install before run(); null disables.
+     * plain state and read CellEvent::tally without locking; it runs
+     * on worker threads and must not touch the runner. Install before
+     * run(); null disables.
      */
     void setCellObserver(CellObserver fn);
 
-    /**
-     * Distribution of per-cell wall times (Finished cells only),
-     * accumulated across run() calls. Host measurement — never feed it
-     * into anything that must be deterministic.
-     */
-    Histogram cellSecondsHistogram() const;
+    /** A copy of the cell tally (safe from any thread but the
+     *  observer, which reads CellEvent::tally instead). */
+    CellTally tally() const;
 
   private:
-    void notify(const CellEvent &ev);
+    /** Log @p ev, fold it into the tally and hand it to the observer. */
+    void notify(CellEvent ev);
 
     /**
      * Phase one of run(): group specs by divergence key, simulate each
@@ -210,16 +242,15 @@ class ParallelRunner
     bool prefixSharing_;
     std::vector<Endpoint> workerEndpoints_;
     std::atomic<uint64_t> remoteWorkers_{0};
-    std::atomic<uint64_t> remoteCells_{0};
     std::atomic<uint64_t> lostWorkers_{0};
     std::atomic<uint64_t> requeuedCells_{0};
+    std::atomic<uint64_t> heartbeats_{0};
     CellObserver observer_;
-    mutable std::mutex observerMu_; ///< serialises notify() + histogram
-    Histogram cellSeconds_;
+    mutable std::mutex observerMu_; ///< serialises notify(), guards tally_
+    CellTally tally_;
     mutable std::mutex telemetryMu_; ///< guards workerTelemetry_
     std::vector<WorkerTelemetry> workerTelemetry_;
     std::atomic<uint64_t> prefixGroups_{0};
-    std::atomic<uint64_t> forkedRuns_{0};
     std::atomic<uint64_t> prefixCycles_{0};
     std::atomic<uint64_t> savedCycles_{0};
 };
@@ -230,6 +261,14 @@ class ParallelRunner
  * (worker count, cache hits, wall time) to stderr.
  */
 std::vector<RunResult> runMatrix(const std::vector<RunSpec> &specs);
+
+/**
+ * Persist the campaign manifest for @p specs in @p disk before any
+ * cell simulates (sim/manifest.hh), and announce a resumed campaign
+ * with a `[campaign] resuming` stderr line and a `campaign_resumed`
+ * event. runMatrix() and hs_run share it.
+ */
+void startCampaign(DiskResultStore &disk, const std::vector<RunSpec> &specs);
 
 /**
  * Fold run outcomes and engine statistics into @p m (hs_run --json

@@ -36,9 +36,10 @@
 
 namespace hs {
 
-/** Layout version of the serialised RunSpec/RunResult records. Bump on
- *  any field change; readers reject other versions. */
-constexpr uint32_t kResultFormatVersion = 1;
+/** Layout version of the serialised RunSpec/RunResult records and of
+ *  the .hsr record around them. Bump on any field change; readers
+ *  reject other versions. 2: the .hsr checksum covers the key echo. */
+constexpr uint32_t kResultFormatVersion = 2;
 
 /** FNV-1a 64-bit over an arbitrary byte range (store checksums). */
 uint64_t fnv1a64(const uint8_t *data, size_t size,

@@ -3,15 +3,34 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <cstdio>
 
+#include "common/fault.hh"
 #include "common/log.hh"
 
 namespace hs {
 
-StatusServer::StatusServer(uint16_t port,
-                           std::function<std::string()> snapshot)
-    : snapshot_(std::move(snapshot))
+std::string
+renderStatus(const CellTally &t, uint64_t fault_fires, uint64_t heartbeats)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "hs_cells_total %zu\n"
+                  "hs_cells_running %zu\n"
+                  "hs_cells_done %zu\n"
+                  "hs_hits_memory %zu\n"
+                  "hs_hits_disk %zu\n"
+                  "hs_cells_remote %zu\n"
+                  "hs_fault_fires %llu\n"
+                  "hs_worker_heartbeats %llu\n",
+                  t.total, t.running, t.done, t.memHits, t.diskHits,
+                  t.remote, static_cast<unsigned long long>(fault_fires),
+                  static_cast<unsigned long long>(heartbeats));
+    return buf;
+}
+
+StatusServer::StatusServer(uint16_t port, const ParallelRunner &runner)
+    : runner_(runner)
 {
     listener_ = tcpListen(port);
     if (!listener_.valid())
@@ -42,7 +61,13 @@ StatusServer::serveLoop()
         // version=0.0.4 content type is the Prometheus text format.
         char buf[1024];
         (void)::recv(conn.fd(), buf, sizeof(buf), MSG_DONTWAIT);
-        std::string body = snapshot_ ? snapshot_() : std::string();
+        // Fault fires come from the fault layer's own per-site counts.
+        uint64_t fires = 0;
+        if (const FaultPlan *plan = faultPlan())
+            for (const std::string &site : FaultPlan::knownSites())
+                fires += plan->fired(site);
+        std::string body = renderStatus(runner_.tally(), fires,
+                                        runner_.remoteStats().heartbeats);
         std::string resp =
             "HTTP/1.0 200 OK\r\n"
             "Content-Type: text/plain; version=0.0.4\r\n"

@@ -4,16 +4,19 @@
  *
  * `hs_run --status-port P` starts a StatusServer: a background thread
  * that accepts plain TCP/HTTP connections and answers every request
- * with a Prometheus-style text snapshot of the campaign's counters
- * (cells queued/running/done, cache/disk/remote hits, fault fires,
- * worker heartbeats). Poll it with `curl localhost:P` while a long
- * campaign runs.
+ * with a Prometheus-style text snapshot of the campaign (cells
+ * queued/running/done, cache/disk/remote hits, fault fires, worker
+ * heartbeats). Poll it with `curl localhost:P` while a long campaign
+ * runs.
  *
- * The server is pure observability: the snapshot callback reads
- * atomic counters maintained off the simulated path, so serving a
- * request can never perturb results. The response is written raw
- * (HTTP/1.0, connection closed after one response) — deliberately not
- * framing.hh frames, which are length-prefixed for peers, not
+ * Every cell line renders the ParallelRunner's CellTally (sim/runner.hh)
+ * — the same counts --progress paints — so a snapshot always satisfies
+ * running + done <= total. Fault fires come from the fault layer's own
+ * per-site counts, heartbeats from the runner's heartbeat hook; no line
+ * is derived from log event names. The server is pure observability:
+ * serving a request can never perturb results. The response is written
+ * raw (HTTP/1.0, connection closed after one response) — deliberately
+ * not framing.hh frames, which are length-prefixed for peers, not
  * curl-friendly.
  */
 
@@ -22,25 +25,31 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>
 
 #include "common/framing.hh"
+#include "sim/runner.hh"
 
 namespace hs {
 
 /**
- * Minimal single-threaded status responder. Construction binds the
- * port (fatal on failure, mirroring `--serve`) and starts the accept
- * loop; destruction stops it. @p snapshot is called once per request
- * from the server thread and must return the plaintext body (already
- * formatted, e.g. "hs_cells_done 12\n...").
+ * The status body: eight `name value` lines, cell counts from @p t,
+ * then @p fault_fires and @p heartbeats.
+ */
+std::string renderStatus(const CellTally &t, uint64_t fault_fires,
+                         uint64_t heartbeats);
+
+/**
+ * Minimal single-threaded status responder for @p runner. Construction
+ * binds the port (fatal on failure, mirroring `--serve`) and starts the
+ * accept loop; destruction stops it, and must happen before @p runner
+ * goes away. Each request renders the runner's tally afresh.
  */
 class StatusServer
 {
   public:
-    StatusServer(uint16_t port, std::function<std::string()> snapshot);
+    StatusServer(uint16_t port, const ParallelRunner &runner);
     ~StatusServer();
 
     StatusServer(const StatusServer &) = delete;
@@ -54,7 +63,7 @@ class StatusServer
 
     Socket listener_;
     uint16_t port_ = 0;
-    std::function<std::string()> snapshot_;
+    const ParallelRunner &runner_;
     std::atomic<bool> stop_{false};
     std::thread thread_;
 };

@@ -216,6 +216,8 @@ grep -q '"event":"queued"' "$TMP/fleet.jsonl" ||
     fail "events: no queued event in timeline"
 grep -q '"event":"finished"' "$TMP/fleet.jsonl" ||
     fail "events: no finished event in timeline"
+grep -q '"event":"matrix_done"' "$TMP/fleet.jsonl" ||
+    fail "events: no matrix_done event in timeline"
 [ -s "$TMP/oplog.jsonl" ] || fail "log-json: operational log missing"
 
 HS_LOG_JSON="$TMP/envlog.jsonl" "$BIN" --spec gcc $FAST \

@@ -6,6 +6,7 @@
  * never crash the engine, never serve a wrong result.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -233,10 +234,105 @@ poke64(std::vector<char> &bytes, size_t at, uint64_t v)
 }
 
 // Fixed .hsr header: magic u32 | version u32 | keyBytes u64
-// | payloadBytes u64 | payload checksum u64; the key follows.
+// | payloadBytes u64 | checksum u64 (over key + payload); the key
+// follows.
+constexpr size_t kVersionAt = 4;
 constexpr size_t kKeyBytesAt = 8;
 constexpr size_t kPayloadBytesAt = 16;
+constexpr size_t kChecksumAt = 24;
 constexpr size_t kHeaderBytes = 32;
+
+/**
+ * One cell's header and payload under another cell's key echo, keys of
+ * equal length: every field but the checksum is consistent with the
+ * requesting cell. The checksum covers the echo, so the splice loads
+ * as Corrupt and the right result is recomputed — never the other
+ * cell's result served as a Hit.
+ */
+TEST(DiskStoreSplice, PayloadUnderAnotherCellsEchoIsRecomputed)
+{
+    ExperimentOptions opts;
+    opts.timeScale = 20000.0;
+    const RunSpec specA = soloSpec("gcc", opts);
+    const RunSpec specB = soloSpec("vpr", opts);
+    const std::string keyA = specA.canonicalKey();
+    ASSERT_EQ(keyA.size(), specB.canonicalKey().size());
+    const RunResult resultA = executeRunSpec(specA);
+    const RunResult resultB = executeRunSpec(specB);
+    ASSERT_FALSE(resultA == resultB);
+
+    DiskResultStore store(freshDir("splice"));
+    ASSERT_TRUE(store.store(specB, resultB));
+    std::vector<char> splice = slurp(store.entryPath(specB.hash()));
+    std::copy(keyA.begin(), keyA.end(), splice.begin() + kHeaderBytes);
+    const std::string pathA = store.entryPath(specA.hash());
+    ASSERT_EQ(std::system(("mkdir -p " + pathA.substr(
+                               0, pathA.rfind('/'))).c_str()), 0);
+    spit(pathA, splice);
+
+    std::string why;
+    EXPECT_FALSE(validateRecordFile(pathA, why));
+    EXPECT_EQ(why, "record checksum mismatch");
+    RunResult out;
+    EXPECT_EQ(store.load(specA, out), DiskResultStore::LoadStatus::Corrupt);
+
+    ResultStore mem;
+    mem.attachDisk(&store);
+    ResultStore::Source src = ResultStore::Source::Memory;
+    RunResult served =
+        mem.getOrCompute(specA, [&] { return executeRunSpec(specA); },
+                         &src);
+    EXPECT_EQ(src, ResultStore::Source::Computed);
+    EXPECT_TRUE(served == resultA);
+    EXPECT_FALSE(served == resultB);
+    // The write-through repaired the record: now a plain Hit for A.
+    EXPECT_EQ(store.load(specA, out), DiskResultStore::LoadStatus::Hit);
+    EXPECT_TRUE(out == resultA);
+}
+
+/**
+ * A record as a format-version-1 build wrote it (checksum over the
+ * payload only) is refused on its version, before the checksum is
+ * consulted, and recomputed.
+ */
+TEST(DiskStoreSplice, VersionOneRecordIsRecomputed)
+{
+    ExperimentOptions opts;
+    opts.timeScale = 20000.0;
+    const RunSpec spec = soloSpec("gcc", opts);
+    const RunResult result = executeRunSpec(spec);
+    DiskResultStore store(freshDir("v1"));
+    ASSERT_TRUE(store.store(spec, result));
+    const std::string path = store.entryPath(spec.hash());
+    std::vector<char> v1 = slurp(path);
+    const uint32_t one = 1;
+    std::memcpy(v1.data() + kVersionAt, &one, sizeof(one));
+    const size_t payloadAt =
+        kHeaderBytes + static_cast<size_t>(peek64(v1, kKeyBytesAt));
+    poke64(v1, kChecksumAt,
+           fnv1a64(reinterpret_cast<const uint8_t *>(v1.data()) +
+                       payloadAt,
+                   v1.size() - payloadAt));
+    spit(path, v1);
+
+    std::vector<std::string> reasons;
+    setLogEventObserver([&](const LogEventView &ev) {
+        for (size_t i = 0; i < ev.numFields; ++i)
+            if (std::string(ev.fields[i].key) == "why")
+                reasons.push_back(ev.fields[i].str);
+    });
+    ResultStore mem;
+    mem.attachDisk(&store);
+    ResultStore::Source src = ResultStore::Source::Memory;
+    RunResult served = mem.getOrCompute(
+        spec, [&] { return executeRunSpec(spec); }, &src);
+    setLogEventObserver(nullptr);
+    EXPECT_EQ(src, ResultStore::Source::Computed);
+    EXPECT_TRUE(served == result);
+    EXPECT_EQ(reasons,
+              std::vector<std::string>{"result-format version mismatch"});
+    EXPECT_EQ(store.corrupt(), 1u);
+}
 
 /**
  * Every reason the record reader can give, through both entry points:
@@ -277,13 +373,13 @@ TEST_F(DiskStoreCorruption, EveryRejectReasonThroughBothReaders)
          [&](std::vector<char> &b) {
              b.resize(kHeaderBytes + keyBytes / 2);
          }},
-        {"stale config echo (key mismatch)", nullptr,
+        {"stale config echo (key mismatch)", "record checksum mismatch",
          [](std::vector<char> &b) { b[kHeaderBytes] ^= 0x01; }},
         {"truncated payload", "truncated payload",
          [](std::vector<char> &b) { b.pop_back(); }},
         {"trailing bytes", "trailing bytes",
          [](std::vector<char> &b) { b.push_back(0); }},
-        {"payload checksum mismatch", "payload checksum mismatch",
+        {"record checksum mismatch", "record checksum mismatch",
          [](std::vector<char> &b) { b.back() ^= 0x40; }},
     };
 

@@ -11,10 +11,12 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -412,7 +414,7 @@ TEST(RunHealth, CellObserverSeesEveryLifecycleEvent)
     EXPECT_EQ(started, specs.size());
     EXPECT_EQ(finished, specs.size());
     EXPECT_EQ(cache_hits, 0u);
-    EXPECT_EQ(runner.cellSecondsHistogram().count(), specs.size());
+    EXPECT_EQ(runner.tally().cellSeconds.count(), specs.size());
 
     // A second pass over the same matrix is served from the store.
     queued = started = finished = cache_hits = 0;
@@ -420,6 +422,39 @@ TEST(RunHealth, CellObserverSeesEveryLifecycleEvent)
     EXPECT_EQ(queued, specs.size());
     EXPECT_EQ(cache_hits, specs.size());
     EXPECT_EQ(finished, 0u);
+}
+
+/** Fold @p ev into @p t and hand it to @p rep, as the runner does. */
+void
+feed(ProgressReporter &rep, CellTally &t, CellEvent ev)
+{
+    t.fold(ev);
+    ev.tally = &t;
+    rep.onEvent(ev);
+}
+
+/** Everything written to @p out; closes it. */
+std::string
+drain(std::FILE *out)
+{
+    std::rewind(out);
+    std::string text;
+    char buf[512];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), out)) > 0)
+        text.append(buf, n);
+    std::fclose(out);
+    return text;
+}
+
+size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
 }
 
 TEST(RunHealth, ProgressReporterPlainModeHasNoAnsi)
@@ -432,28 +467,144 @@ TEST(RunHealth, ProgressReporterPlainModeHasNoAnsi)
         popts.minPlainInterval = 0.0; // paint every event
         popts.out = out;
         ProgressReporter rep(2, 1, popts);
-        CellEvent ev{CellEvent::Kind::Started, 0, 2, "a", 0.0};
-        rep.onEvent(ev);
-        ev = {CellEvent::Kind::Finished, 0, 2, "a", 0.01};
-        rep.onEvent(ev);
-        ev = {CellEvent::Kind::Started, 1, 2, "b", 0.0};
-        rep.onEvent(ev);
-        ev = {CellEvent::Kind::Finished, 1, 2, "b", 0.01};
-        rep.onEvent(ev);
+        CellTally t;
+        feed(rep, t, {CellEvent::Kind::Queued, 0, 2, "a", 0.0});
+        feed(rep, t, {CellEvent::Kind::Queued, 1, 2, "b", 0.0});
+        feed(rep, t, {CellEvent::Kind::Started, 0, 2, "a", 0.0});
+        feed(rep, t, {CellEvent::Kind::Finished, 0, 2, "a", 0.01});
+        feed(rep, t, {CellEvent::Kind::Started, 1, 2, "b", 0.0});
+        feed(rep, t, {CellEvent::Kind::Finished, 1, 2, "b", 0.01});
         rep.finish();
     }
-    std::rewind(out);
-    std::string text;
-    char buf[512];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), out)) > 0)
-        text.append(buf, n);
-    std::fclose(out);
+    std::string text = drain(out);
 
     EXPECT_NE(text.find("[progress] 2/2 cells"), std::string::npos)
         << text;
     EXPECT_EQ(text.find('\x1b'), std::string::npos) << "ANSI escape";
     EXPECT_EQ(text.find('\r'), std::string::npos) << "carriage return";
+}
+
+TEST(RunHealth, WatchdogFlagsAStuckCellOnce)
+{
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    uint64_t slow = 0;
+    {
+        ProgressOptions popts;
+        popts.out = out;
+        ProgressReporter rep(3, 1, popts);
+        CellTally t;
+        for (size_t i = 0; i < 3; ++i)
+            feed(rep, t, {CellEvent::Kind::Queued, i, 3, "c", 0.0});
+        for (size_t i = 0; i < 2; ++i) {
+            feed(rep, t, {CellEvent::Kind::Started, i, 3, "fast", 0.0});
+            feed(rep, t, {CellEvent::Kind::Finished, i, 3, "fast", 0.01});
+        }
+        // Median 10 ms: the watchdog limit is kWatchdogFactor x that,
+        // so a cell that never finishes is flagged on its next pass.
+        auto t0 = std::chrono::steady_clock::now();
+        feed(rep, t, {CellEvent::Kind::Started, 2, 3, "stuck", 0.0});
+        while (rep.slowCells() == 0 &&
+               std::chrono::steady_clock::now() - t0 <
+                   std::chrono::seconds(2))
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        EXPECT_EQ(rep.slowCells(), 1u);
+        EXPECT_LT(secs, 1.0) << "watchdog passes are 200 ms apart";
+        // Two more watchdog passes must not flag the same cell again.
+        std::this_thread::sleep_for(std::chrono::milliseconds(450));
+        slow = rep.slowCells();
+        rep.finish();
+    }
+    std::string text = drain(out);
+    EXPECT_EQ(slow, 1u);
+    EXPECT_EQ(occurrences(text, "[watchdog]"), 1u) << text;
+    EXPECT_EQ(occurrences(text, "[watchdog] cell 2 'stuck'"), 1u) << text;
+    EXPECT_NE(text.find("slow cells flagged: 1 slow"), std::string::npos)
+        << text;
+}
+
+TEST(RunHealth, ProgressReporterCountsBothHitTiers)
+{
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    CellTally t;
+    {
+        ProgressOptions popts;
+        popts.minPlainInterval = 0.0;
+        popts.out = out;
+        ProgressReporter rep(2, 1, popts);
+        feed(rep, t, {CellEvent::Kind::Queued, 0, 2, "m", 0.0});
+        feed(rep, t, {CellEvent::Kind::Queued, 1, 2, "d", 0.0});
+        feed(rep, t, {CellEvent::Kind::Started, 0, 2, "m", 0.0});
+        feed(rep, t, {CellEvent::Kind::CacheHit, 0, 2, "m", 0.0});
+        feed(rep, t, {CellEvent::Kind::Started, 1, 2, "d", 0.0});
+        feed(rep, t, {CellEvent::Kind::DiskHit, 1, 2, "d", 0.0});
+        rep.finish();
+    }
+    std::string text = drain(out);
+    EXPECT_EQ(t.running, 0u);
+    EXPECT_EQ(t.done, 2u);
+    // No simulated cell: no ETA, and the hit tiers are named apart.
+    EXPECT_NE(text.find("[progress] 2/2 cells (0 running, 1 mem hit, "
+                        "1 disk hit, 0 remote, 0 forked)\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("(1 mem hit, 1 disk hit, 0 remote, 0 forked, "
+                        "0 slow)\n"),
+              std::string::npos)
+        << text;
+}
+
+/**
+ * Seeded lifecycles of many cells, interleaved as concurrent lanes
+ * would: after every fold running + done <= total, and at the end
+ * every cell is resolved and the tiers add up.
+ */
+TEST(CellTally, FoldKeepsRunningPlusDoneWithinTotal)
+{
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        const size_t n = 1 + mix(seed) % 40;
+        std::vector<std::vector<CellEvent::Kind>> pending(n);
+        size_t simulated = 0;
+        for (size_t i = 0; i < n; ++i) {
+            using K = CellEvent::Kind;
+            uint64_t r = mix(seed * 1000 + i);
+            std::vector<K> &life = pending[i];
+            life.push_back(K::Started);
+            if (r & 1)
+                life.push_back(K::PrefixForked);
+            const K ends[] = {K::CacheHit, K::DiskHit, K::Finished,
+                              K::RemoteFinished};
+            life.push_back(ends[(r >> 1) % 4]);
+            simulated += life.back() == K::Finished ||
+                         life.back() == K::RemoteFinished;
+        }
+        CellTally t;
+        for (size_t i = 0; i < n; ++i)
+            t.fold({CellEvent::Kind::Queued, i, n, "", 0.0});
+        std::vector<size_t> next(n, 0);
+        for (uint64_t step = 0;; ++step) {
+            std::vector<size_t> live;
+            for (size_t i = 0; i < n; ++i)
+                if (next[i] < pending[i].size())
+                    live.push_back(i);
+            if (live.empty())
+                break;
+            size_t i = live[mix(seed ^ (step << 8)) % live.size()];
+            t.fold({pending[i][next[i]++], i, n, "", 0.001});
+            ASSERT_LE(t.running + t.done, t.total);
+        }
+        EXPECT_EQ(t.total, n);
+        EXPECT_EQ(t.running, 0u);
+        EXPECT_EQ(t.done, n);
+        EXPECT_EQ(t.cellSeconds.count(), simulated);
+        EXPECT_EQ(t.memHits + t.diskHits + simulated, n);
+        EXPECT_LE(t.remote, simulated);
+    }
 }
 
 } // namespace

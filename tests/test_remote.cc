@@ -439,6 +439,41 @@ TEST(RemoteTelemetry, HeartbeatsFoldIntoWorkerCounters)
     unsetenv("HS_HEARTBEAT_MS");
 }
 
+TEST(RemoteTelemetry, HeartbeatHookFeedsTheRunnersLiveCount)
+{
+    setenv("HS_HEARTBEAT_MS", "1", 1);
+    {
+        // The hook sees exactly the heartbeats the handle folds.
+        InProcessWorker worker;
+        uint64_t hooked = 0;
+        RemoteWorker handle(worker.endpoint(),
+                            [&](const HeartbeatInfo &) { ++hooked; });
+        ASSERT_TRUE(handle.ensureConnected());
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        RunResult r;
+        ASSERT_TRUE(
+            handle.runJob(0, soloSpec("gcc", fastOpts()), nullptr, r));
+        EXPECT_GE(hooked, 1u);
+        EXPECT_EQ(hooked, handle.telemetry().heartbeats);
+        handle.sendShutdown();
+        worker.join();
+    }
+    {
+        // The runner's live count (what --status-port serves) covers
+        // every heartbeat its dispatchers folded.
+        InProcessWorker worker;
+        ResultStore store;
+        ParallelRunner runner(1, &store);
+        runner.setWorkers({worker.endpoint()});
+        runner.run(smallMatrix());
+        RemoteStats rs = runner.remoteStats();
+        ASSERT_EQ(rs.perWorker.size(), 1u);
+        EXPECT_EQ(rs.heartbeats, rs.perWorker[0].heartbeats);
+        EXPECT_EQ(rs.remoteCells, runner.tally().remote);
+    }
+    unsetenv("HS_HEARTBEAT_MS");
+}
+
 TEST(RemoteTelemetry, TwoWorkerArtifactsIdenticalAndEventsParse)
 {
     std::vector<RunSpec> specs = smallMatrix();

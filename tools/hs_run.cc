@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -29,7 +28,6 @@
 #include "common/config.hh"
 #include "common/log.hh"
 #include "sim/disk_store.hh"
-#include "sim/manifest.hh"
 #include "sim/progress.hh"
 #include "sim/remote.hh"
 #include "sim/result_store.hh"
@@ -183,81 +181,6 @@ endsWith(const std::string &s, const std::string &suffix)
                0;
 }
 
-/**
- * Live campaign counters fed by the structured-log observer and served
- * by --status-port. Pure observability: bumped off the simulated path,
- * read lock-free by the status thread.
- */
-struct StatusCounters
-{
-    std::atomic<uint64_t> cellsTotal{0};
-    std::atomic<uint64_t> cellsRunning{0};
-    std::atomic<uint64_t> cellsDone{0};
-    std::atomic<uint64_t> memoryHits{0};
-    std::atomic<uint64_t> diskHits{0};
-    std::atomic<uint64_t> remoteCells{0};
-    std::atomic<uint64_t> faultFires{0};
-    std::atomic<uint64_t> heartbeats{0};
-};
-
-/** Prometheus text-format snapshot of @p c. */
-std::string
-renderStatus(const StatusCounters &c)
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "hs_cells_total %llu\n"
-        "hs_cells_running %llu\n"
-        "hs_cells_done %llu\n"
-        "hs_hits_memory %llu\n"
-        "hs_hits_disk %llu\n"
-        "hs_cells_remote %llu\n"
-        "hs_fault_fires %llu\n"
-        "hs_worker_heartbeats %llu\n",
-        static_cast<unsigned long long>(c.cellsTotal.load()),
-        static_cast<unsigned long long>(c.cellsRunning.load()),
-        static_cast<unsigned long long>(c.cellsDone.load()),
-        static_cast<unsigned long long>(c.memoryHits.load()),
-        static_cast<unsigned long long>(c.diskHits.load()),
-        static_cast<unsigned long long>(c.remoteCells.load()),
-        static_cast<unsigned long long>(c.faultFires.load()),
-        static_cast<unsigned long long>(c.heartbeats.load()));
-    return buf;
-}
-
-/** Fold one structured-log event into the live counters. */
-void
-countEvent(StatusCounters &c, const LogEventView &v)
-{
-    if (std::strcmp(v.component, "runner") == 0) {
-        if (std::strcmp(v.event, "queued") == 0) {
-            c.cellsTotal.fetch_add(1);
-        } else if (std::strcmp(v.event, "started") == 0) {
-            c.cellsRunning.fetch_add(1);
-        } else if (std::strcmp(v.event, "finished") == 0) {
-            c.cellsRunning.fetch_sub(1);
-            c.cellsDone.fetch_add(1);
-        } else if (std::strcmp(v.event, "remote_finished") == 0) {
-            c.cellsRunning.fetch_sub(1);
-            c.cellsDone.fetch_add(1);
-            c.remoteCells.fetch_add(1);
-        } else if (std::strcmp(v.event, "cache_hit") == 0) {
-            c.memoryHits.fetch_add(1);
-            c.cellsDone.fetch_add(1);
-        } else if (std::strcmp(v.event, "disk_hit") == 0) {
-            c.diskHits.fetch_add(1);
-            c.cellsDone.fetch_add(1);
-        }
-    } else if (std::strcmp(v.component, "fault") == 0) {
-        if (std::strcmp(v.event, "fire") == 0)
-            c.faultFires.fetch_add(1);
-    } else if (std::strcmp(v.component, "remote") == 0) {
-        if (std::strcmp(v.event, "heartbeat") == 0)
-            c.heartbeats.fetch_add(1);
-    }
-}
-
 } // namespace
 
 int
@@ -382,10 +305,8 @@ main(int argc, char **argv)
     if (cl.has("--log-json"))
         openJsonLog(cl.text("--log-json"));
 
-    StatusCounters counters;
     std::ofstream events_out;
     std::atomic<uint64_t> events_written{0};
-    std::unique_ptr<StatusServer> status;
 
     std::vector<RunResult> results;
     PrefixShareStats engine_stats;
@@ -411,54 +332,33 @@ main(int argc, char **argv)
             disk = cli_store.get();
         }
 
-        // Campaign timeline + live status: both are one observer tee
-        // on the structured log, installed before any engine work so
-        // every lifecycle event lands in the timeline.
+        // Campaign timeline: an observer tee on the structured log,
+        // installed before any engine work so every lifecycle event
+        // lands in it.
         if (events_path.empty() && disk)
             events_path = disk->dir() + "/events.jsonl";
-        const auto sport =
-            static_cast<uint16_t>(cl.integer("--status-port"));
-        if (!events_path.empty() || sport > 0) {
-            if (!events_path.empty()) {
-                events_out.open(events_path);
-                if (!events_out)
-                    fatal("cannot write '%s'", events_path.c_str());
-            }
+        if (!events_path.empty()) {
+            events_out.open(events_path);
+            if (!events_out)
+                fatal("cannot write '%s'", events_path.c_str());
             setLogEventObserver([&](const LogEventView &v) {
-                if (events_out.is_open()) {
-                    events_out << v.jsonLine() << '\n';
-                    events_out.flush();
-                    events_written.fetch_add(1);
-                }
-                countEvent(counters, v);
+                events_out << v.jsonLine() << '\n';
+                events_out.flush();
+                events_written.fetch_add(1);
             });
-        }
-        if (sport > 0)
-            status = std::make_unique<StatusServer>(
-                sport, [&counters] { return renderStatus(counters); });
-
-        if (disk) {
-            ResultStore::global().attachDisk(disk);
-            // Campaign manifest: persist the matrix identity before
-            // any cell simulates, so an interrupted sweep restarted
-            // with the same command line resumes the missing cells.
-            CampaignResume resume = prepareCampaign(*disk, specs);
-            if (resume.resumed) {
-                std::fprintf(stderr,
-                             "[campaign] resuming: %llu of %llu cells "
-                             "already stored\n",
-                             static_cast<unsigned long long>(
-                                 resume.storedCells),
-                             static_cast<unsigned long long>(
-                                 resume.totalCells));
-                logEvent("runner", "campaign_resumed",
-                         {LogField::num("stored", resume.storedCells),
-                          LogField::num("total", resume.totalCells)});
-            }
         }
 
         ParallelRunner runner(cl.integer("--jobs"),
                               &ResultStore::global());
+        // Live status renders the runner's own cell tally.
+        std::unique_ptr<StatusServer> status;
+        if (const auto sport =
+                static_cast<uint16_t>(cl.integer("--status-port")))
+            status = std::make_unique<StatusServer>(sport, runner);
+        if (disk) {
+            ResultStore::global().attachDisk(disk);
+            startCampaign(*disk, specs);
+        }
         if (!worker_endpoints.empty())
             runner.setWorkers(worker_endpoints);
         std::unique_ptr<ProgressReporter> reporter;
@@ -474,7 +374,7 @@ main(int argc, char **argv)
         results = runner.run(specs);
         if (reporter)
             reporter->finish();
-        cell_seconds = runner.cellSecondsHistogram();
+        cell_seconds = runner.tally().cellSeconds;
         for (size_t i = 0; i < specs.size(); ++i) {
             if (i)
                 std::printf("\n");
@@ -532,9 +432,8 @@ main(int argc, char **argv)
         }
     }
 
-    // Tear the observability tee down before its capture targets go
-    // out of scope; everything after this point is plain output.
-    status.reset();
+    // Tear the timeline tee down before its capture targets go out of
+    // scope; everything after this point is plain output.
     setLogEventObserver(nullptr);
     if (events_out.is_open()) {
         events_out.close();
