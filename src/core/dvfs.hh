@@ -6,9 +6,8 @@
  * purposes and does not scale (Section 4); we include a simplified
  * duty-cycle model as an ablation baseline: on trigger the pipeline
  * runs every Nth cycle (frequency divided by N) until the hot spot
- * cools. Supply voltage scaling of dynamic energy is handled by the
- * energy model via EnergyParams::scaleVoltage; this policy models the
- * performance side.
+ * cools. Only the frequency scales: the supply voltage, and with it
+ * the per-access energy, stays at its nominal value.
  */
 
 #ifndef HS_CORE_DVFS_HH

@@ -45,6 +45,18 @@ SelectiveSedation::atMonitorSample(Cycles now,
     }
 }
 
+bool
+SelectiveSedation::usageTriggered(Block b, double threshold,
+                                  const DtmControl &control) const
+{
+    for (ThreadId tid = 0; tid < numThreads_; ++tid) {
+        if (control.threadActive(tid) && !isSedated(tid) &&
+            monitor_.weightedAvg(tid, b) >= threshold)
+            return true;
+    }
+    return false;
+}
+
 int
 SelectiveSedation::unsedatedActiveThreads(const DtmControl &control) const
 {
@@ -131,20 +143,12 @@ SelectiveSedation::atSensorSample(Cycles now,
         if (!st.engaged) {
             bool trigger;
             if (params_.useUsageThreshold) {
-                // Latched crossing traces do not apply in the usage-
-                // threshold ablation; the trigger is not thermal.
                 // Ablation: absolute usage threshold (Section 3.2.1
                 // explains why this false-positives on bursty SPEC
-                // behaviour).
-                trigger = false;
-                for (ThreadId tid = 0; tid < numThreads_; ++tid) {
-                    if (control.threadActive(tid) && !isSedated(tid) &&
-                        monitor_.weightedAvg(tid, b) >=
-                            params_.usageThreshold) {
-                        trigger = true;
-                        break;
-                    }
-                }
+                // behaviour). The trigger is not thermal, so latched
+                // crossing traces do not apply.
+                trigger = usageTriggered(b, params_.usageThreshold,
+                                         control);
             } else {
                 trigger = t >= params_.upperThreshold;
                 if (trigger && !st.aboveUpper) {

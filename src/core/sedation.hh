@@ -98,6 +98,15 @@ class SelectiveSedation : public DtmPolicy
     /** @return true if @p tid is currently sedated (for any resource). */
     bool isSedated(ThreadId tid) const;
 
+    /**
+     * The usage-threshold ablation's trigger (Section 3.2.1): some
+     * active, unsedated thread's weighted average at @p b is at or
+     * above @p threshold. The policy and the prefix engine's
+     * divergence test (Simulator::runPrefix) both ask this.
+     */
+    bool usageTriggered(Block b, double threshold,
+                        const DtmControl &control) const;
+
     /** Direct access to the usage monitor (for reports and tests). */
     const UsageMonitor &monitor() const { return monitor_; }
     UsageMonitor &monitor() { return monitor_; }

@@ -84,33 +84,8 @@ EnergyParams::defaults()
     return p;
 }
 
-void
-EnergyParams::scaleVoltage(double v)
-{
-    if (v <= 0)
-        fatal("scaleVoltage: non-positive voltage %f", v);
-    double ratio = (v / vdd) * (v / vdd);
-    for (auto &e : accessEnergy)
-        e *= ratio;
-    for (auto &c : clockPower)
-        c *= ratio;
-    vdd = v;
-}
-
 EnergyModel::EnergyModel(const EnergyParams &params) : params_(params)
 {
-}
-
-std::vector<Watts>
-EnergyModel::windowPower(const ActivityCounters &counters,
-                         ActivityCounters::Snapshot &snapshot,
-                         Cycles window_cycles,
-                         Cycles active_cycles) const
-{
-    std::vector<Watts> power;
-    windowPowerInto(counters, snapshot, window_cycles, active_cycles,
-                    power);
-    return power;
 }
 
 void
@@ -120,7 +95,7 @@ EnergyModel::windowPowerInto(const ActivityCounters &counters,
                              std::vector<Watts> &out) const
 {
     if (window_cycles == 0)
-        fatal("EnergyModel::windowPower: zero-length window");
+        fatal("EnergyModel::windowPowerInto: zero-length window");
     out.resize(static_cast<size_t>(numBlocks));
     double window_seconds =
         static_cast<double>(window_cycles) / params_.frequencyHz;

@@ -42,10 +42,6 @@ struct EnergyParams
 
     /** @return parameters with the library's calibrated defaults. */
     static EnergyParams defaults();
-
-    /** Scale all dynamic energy terms by (v/vdd)^2 — used by the DVFS
-     *  extension policy. */
-    void scaleVoltage(double v);
 };
 
 /** Converts windowed activity counts to per-block power. */
@@ -56,23 +52,14 @@ class EnergyModel
                              EnergyParams::defaults());
 
     /**
-     * Compute average block power over a window.
+     * Compute average block power over a window into @p out (resized
+     * to numBlocks; allocation-free once sized, for the hot path).
      *
      * @param counters   the pipeline's activity counters
      * @param snapshot   window start snapshot; advanced to now on return
      * @param window_cycles total cycles in the window
      * @param active_cycles cycles the pipeline clock was running
-     * @return power per block, watts
-     */
-    std::vector<Watts> windowPower(const ActivityCounters &counters,
-                                   ActivityCounters::Snapshot &snapshot,
-                                   Cycles window_cycles,
-                                   Cycles active_cycles) const;
-
-    /**
-     * Allocation-free variant of windowPower() for the simulation hot
-     * path: writes the per-block power into @p out (resized to
-     * numBlocks). Identical arithmetic to windowPower().
+     * @param out        power per block, watts
      */
     void windowPowerInto(const ActivityCounters &counters,
                          ActivityCounters::Snapshot &snapshot,
@@ -95,9 +82,6 @@ class EnergyModel
     static Watts total(const std::vector<Watts> &power);
 
     const EnergyParams &params() const { return params_; }
-
-    /** Replace the parameter set (e.g. after a DVFS transition). */
-    void setParams(const EnergyParams &params) { params_ = params; }
 
   private:
     EnergyParams params_;

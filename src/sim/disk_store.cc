@@ -163,6 +163,20 @@ DiskResultStore::contains(uint64_t hash) const
     return ::stat(entryPath(hash).c_str(), &st) == 0;
 }
 
+uint32_t
+DiskResultStore::entryFormat(uint64_t hash) const
+{
+    uint32_t head[2]; // StoreHeader's leading magic and version
+    int fd = ::open(entryPath(hash).c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return 0;
+    ssize_t got = ::read(fd, head, sizeof(head));
+    ::close(fd);
+    if (got != static_cast<ssize_t>(sizeof(head)) || head[0] != kStoreMagic)
+        return 0;
+    return head[1];
+}
+
 DiskResultStore::LoadStatus
 DiskResultStore::load(const std::string &key, RunResult &out)
 {

@@ -90,6 +90,11 @@ class DiskResultStore
      *  the spec hash @p hash (RunSpec::hash()). */
     bool contains(uint64_t hash) const;
 
+    /** Result-format version named by the header of the entry for
+     *  @p hash (a header read only, nothing validated); 0 when the
+     *  entry is missing or is not a .hsr record. */
+    uint32_t entryFormat(uint64_t hash) const;
+
     /** Absolute or relative store root this instance serves. */
     const std::string &dir() const { return dir_; }
 

@@ -213,9 +213,26 @@ prepareCampaign(DiskResultStore &store,
         break;
     }
 
-    for (uint64_t cell : fresh.cells)
-        if (store.contains(cell))
-            ++res.storedCells;
+    // Records of another result format all fail load(), so none of
+    // them counts as stored. The first record with a readable header
+    // stands for the whole store: one read, not one per cell.
+    uint32_t format = 0;
+    for (uint64_t cell : fresh.cells) {
+        if (!store.contains(cell))
+            continue;
+        if (format == 0) {
+            format = store.entryFormat(cell); // 0: no readable header
+            if (format != 0 && format != kResultFormatVersion) {
+                warn("manifest: store '%s' holds result-format %u "
+                     "records, this build reads format %u; its cells "
+                     "will be recomputed",
+                     store.dir().c_str(), format, kResultFormatVersion);
+                res.storedCells = 0;
+                break;
+            }
+        }
+        ++res.storedCells;
+    }
 
     saveManifest(path, fresh);
     return res;

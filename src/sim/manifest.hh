@@ -72,7 +72,8 @@ struct CampaignResume
 {
     bool resumed = false;     ///< a matching manifest already existed
     uint64_t totalCells = 0;  ///< matrix size
-    uint64_t storedCells = 0; ///< cells the store already holds
+    uint64_t storedCells = 0; ///< cells the store already holds in
+                              ///< this build's result format
 };
 
 /** Path of the manifest inside a store rooted at @p dir. */
@@ -82,9 +83,11 @@ std::string manifestPath(const std::string &dir);
  * Open-or-start the campaign for @p specs against @p store: load any
  * existing manifest, decide whether this is a resume (same matrix
  * hash) or a fresh/replacing campaign, count the cells the store
- * already holds, and (re)write the manifest atomically. Corrupt or
- * mismatched manifests are replaced with a warn(), never fatal — a
- * store is allowed to serve many different campaigns over its life.
+ * already holds (none, with a warn(), when the first readable record
+ * header names another result format), and (re)write the manifest
+ * atomically. Corrupt or mismatched manifests are replaced with a
+ * warn(), never fatal — a store is allowed to serve many different
+ * campaigns over its life.
  */
 CampaignResume prepareCampaign(DiskResultStore &store,
                                const std::vector<RunSpec> &specs);

@@ -92,9 +92,9 @@ RunSpec::buildKey(bool with_policy) const
         appendNum(key, opts.upperThreshold);
         key += ";lower=";
         appendNum(key, opts.lowerThreshold);
+        key += ";usage=";
+        key += opts.sedationUsageThreshold ? '1' : '0';
     }
-    key += ";usage=";
-    key += opts.sedationUsageThreshold ? '1' : '0';
     key += ";trace=";
     key += opts.recordTempTrace ? '1' : '0';
     key += ";etrace=";

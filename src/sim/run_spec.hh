@@ -91,11 +91,11 @@ struct RunSpec
 
     /**
      * canonicalKey() minus the policy-only fields (DTM mode, trigger
-     * thresholds, deschedule knob). Two specs with equal divergence
-     * keys simulate bit-identically up to the first sensor sample at
-     * which any of their policies could act, so the experiment engine
-     * can run that shared prefix once and fork each cell from a
-     * snapshot of it.
+     * thresholds, the usage-threshold ablation, deschedule knob). Two
+     * specs with equal divergence keys simulate bit-identically up to
+     * the first sensor sample at which any of their policies could
+     * act (see DivergeRule), so the experiment engine can run that
+     * shared prefix once and fork each cell from a snapshot of it.
      */
     std::string divergenceKey() const;
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <ostream>
 #include <string_view>
@@ -99,39 +98,6 @@ bindWorkloads(Simulator &sim, const RunSpec &spec)
                         buildWorkload(spec.workloads[t], spec.opts));
 }
 
-/**
- * Lowest observed temperature at which @p cfg 's DTM stack could do
- * anything at a sensor sample. Below it every policy is a pure
- * observer (they are all strict no-ops while disengaged and under
- * their trigger), so two cells differing only in policy fields evolve
- * bit-identically. -infinity means the cell can act on usage alone
- * (the sedation ablation) and must always run cold; +infinity means
- * the cell never acts (DtmMode::None, e.g. ideal-sink runs).
- */
-double
-minActingTemp(const SimConfig &cfg)
-{
-    double inf = std::numeric_limits<double>::infinity();
-    switch (cfg.dtm) {
-      case DtmMode::None:
-        return inf;
-      case DtmMode::StopAndGo:
-        return cfg.stopAndGo.triggerTemp;
-      case DtmMode::SelectiveSedation:
-        if (cfg.sedation.useUsageThreshold)
-            return -inf;
-        return std::min(cfg.sedation.upperThreshold,
-                        cfg.stopAndGo.triggerTemp);
-      case DtmMode::DvfsThrottle:
-        return std::min(cfg.dvfs.triggerTemp,
-                        cfg.stopAndGo.triggerTemp);
-      case DtmMode::FetchGating:
-        return std::min(cfg.fetchGating.triggerTemp,
-                        cfg.stopAndGo.triggerTemp);
-    }
-    return -inf;
-}
-
 /// Sensor samples between prefix snapshots: rarely enough to keep the
 /// save cost negligible, often enough that the fork point trails the
 /// divergence sample closely.
@@ -200,7 +166,8 @@ makePrefixSimulator(const RunSpec &spec)
     // group members share, i.e. the run as it unfolds while no policy
     // has acted yet. Selective sedation is kept (with unreachable
     // thresholds) because its usage monitor updates unconditionally
-    // below the trigger and forked sedation cells inherit its state.
+    // below the trigger: forked sedation cells inherit its state, and
+    // runPrefix() reads it for the usage part of the DivergeRule.
     cfg.dtm = DtmMode::SelectiveSedation;
     cfg.sedation.useUsageThreshold = false;
     cfg.sedation.upperThreshold = 1e9;
@@ -324,22 +291,21 @@ ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs,
     struct Group
     {
         std::vector<size_t> members;
-        double divergeTemp = std::numeric_limits<double>::infinity();
+        DivergeRule rule; ///< member-wise minimum of both parts
     };
     std::unordered_map<std::string, size_t> index;
     std::vector<Group> groups; // insertion order: deterministic jobs
 
     for (size_t i = 0; i < specs.size(); ++i) {
-        double act = minActingTemp(runConfig(specs[i]));
-        if (act == -std::numeric_limits<double>::infinity())
-            continue; // can act on usage alone: must run cold
+        DivergeRule act = divergeRule(runConfig(specs[i]));
         auto [it, fresh] =
             index.emplace(specs[i].divergenceKey(), groups.size());
         if (fresh)
             groups.emplace_back();
         Group &g = groups[it->second];
         g.members.push_back(i);
-        g.divergeTemp = std::min(g.divergeTemp, act);
+        g.rule.temp = std::min(g.rule.temp, act.temp);
+        g.rule.usage = std::min(g.rule.usage, act.usage);
     }
 
     // A prefix only pays for itself when at least two distinct,
@@ -364,7 +330,7 @@ ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs,
         const RunSpec &rep = specs[g.members.front()];
         auto snap = std::make_shared<SimSnapshot>();
         Cycles fork = makePrefixSimulator(rep)->runPrefix(
-            g.divergeTemp, kPrefixStrideSamples, *snap);
+            g.rule, kPrefixStrideSamples, *snap);
         if (fork == 0)
             return; // diverged before the first snapshot: all cold
         prefixGroups_.fetch_add(1);

@@ -9,12 +9,13 @@
  * order regardless of the worker count.
  *
  * Cells that differ only in DTM policy fields (mode, thresholds, the
- * deschedule knob) simulate bit-identically until the first sensor
- * sample at which any of their policies could act. The engine groups
- * such cells by RunSpec::divergenceKey(), simulates that shared warm-up
- * prefix once with neutralised thresholds, snapshots it, and forks each
- * cell from the snapshot — the forked run is bit-identical to a cold
- * one (enforced by tests), just cheaper. Prefix sharing is the
+ * usage-threshold ablation, the deschedule knob) simulate
+ * bit-identically until the first sensor sample at which any of their
+ * policies could act on temperature or usage (DivergeRule). The engine
+ * groups such cells by RunSpec::divergenceKey(), simulates that shared
+ * warm-up prefix once with neutralised thresholds, snapshots it, and
+ * forks each cell from the snapshot — the forked run is bit-identical
+ * to a cold one (enforced by tests), just cheaper. Prefix sharing is the
  * engine's only work-sharing mechanism (docs/PERFORMANCE.md, "One
  * work-sharing engine").
  *
@@ -72,8 +73,8 @@ RunResult executeRunSpec(const RunSpec &spec);
  * @p spec 's configuration with every DTM trigger neutralised (so the
  * prefix itself never acts) but the sedation usage monitor kept
  * running, since it is the one piece of policy state that evolves
- * below the trigger and forked sedation cells inherit it from the
- * snapshot.
+ * below the trigger: forked sedation cells inherit it from the
+ * snapshot, and the usage part of the group's DivergeRule reads it.
  */
 std::unique_ptr<Simulator> makePrefixSimulator(const RunSpec &spec);
 

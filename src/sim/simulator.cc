@@ -26,6 +26,40 @@ dtmModeName(DtmMode mode)
     }
 }
 
+DivergeRule
+divergeRule(const SimConfig &cfg)
+{
+    // Mirrors the policy stacks the constructor builds: every mode but
+    // None keeps stop-and-go underneath as the safety net.
+    DivergeRule rule;
+    switch (cfg.dtm) {
+      case DtmMode::None:
+        return rule;
+      case DtmMode::StopAndGo:
+        rule.temp = cfg.stopAndGo.triggerTemp;
+        return rule;
+      case DtmMode::SelectiveSedation:
+        rule.temp = cfg.stopAndGo.triggerTemp;
+        // The ablation replaces sedation's temperature trigger with
+        // the usage one; its release threshold only matters once
+        // engaged.
+        if (cfg.sedation.useUsageThreshold)
+            rule.usage = cfg.sedation.usageThreshold;
+        else
+            rule.temp = std::min(rule.temp, cfg.sedation.upperThreshold);
+        return rule;
+      case DtmMode::DvfsThrottle:
+        rule.temp = std::min(cfg.dvfs.triggerTemp,
+                             cfg.stopAndGo.triggerTemp);
+        return rule;
+      case DtmMode::FetchGating:
+        rule.temp = std::min(cfg.fetchGating.triggerTemp,
+                             cfg.stopAndGo.triggerTemp);
+        return rule;
+    }
+    panic("divergeRule: bad mode %d", static_cast<int>(cfg.dtm));
+}
+
 std::array<double, numBlocks>
 SimConfig::defaultNominalRates()
 {
@@ -449,6 +483,20 @@ Simulator::allCoresHalted() const
             return false;
     }
     return any;
+}
+
+bool
+Simulator::usageTriggered(double threshold) const
+{
+    for (const CoreState &core : cores_) {
+        if (!core.sedation)
+            continue;
+        for (int b = 0; b < numBlocks; ++b)
+            if (core.sedation->usageTriggered(blockFromIndex(b),
+                                              threshold, *core.control))
+                return true;
+    }
+    return false;
 }
 
 void
@@ -1002,7 +1050,7 @@ Simulator::restore(const SimSnapshot &snap)
 }
 
 Cycles
-Simulator::runPrefix(Kelvin diverge_temp, Cycles stride_samples,
+Simulator::runPrefix(const DivergeRule &rule, Cycles stride_samples,
                      SimSnapshot &out)
 {
     if (cores_[0].pipeline->cycle() != 0)
@@ -1052,9 +1100,10 @@ Simulator::runPrefix(Kelvin diverge_temp, Cycles stride_samples,
             toSensor = sensor;
             sampleSensors();
             // Past this boundary some group member's policy could have
-            // observed an actionable temperature; the last snapshot
-            // already taken stays the fork point.
-            if (lastObservedMax_ >= diverge_temp)
+            // observed an actionable temperature or usage; the last
+            // snapshot already taken stays the fork point.
+            if (lastObservedMax_ >= rule.temp ||
+                usageTriggered(rule.usage))
                 break;
             // Never hand out a snapshot at or beyond a halt: a cold
             // run breaks here, while a restored run would tick once

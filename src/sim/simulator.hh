@@ -21,6 +21,7 @@
 #ifndef HS_SIM_SIMULATOR_HH
 #define HS_SIM_SIMULATOR_HH
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -134,6 +135,27 @@ struct SimConfig
     static std::array<double, numBlocks> defaultNominalRates();
 };
 
+/**
+ * When a prefix group's shared history ends: the first sensor sample
+ * at which some member's DTM stack could act. Below both parts every
+ * policy is a pure observer (each is a strict no-op while disengaged
+ * and under its trigger), so cells differing only in policy fields
+ * evolve bit-identically. A part left at +infinity never fires.
+ */
+struct DivergeRule
+{
+    /** Observed (noised) hottest temperature at which a member's
+     *  thermal trigger fires. */
+    Kelvin temp = std::numeric_limits<double>::infinity();
+    /** Weighted usage (accesses per monitor window) at which a
+     *  member's usage-threshold sedation fires (the Section 3.2.1
+     *  ablation; see SelectiveSedation::usageTriggered). */
+    double usage = std::numeric_limits<double>::infinity();
+};
+
+/** The rule of a cell configured by @p cfg alone. */
+DivergeRule divergeRule(const SimConfig &cfg);
+
 /** The heat-stroke simulator. */
 class Simulator : public DtmControl
 {
@@ -177,16 +199,19 @@ class Simulator : public DtmControl
     /**
      * Run the shared warm-up prefix of an experiment group: execute
      * like run(), but snapshot into @p out every @p stride_samples
-     * sensor samples, stopping (without saving) as soon as the
-     * observed hottest temperature of any core reaches @p diverge_temp
-     * — from that sample on, some group member's DTM policy could act,
-     * so the members' futures are no longer provably identical — or
-     * the machine halts. The caller must have neutralised this
+     * sensor samples, stopping (without saving) at the first sample
+     * where either part of @p rule holds — the observed hottest
+     * temperature of any core reaches rule.temp, or on any core an
+     * active, unsedated thread's weighted usage at any block reaches
+     * rule.usage (read from this simulator's own sedation monitor) —
+     * or the machine halts. From that sample on some group member's
+     * DTM policy could act, so the members' futures are no longer
+     * provably identical. The caller must have neutralised this
      * simulator's own DTM thresholds so the prefix itself never acts.
      *
      * @return the cycle of the last snapshot taken (0 = none).
      */
-    Cycles runPrefix(Kelvin diverge_temp, Cycles stride_samples,
+    Cycles runPrefix(const DivergeRule &rule, Cycles stride_samples,
                      SimSnapshot &out);
 
     /** Seconds one sensor interval spans — the thermal step dt. */
@@ -300,6 +325,9 @@ class Simulator : public DtmControl
     RunResult collectResults(double host_seconds) const;
     /** @return true once every core that has work is fully halted. */
     bool allCoresHalted() const;
+    /** @return true when some core's usage-threshold sedation trigger
+     *  would fire at @p threshold (runPrefix()'s usage part). */
+    bool usageTriggered(double threshold) const;
     /** Seed the whole die at its normal-operation steady state. */
     void initNominalSteadyState();
     CoreState &coreAt(int core);

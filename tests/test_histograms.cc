@@ -301,7 +301,7 @@ TEST(RunHealth, HistogramsSurvivePrefixForkBitExact)
 
     SimSnapshot snap;
     Cycles fork =
-        makePrefixSimulator(spec)->runPrefix(353.0, /*stride=*/1, snap);
+        makePrefixSimulator(spec)->runPrefix({353.0}, /*stride=*/1, snap);
     ASSERT_GT(fork, 0u);
 
     RunResult cold = executeRunSpec(spec);

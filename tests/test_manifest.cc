@@ -215,6 +215,38 @@ TEST(Campaign, FreshStoreStartsColdThenResumes)
     EXPECT_EQ(second.totalCells, specs.size());
 }
 
+TEST(Campaign, StaleFormatRecordsCountAsNotStored)
+{
+    // A store written by another result format: every record exists
+    // but load() rejects it, so a resume must not claim any as stored.
+    std::string dir = freshDir("stale");
+    std::vector<RunSpec> specs = smallMatrix();
+    DiskResultStore store(dir);
+    for (const RunSpec &spec : specs)
+        store.store(spec, executeRunSpec(spec));
+    EXPECT_EQ(prepareCampaign(store, specs).storedCells, specs.size());
+
+    // A record with no readable header is corrupt, not of another
+    // format: the next record's header decides.
+    spit(store.entryPath(specs[0].hash()), {'H', 'S'});
+    EXPECT_EQ(store.entryFormat(specs[0].hash()), 0u);
+    EXPECT_EQ(prepareCampaign(store, specs).storedCells, specs.size());
+
+    for (size_t i = 1; i < specs.size(); ++i) {
+        std::string path = store.entryPath(specs[i].hash());
+        std::vector<char> bytes = slurp(path);
+        ASSERT_GE(bytes.size(), 8u);
+        bytes[4] = 1; // header version field: format 1
+        bytes[5] = bytes[6] = bytes[7] = 0;
+        spit(path, bytes);
+        EXPECT_EQ(store.entryFormat(specs[i].hash()), 1u);
+    }
+
+    CampaignResume res = prepareCampaign(store, specs);
+    EXPECT_TRUE(res.resumed);
+    EXPECT_EQ(res.storedCells, 0u);
+}
+
 TEST(Campaign, DifferentMatrixReplacesTheManifest)
 {
     std::string dir = freshDir("replace");

@@ -387,7 +387,7 @@ TEST(RemoteTelemetry, SnapshotShipsOnceThenByReference)
 
     SimSnapshot snap;
     ASSERT_GT(makePrefixSimulator(spec)->runPrefix(
-                  spec.opts.upperThreshold, 1, snap),
+                  {spec.opts.upperThreshold}, 1, snap),
               0u);
     ASSERT_GT(snap.sizeBytes(), 0u);
     RunResult warm = executeFromSnapshot(spec, snap);

@@ -16,6 +16,7 @@
  */
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,6 +113,13 @@ TEST(RunSpecDivergence, KeyDropsExactlyThePolicyFields)
         s.descheduleAfter = 2;
         policy.push_back(s);
     }
+    {
+        // The usage-threshold ablation acts on monitor state, which the
+        // prefix keeps running: DivergeRule's usage part covers it.
+        RunSpec s = base;
+        s.opts.sedationUsageThreshold = true;
+        policy.push_back(s);
+    }
     for (size_t i = 0; i < policy.size(); ++i) {
         EXPECT_NE(policy[i].canonicalKey(), base.canonicalKey())
             << "policy mutant " << i;
@@ -130,11 +138,6 @@ TEST(RunSpecDivergence, KeyDropsExactlyThePolicyFields)
     {
         RunSpec s = base;
         s.opts.convectionR = 0.7;
-        traj.push_back(s);
-    }
-    {
-        RunSpec s = base;
-        s.opts.sedationUsageThreshold = true;
         traj.push_back(s);
     }
     {
@@ -178,7 +181,7 @@ TEST(Snapshot, RestoreThenRunIsBitIdenticalAndRepeatable)
 
     SimSnapshot snap;
     Cycles fork = makePrefixSimulator(spec)->runPrefix(
-        spec.opts.upperThreshold, 4, snap);
+        {spec.opts.upperThreshold}, 4, snap);
     ASSERT_GT(fork, 0u);
     ASSERT_FALSE(snap.empty());
     EXPECT_EQ(snap.cycle, fork);
@@ -189,6 +192,44 @@ TEST(Snapshot, RestoreThenRunIsBitIdenticalAndRepeatable)
     RunResult warm2 = executeFromSnapshot(spec, snap);
     EXPECT_EQ(warm1, warm2);
     EXPECT_EQ(cold, warm1);
+}
+
+/**
+ * The usage part of the divergence rule: a gcc + variant-1 usage cell
+ * first meets its usage trigger at the 100 K-cycle sensor sample, so
+ * the prefix must stop at that sample and hand out the 80 K-cycle
+ * snapshot. At the default 0.8 K/W the hammer also reaches the 358 K
+ * stop-and-go safety net before the first sample; a 0.4 K/W sink keeps
+ * it below for the whole quantum, so only the usage part can stop
+ * this prefix. The innocent pair never meets the trigger and forks at
+ * the end of the quantum. Both forks must reproduce the cold run
+ * exactly.
+ */
+TEST(Snapshot, UsageCellForksBeforeItsTrigger)
+{
+    RunSpec attack = withVariantSpec("gcc", 1, sedationOpts(356.0));
+    attack.opts.sedationUsageThreshold = true;
+    attack.opts.convectionR = 0.4;
+    DivergeRule rule = divergeRule(makeSimulator(attack)->config());
+    ASSERT_LT(rule.usage, std::numeric_limits<double>::infinity());
+
+    SimSnapshot snap;
+    Cycles fork = makePrefixSimulator(attack)->runPrefix(rule, 4, snap);
+    EXPECT_GT(fork, 0u);
+    EXPECT_LE(fork, 80'000u);
+    // The temperature part alone would have run on: the usage part is
+    // what stopped this prefix.
+    SimSnapshot later;
+    EXPECT_GT(makePrefixSimulator(attack)->runPrefix({rule.temp}, 4, later),
+              fork);
+    EXPECT_EQ(executeFromSnapshot(attack, snap), executeRunSpec(attack));
+
+    RunSpec pair = specPairSpec("gcc", "mesa", sedationOpts(356.0));
+    pair.opts.sedationUsageThreshold = true;
+    const SimConfig cfg = makeSimulator(pair)->config();
+    fork = makePrefixSimulator(pair)->runPrefix(divergeRule(cfg), 4, snap);
+    EXPECT_GT(fork, cfg.quantumCycles - cfg.sensorInterval);
+    EXPECT_EQ(executeFromSnapshot(pair, snap), executeRunSpec(pair));
 }
 
 TEST(Snapshot, PrefixEngagesOnInnocentThresholdSweep)
@@ -214,8 +255,8 @@ TEST(Snapshot, PrefixEngagesOnInnocentThresholdSweep)
  * Every RunSpec family the bench harnesses build, arranged as the
  * sweeps the figures actually use so divergence groups of every shape
  * appear: prefix-shareable sweeps, groups that diverge before the
- * first snapshot (attack cells), singleton groups, and cells excluded
- * from sharing outright (usage ablation, per-cell conv values).
+ * first snapshot (attack cells), groups cut short by a member's usage
+ * trigger, and singleton groups (per-cell conv values).
  */
 std::vector<RunSpec>
 familyMatrix()
@@ -247,8 +288,9 @@ familyMatrix()
         soloSpec("vortex", fastOpts()).withSink(SinkType::Ideal));
 
     // Usage-threshold ablation: the trigger depends on monitor state,
-    // not temperature, so these cells must always run cold — on an
-    // attack mix and on the innocent pair that would otherwise share.
+    // not temperature. On the innocent pair the cells join the pair's
+    // group and fork; on an attack mix the usage trigger (or the heat)
+    // cuts the group's prefix short.
     for (double u : {356.0, 357.0}) {
         RunSpec s = withVariantSpec("applu", 2, sedationOpts(u));
         s.opts.sedationUsageThreshold = true;
@@ -289,6 +331,14 @@ familyMatrix()
             specPairSpec("gcc", "mesa", sedationOpts(u))
                 .withTraceEvents(true));
     specs.push_back(pair.withDtm(DtmMode::StopAndGo).withTraceEvents(true));
+    // A traced usage cell joins the same group: it keeps the prefix's
+    // monitor-category events, as its cold run records them too.
+    {
+        RunSpec s = specPairSpec("gcc", "mesa", sedationOpts(356.0))
+                        .withTraceEvents(true);
+        s.opts.sedationUsageThreshold = true;
+        specs.push_back(s);
+    }
     // A traced attack cell diverges before the first stride boundary,
     // so it must fall back to a cold (still traced) run.
     specs.push_back(
@@ -330,6 +380,14 @@ familyMatrix()
     specs.push_back(specPairSpec("gcc", "mesa", sedationOpts(356.0))
                         .withTopology(2, {0, 1})
                         .withTraceEvents(true));
+    // A 2-core usage cell joins the 2-core group: the usage part of
+    // the rule reads every core's monitor.
+    {
+        RunSpec s = specPairSpec("gcc", "mesa", sedationOpts(356.0))
+                        .withTopology(2, {0, 1});
+        s.opts.sedationUsageThreshold = true;
+        specs.push_back(s);
+    }
     // Both SMT contexts of core 0 busy while core 1 idles: placement
     // resolution with unequal per-core widths.
     for (double u : {356.0, 357.0})
@@ -416,7 +474,7 @@ TEST(Snapshot, TracerRoundTripsThroughSaveRestore)
 
     SimSnapshot snap;
     Cycles fork =
-        makePrefixSimulator(spec)->runPrefix(353.0, /*stride=*/1, snap);
+        makePrefixSimulator(spec)->runPrefix({353.0}, /*stride=*/1, snap);
     ASSERT_GT(fork, 0u);
 
     RunResult cold = executeRunSpec(spec);
@@ -458,7 +516,7 @@ TEST(Snapshot, MultiCoreRoundTripIsBitIdentical)
 
     SimSnapshot snap;
     Cycles fork = makePrefixSimulator(spec)->runPrefix(
-        spec.opts.upperThreshold, 4, snap);
+        {spec.opts.upperThreshold}, 4, snap);
     ASSERT_GT(fork, 0u);
     ASSERT_FALSE(snap.empty());
 
@@ -478,7 +536,7 @@ TEST(SnapshotDeathTest, MultiCoreSnapshotRefusesOtherTopologies)
                       .withTopology(2, {0, 1});
     SimSnapshot snap;
     ASSERT_GT(makePrefixSimulator(two)->runPrefix(
-                  two.opts.upperThreshold, 4, snap),
+                  {two.opts.upperThreshold}, 4, snap),
               0u);
 
     // Same workloads, different die shape / placement: refused.
@@ -530,7 +588,7 @@ TEST(SnapshotDeathTest, RestoreRejectsBadInputs)
 
     SimSnapshot snap;
     ASSERT_GT(makePrefixSimulator(spec)->runPrefix(
-                  spec.opts.upperThreshold, 4, snap),
+                  {spec.opts.upperThreshold}, 4, snap),
               0u);
 
     // Only a freshly constructed simulator may restore.
