@@ -102,8 +102,6 @@ const Knob kKnobs[] = {
     {.env = "HS_BENCH_SET", .type = T::Enum, .arg = "SET",
      .values = "quick, paper, full", .def = "paper",
      .help = "figure-harness benchmarks: 4, the paper's 10, or all 18"},
-    {.env = "HS_PREFIX", .type = T::Int, .arg = "N", .min = 0, .def = "1",
-     .help = "0 turns engine prefix sharing off"},
     {.env = "HS_FAULTS", .type = T::Custom, .arg = "SEED:SITE[@P|=N],...",
      .values = "a fault plan SEED:SITE[@P|=N],...",
      .check = [](const std::string &v, std::string &why) {

@@ -51,10 +51,7 @@ parseEndpoints(const std::string &list, std::vector<Endpoint> &out)
 uint32_t
 localCaps()
 {
-    uint32_t caps = kCapSnapshotCache;
-    if (knobInt("HS_HEARTBEAT_MS") > 0)
-        caps |= kCapTelemetry;
-    return caps;
+    return knobInt("HS_HEARTBEAT_MS") > 0 ? kCapTelemetry : 0;
 }
 
 std::vector<uint8_t>
@@ -444,12 +441,8 @@ serveConnection(Socket &conn, uint64_t &jobsDone)
           case RemoteJob::SnapMode::None:
             break;
           case RemoteJob::SnapMode::Inline:
-            if (caps & kCapSnapshotCache) {
-                snap = &(snapshotCache[job.snapshotHash] =
-                             std::move(job.snapshot));
-            } else {
-                snap = &job.snapshot;
-            }
+            snap = &(snapshotCache[job.snapshotHash] =
+                         std::move(job.snapshot));
             break;
           case RemoteJob::SnapMode::Reference: {
             auto it = snapshotCache.find(job.snapshotHash);
@@ -489,39 +482,22 @@ serveConnection(Socket &conn, uint64_t &jobsDone)
             std::_Exit(3);
         }
 
-        // Execute exactly like executeFromSnapshot()/executeRunSpec(),
-        // but with the simulator in hand so the telemetry block can
-        // carry the SimProfile cost centres and restore timing.
-        // setProfiling only toggles host-clock accumulation — the
-        // profile counters (and the result) are identical either way.
-        bool telem = (caps & kCapTelemetry) != 0;
+        SimProfile prof;
+        RunResult result = executeRunSpec(job.spec, snap, &prof);
         JobTelemetry tel;
-        auto sim = makeSimulator(job.spec);
-        sim->setProfiling(telem);
-        if (snap) {
-            auto r0 = std::chrono::steady_clock::now();
-            sim->restore(*snap);
-            tel.restoreSeconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - r0)
-                    .count();
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        RunResult result = sim->run();
-        tel.simSeconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
+        tel.simSeconds = prof.totalSeconds;
+        tel.restoreSeconds = prof.snapshotSeconds;
+        bool telem = (caps & kCapTelemetry) != 0;
         if (telem) {
             tel.snapshotBytes = snap ? snap->bytes.size() : 0;
             tel.snapshotFromCache = snapFromCache;
             tel.peakRssKb = currentPeakRssKb();
-            const SimProfile &p = sim->profile();
-            tel.tickedCycles = p.tickedCycles;
-            tel.stalledCycles = p.stalledCycles;
-            tel.sensorSamples = p.sensorSamples;
-            tel.tickSeconds = p.tickSeconds;
-            tel.thermalSeconds = p.thermalSeconds;
-            tel.stallSeconds = p.stallSeconds;
+            tel.tickedCycles = prof.tickedCycles;
+            tel.stalledCycles = prof.stalledCycles;
+            tel.sensorSamples = prof.sensorSamples;
+            tel.tickSeconds = prof.tickSeconds;
+            tel.thermalSeconds = prof.thermalSeconds;
+            tel.stallSeconds = prof.stallSeconds;
         }
         ++jobsDone;
         heartbeat.jobFinished();
@@ -611,18 +587,15 @@ RemoteWorker::runJob(uint64_t id, const RunSpec &spec,
     // group send its content hash instead of its bytes.
     std::vector<uint8_t> jobFrame;
     uint64_t snapBytes = snap ? snap->bytes.size() : 0;
-    if (snap && (caps_ & kCapSnapshotCache)) {
-        uint64_t hash = fnv1a64(snap->bytes.data(), snap->bytes.size());
-        if (shippedSnapshots_.count(hash)) {
-            jobFrame = encodeJobRef(id, spec, hash);
-            telemetry_.snapshotBytesSaved += snapBytes;
-        } else {
-            jobFrame = encodeJob(id, spec, snap);
-            shippedSnapshots_.insert(hash);
-            telemetry_.snapshotBytesSent += snapBytes;
-        }
+    uint64_t hash =
+        snap ? fnv1a64(snap->bytes.data(), snap->bytes.size()) : 0;
+    if (snap && shippedSnapshots_.count(hash)) {
+        jobFrame = encodeJobRef(id, spec, hash);
+        telemetry_.snapshotBytesSaved += snapBytes;
     } else {
         jobFrame = encodeJob(id, spec, snap);
+        if (snap)
+            shippedSnapshots_.insert(hash);
         telemetry_.snapshotBytesSent += snapBytes;
     }
     if (!sendFrame(sock_, jobFrame)) {

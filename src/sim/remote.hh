@@ -17,10 +17,9 @@
  *                                     format version, capability bits
  *   worker -> coordinator   HelloAck  the same tuple, the worker's own
  *   coordinator -> worker   Job       job id, RunSpec, optional warm-up
- *                                     snapshot — inline on first use,
- *                                     by content hash on repeats when
- *                                     both sides negotiated the
- *                                     snapshot-cache capability
+ *                                     snapshot — inline on first use
+ *                                     over a connection, by content
+ *                                     hash on repeats
  *   worker -> coordinator   Result    job id, RunResult, optional
  *                                     per-job telemetry block
  *   worker -> coordinator   Heartbeat jobs done, uptime, current cell
@@ -31,10 +30,10 @@
  * mismatched build (different protocol or serialised-record layout)
  * is refused up front instead of misparsing payloads. The capability
  * word is negotiated as the AND of both sides' bits, so either side
- * can decline telemetry or snapshot caching unilaterally. After a
- * worker vanishes mid-job (disconnect, timeout), the coordinator marks
- * it dead and the dispatcher computes that cell — and any further
- * cells it pulls — locally, so no cell is ever dropped.
+ * can decline telemetry unilaterally. After a worker vanishes mid-job
+ * (disconnect, timeout), the coordinator marks it dead and the
+ * dispatcher computes that cell — and any further cells it pulls —
+ * locally, so no cell is ever dropped.
  *
  * Simulations are deterministic, so where a cell runs cannot change
  * its result: a remote RunResult round-trips bit-for-bit through the
@@ -65,12 +64,12 @@ namespace hs {
 constexpr uint32_t kRemoteMagic = 0x50525348;
 /** Bump on any wire-protocol change; peers must match exactly.
  *  v2: capability word in the handshake, snapshot-by-reference jobs,
- *  telemetry blocks on Result frames, Heartbeat frames. */
-constexpr uint32_t kRemoteProtocolVersion = 2;
+ *  telemetry blocks on Result frames, Heartbeat frames.
+ *  v3: snapshot-by-reference is unconditional (no capability bit). */
+constexpr uint32_t kRemoteProtocolVersion = 3;
 
 /** Capability bits carried in the handshake (negotiated by AND). */
-constexpr uint32_t kCapTelemetry = 1u << 0;     ///< telemetry + heartbeats
-constexpr uint32_t kCapSnapshotCache = 1u << 1; ///< snapshot-by-reference
+constexpr uint32_t kCapTelemetry = 1u << 0; ///< telemetry + heartbeats
 
 /** This build's capability word (HS_HEARTBEAT_MS=0 drops telemetry). */
 uint32_t localCaps();

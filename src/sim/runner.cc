@@ -181,21 +181,23 @@ makePrefixSimulator(const RunSpec &spec)
 }
 
 RunResult
-executeRunSpec(const RunSpec &spec)
-{
-    return makeSimulator(spec)->run();
-}
-
-RunResult
-executeFromSnapshot(const RunSpec &spec, const SimSnapshot &snap)
+executeRunSpec(const RunSpec &spec, const SimSnapshot *snap,
+               SimProfile *profile)
 {
     auto sim = makeSimulator(spec);
-    sim->restore(snap);
-    return sim->run();
+    // Profiling only turns the host clocks on: the counters, and the
+    // result, are the same either way.
+    sim->setProfiling(profile != nullptr);
+    if (snap)
+        sim->restore(*snap);
+    RunResult result = sim->run();
+    if (profile)
+        *profile = sim->profile();
+    return result;
 }
 
 ParallelRunner::ParallelRunner(int jobs, ResultStore *store)
-    : jobs_(jobs), store_(store), prefixSharing_(knobInt("HS_PREFIX") != 0)
+    : jobs_(jobs), store_(store)
 {
     if (jobs_ <= 0) {
         unsigned hw = std::thread::hardware_concurrency();
@@ -397,9 +399,7 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
                 lostWorkers_.fetch_add(1);
                 requeuedCells_.fetch_add(1);
             }
-            if (snap)
-                return executeFromSnapshot(spec, *snap);
-            return executeRunSpec(spec);
+            return executeRunSpec(spec, snap);
         };
         auto t0 = std::chrono::steady_clock::now();
         ResultStore::Source src = ResultStore::Source::Computed;

@@ -33,7 +33,7 @@
  * CellEvent. `--progress`, `--status-port`, the `[engine]` line and the
  * `matrix_done` event all render it; none counts on its own.
  *
- * Knobs (HS_JOBS, HS_PREFIX, HS_STORE, HS_FAULTS): `hs_run --help`.
+ * Knobs (HS_JOBS, HS_STORE, HS_FAULTS): `hs_run --help`.
  * With a store attached, runMatrix() also maintains
  * `<store>/manifest.hsm` (sim/manifest.hh): an interrupted campaign
  * restarted with the same command line resumes, simulating only the
@@ -61,12 +61,21 @@ namespace hs {
 class DiskResultStore;
 class ResultStore;
 class Simulator;
+struct SimProfile;
 
 /** Build a configured simulator with @p spec 's workloads bound. */
 std::unique_ptr<Simulator> makeSimulator(const RunSpec &spec);
 
-/** Execute one spec serially (no cache). */
-RunResult executeRunSpec(const RunSpec &spec);
+/**
+ * Execute one spec serially (no cache): the one path every cell runs,
+ * cold, forked or on a remote worker. With @p snap the run resumes
+ * from that warm-up prefix instead of cycle 0; with @p profile the
+ * simulator's cost centres (SimProfile, host clocks on) are copied
+ * there. Neither changes the result.
+ */
+RunResult executeRunSpec(const RunSpec &spec,
+                         const SimSnapshot *snap = nullptr,
+                         SimProfile *profile = nullptr);
 
 /**
  * Build the simulator that runs a divergence group's shared prefix:
@@ -77,10 +86,6 @@ RunResult executeRunSpec(const RunSpec &spec);
  * snapshot, and the usage part of the group's DivergeRule reads it.
  */
 std::unique_ptr<Simulator> makePrefixSimulator(const RunSpec &spec);
-
-/** Execute @p spec from @p snap instead of from cycle 0. */
-RunResult executeFromSnapshot(const RunSpec &spec,
-                              const SimSnapshot &snap);
 
 /** Remote-sharding counters accumulated by a ParallelRunner. */
 struct RemoteStats
@@ -190,7 +195,9 @@ class ParallelRunner
 
     int jobs() const { return jobs_; }
 
-    /** Toggle prefix sharing (construction default: HS_PREFIX). */
+    /** Toggle prefix sharing (on by default). A fork is bit-identical
+     *  to the cold run, so turning it off only serves the bit-identity
+     *  suites, which need cold references. */
     void setPrefixSharing(bool on) { prefixSharing_ = on; }
     bool prefixSharing() const { return prefixSharing_; }
 
@@ -240,7 +247,7 @@ class ParallelRunner
 
     int jobs_;
     ResultStore *store_;
-    bool prefixSharing_;
+    bool prefixSharing_ = true;
     std::vector<Endpoint> workerEndpoints_;
     std::atomic<uint64_t> remoteWorkers_{0};
     std::atomic<uint64_t> lostWorkers_{0};

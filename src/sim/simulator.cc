@@ -32,14 +32,14 @@ divergeRule(const SimConfig &cfg)
     // Mirrors the policy stacks the constructor builds: every mode but
     // None keeps stop-and-go underneath as the safety net.
     DivergeRule rule;
+    if (cfg.dtm == DtmMode::None)
+        return rule;
+    rule.temp = cfg.stopAndGo.triggerTemp;
     switch (cfg.dtm) {
       case DtmMode::None:
-        return rule;
       case DtmMode::StopAndGo:
-        rule.temp = cfg.stopAndGo.triggerTemp;
-        return rule;
+        break;
       case DtmMode::SelectiveSedation:
-        rule.temp = cfg.stopAndGo.triggerTemp;
         // The ablation replaces sedation's temperature trigger with
         // the usage one; its release threshold only matters once
         // engaged.
@@ -47,17 +47,15 @@ divergeRule(const SimConfig &cfg)
             rule.usage = cfg.sedation.usageThreshold;
         else
             rule.temp = std::min(rule.temp, cfg.sedation.upperThreshold);
-        return rule;
+        break;
       case DtmMode::DvfsThrottle:
-        rule.temp = std::min(cfg.dvfs.triggerTemp,
-                             cfg.stopAndGo.triggerTemp);
-        return rule;
+        rule.temp = std::min(rule.temp, cfg.dvfs.triggerTemp);
+        break;
       case DtmMode::FetchGating:
-        rule.temp = std::min(cfg.fetchGating.triggerTemp,
-                             cfg.stopAndGo.triggerTemp);
-        return rule;
+        rule.temp = std::min(rule.temp, cfg.fetchGating.triggerTemp);
+        break;
     }
-    panic("divergeRule: bad mode %d", static_cast<int>(cfg.dtm));
+    return rule;
 }
 
 std::array<double, numBlocks>
@@ -87,61 +85,6 @@ SimConfig::defaultNominalRates()
     set(Block::L2, 0.05);
     return rates;
 }
-
-/** DtmControl adapter scoped to one core (see simulator.hh). */
-class Simulator::CoreControl : public DtmControl
-{
-  public:
-    CoreControl(Simulator &sim, int core) : sim_(sim), core_(core) {}
-
-    void
-    stallPipeline(bool stalled) override
-    {
-        sim_.coreStallPipeline(core_, stalled);
-    }
-    bool
-    pipelineStalled() const override
-    {
-        return sim_.corePipelineStalled(core_);
-    }
-    void
-    sedateThread(ThreadId tid, bool sedated) override
-    {
-        sim_.coreSedateThread(core_, tid, sedated);
-    }
-    void
-    throttleThread(ThreadId tid, int every_k) override
-    {
-        sim_.coreThrottleThread(core_, tid, every_k);
-    }
-    void
-    throttlePipeline(int every_k) override
-    {
-        sim_.coreThrottlePipeline(core_, every_k);
-    }
-    int
-    numThreads() const override
-    {
-        return sim_.config_.smt.numThreads;
-    }
-    bool
-    threadActive(ThreadId tid) const override
-    {
-        return sim_.coreThreadActive(core_, tid);
-    }
-
-  private:
-    Simulator &sim_;
-    int core_;
-};
-
-// Out of line: CoreState holds a unique_ptr to the (here complete)
-// CoreControl.
-Simulator::CoreState::CoreState() = default;
-Simulator::CoreState::CoreState(CoreState &&) noexcept = default;
-Simulator::CoreState &
-Simulator::CoreState::operator=(CoreState &&) noexcept = default;
-Simulator::CoreState::~CoreState() = default;
 
 Simulator::Simulator(const SimConfig &config)
     : config_(config),
@@ -200,17 +143,11 @@ Simulator::Simulator(const SimConfig &config)
         core.powerSnapshot =
             std::make_unique<ActivityCounters::Snapshot>(
                 core.pipeline->activity());
-        core.control = std::make_unique<CoreControl>(*this, c);
 
         switch (config_.dtm) {
           case DtmMode::None:
+          case DtmMode::StopAndGo:
             break;
-          case DtmMode::StopAndGo: {
-            auto sg = std::make_unique<StopAndGo>(config_.stopAndGo);
-            core.stopAndGo = sg.get();
-            core.policies.push_back(std::move(sg));
-            break;
-          }
           case DtmMode::SelectiveSedation: {
             auto sed = std::make_unique<SelectiveSedation>(
                 config_.smt.numThreads, config_.sedation,
@@ -241,30 +178,24 @@ Simulator::Simulator(const SimConfig &config)
                     if (userOsReport_)
                         userOsReport_(event);
                 });
-            // Stop-and-go remains underneath as the safety net
+            break;
+          }
+          case DtmMode::DvfsThrottle:
+            core.policies.push_back(
+                std::make_unique<DvfsThrottle>(config_.dvfs));
+            break;
+          case DtmMode::FetchGating:
+            core.policies.push_back(std::make_unique<FetchGating>(
+                config_.smt.numThreads, config_.fetchGating));
+            break;
+        }
+        if (config_.dtm != DtmMode::None) {
+            // Stop-and-go is the base case, and under every other
+            // policy it stays last in the stack as the safety net
             // (Section 3.2.2).
             auto sg = std::make_unique<StopAndGo>(config_.stopAndGo);
             core.stopAndGo = sg.get();
             core.policies.push_back(std::move(sg));
-            break;
-          }
-          case DtmMode::DvfsThrottle: {
-            auto dvfs = std::make_unique<DvfsThrottle>(config_.dvfs);
-            core.policies.push_back(std::move(dvfs));
-            auto sg = std::make_unique<StopAndGo>(config_.stopAndGo);
-            core.stopAndGo = sg.get();
-            core.policies.push_back(std::move(sg));
-            break;
-          }
-          case DtmMode::FetchGating: {
-            auto gate = std::make_unique<FetchGating>(
-                config_.smt.numThreads, config_.fetchGating);
-            core.policies.push_back(std::move(gate));
-            auto sg = std::make_unique<StopAndGo>(config_.stopAndGo);
-            core.stopAndGo = sg.get();
-            core.policies.push_back(std::move(sg));
-            break;
-          }
         }
     }
 
@@ -350,20 +281,6 @@ Simulator::setWorkload(ThreadId tid, Program program)
     core.hasWork = true;
 }
 
-// --- DtmControl ----------------------------------------------------------
-
-void
-Simulator::coreStallPipeline(int core, bool stalled)
-{
-    cores_[static_cast<size_t>(core)].pipeline->setGlobalStall(stalled);
-}
-
-bool
-Simulator::corePipelineStalled(int core) const
-{
-    return cores_[static_cast<size_t>(core)].pipeline->globalStalled();
-}
-
 void
 Simulator::setOsReport(SelectiveSedation::OsReportFn fn)
 {
@@ -372,98 +289,70 @@ Simulator::setOsReport(SelectiveSedation::OsReportFn fn)
         warn("setOsReport: no sedation policy; callback will not fire");
 }
 
+// --- DtmControl, one per core ----------------------------------------------
+
 void
-Simulator::coreSedateThread(int core, ThreadId tid, bool sedated)
+Simulator::CoreState::stallPipeline(bool stalled)
 {
-    CoreState &cs = cores_[static_cast<size_t>(core)];
-    // Threads the OS descheduled stay sedated no matter what the
-    // hardware policy decides afterwards.
-    if (!sedated) {
-        for (ThreadId d : cs.descheduled) {
-            if (d == tid)
-                return;
-        }
-    }
+    pipeline->setGlobalStall(stalled);
+}
+
+bool
+Simulator::CoreState::pipelineStalled() const
+{
+    return pipeline->globalStalled();
+}
+
+bool
+Simulator::CoreState::isDescheduled(ThreadId tid) const
+{
+    return std::find(descheduled.begin(), descheduled.end(), tid) !=
+           descheduled.end();
+}
+
+void
+Simulator::CoreState::sedateThread(ThreadId tid, bool sedated)
+{
+    if (!sedated && isDescheduled(tid))
+        return;
     size_t i = static_cast<size_t>(tid);
-    if (i < cs.sedStart.size()) {
-        if (sedated && cs.sedStart[i] == 0) {
-            cs.sedStart[i] = cs.pipeline->cycle() + 1;
-        } else if (!sedated && cs.sedStart[i] != 0) {
-            cs.histSedation.observe(static_cast<double>(
-                cs.pipeline->cycle() - (cs.sedStart[i] - 1)));
-            cs.sedStart[i] = 0;
+    if (i < sedStart.size()) {
+        if (sedated && sedStart[i] == 0) {
+            sedStart[i] = pipeline->cycle() + 1;
+        } else if (!sedated && sedStart[i] != 0) {
+            histSedation.observe(static_cast<double>(
+                pipeline->cycle() - (sedStart[i] - 1)));
+            sedStart[i] = 0;
         }
     }
-    cs.pipeline->setSedated(tid, sedated);
+    pipeline->setSedated(tid, sedated);
 }
 
 void
-Simulator::coreThrottleThread(int core, ThreadId tid, int every_k)
+Simulator::CoreState::throttleThread(ThreadId tid, int every_k)
 {
-    CoreState &cs = cores_[static_cast<size_t>(core)];
     // OS-descheduled threads stay fully sedated.
-    if (every_k <= 1) {
-        for (ThreadId d : cs.descheduled) {
-            if (d == tid)
-                return;
-        }
-    }
-    cs.pipeline->setThreadThrottle(tid, every_k);
+    if (every_k <= 1 && isDescheduled(tid))
+        return;
+    pipeline->setThreadThrottle(tid, every_k);
 }
 
 void
-Simulator::coreThrottlePipeline(int core, int every_k)
+Simulator::CoreState::throttlePipeline(int every_k)
 {
-    cores_[static_cast<size_t>(core)].pipeline->setThrottle(every_k);
-}
-
-bool
-Simulator::coreThreadActive(int core, ThreadId tid) const
-{
-    return cores_[static_cast<size_t>(core)].pipeline->thread(tid).state ==
-           ThreadState::Active;
-}
-
-void
-Simulator::stallPipeline(bool stalled)
-{
-    coreStallPipeline(0, stalled);
-}
-
-bool
-Simulator::pipelineStalled() const
-{
-    return corePipelineStalled(0);
-}
-
-void
-Simulator::sedateThread(ThreadId tid, bool sedated)
-{
-    coreSedateThread(0, tid, sedated);
-}
-
-void
-Simulator::throttleThread(ThreadId tid, int every_k)
-{
-    coreThrottleThread(0, tid, every_k);
-}
-
-void
-Simulator::throttlePipeline(int every_k)
-{
-    coreThrottlePipeline(0, every_k);
+    pipeline->setThrottle(every_k);
 }
 
 int
-Simulator::numThreads() const
+Simulator::CoreState::numThreads() const
 {
-    return config_.smt.numThreads;
+    return pipeline->numThreads();
 }
 
 bool
-Simulator::threadActive(ThreadId tid) const
+Simulator::CoreState::threadActive(ThreadId tid) const
 {
-    return coreThreadActive(0, tid);
+    return pipeline->thread(tid).state == ThreadState::Active;
 }
 
 // --- run loop ------------------------------------------------------------
@@ -493,7 +382,7 @@ Simulator::usageTriggered(double threshold) const
             continue;
         for (int b = 0; b < numBlocks; ++b)
             if (core.sedation->usageTriggered(blockFromIndex(b),
-                                              threshold, *core.control))
+                                              threshold, core))
                 return true;
     }
     return false;
@@ -625,7 +514,7 @@ Simulator::sampleSensors()
             observed_max = core_max;
 
         for (auto &policy : core.policies)
-            policy->atSensorSample(now, core.tempsBuf, *core.control);
+            policy->atSensorSample(now, core.tempsBuf, core);
     }
     lastObservedMax_ = observed_max;
     if (tracer_)
@@ -649,16 +538,10 @@ Simulator::sampleSensors()
                 .count();
 }
 
-RunResult
-Simulator::run()
+template <class AtSample>
+Cycles
+Simulator::drive(AtSample &&at_sample)
 {
-    // Establish normal-operation temperatures (HotSpot warm start) —
-    // unless this simulator resumed from a snapshot, whose restored
-    // RC-network temperatures already embed the warm start plus the
-    // shared prefix's heating.
-    if (!resumedFromSnapshot_)
-        initNominalSteadyState();
-
     const Cycles quantum = config_.quantumCycles;
     const Cycles sensor = config_.sensorInterval;
     const Cycles monitor = config_.monitorInterval;
@@ -666,15 +549,13 @@ Simulator::run()
     // Countdowns to the next monitor/sensor boundary replace the two
     // divisions the old loop paid every cycle. They track the same
     // absolute boundaries: toMonitor/toSensor are the cycles left until
-    // the next multiple of the respective interval. A resumed run
-    // starts at a sensor boundary, where both countdowns are full.
+    // the next multiple of the respective interval. Every drive starts
+    // at a sensor boundary (cycle 0 or a restored snapshot), where both
+    // countdowns are full.
     Cycles toMonitor = monitor;
     Cycles toSensor = sensor;
+    Cycles stalled_cycles = 0;
 
-    const Cycles start_cycle = cores_[0].pipeline->cycle();
-    uint64_t stalled_cycles = 0;
-
-    auto wall_start = std::chrono::steady_clock::now();
     while (cores_[0].pipeline->cycle() < quantum) {
         bool all_stalled = true;
         for (const CoreState &core : cores_) {
@@ -692,27 +573,20 @@ Simulator::run()
             // countdown to the landing cycle.
             Cycles now = cores_[0].pipeline->cycle();
             Cycles delta = std::min(toSensor, quantum - now);
-            if (profiling_) {
-                auto t0 = std::chrono::steady_clock::now();
-                for (CoreState &core : cores_)
-                    core.pipeline->advanceStalled(delta);
+            auto t0 = profiling_ ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point{};
+            for (CoreState &core : cores_)
+                core.pipeline->advanceStalled(delta);
+            if (profiling_)
                 profile_.stallSeconds +=
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-            } else {
-                for (CoreState &core : cores_)
-                    core.pipeline->advanceStalled(delta);
-            }
             stalled_cycles += delta;
             toSensor -= delta;
             Cycles gone = delta % monitor;
             toMonitor = gone < toMonitor ? toMonitor - gone
                                          : toMonitor - gone + monitor;
-            if (toSensor == 0) {
-                toSensor = sensor;
-                sampleSensors();
-            }
         } else {
             // Lockstep cycle: stalled cores only account their stall
             // (stop-and-go is per-core now), the rest execute.
@@ -741,14 +615,33 @@ Simulator::run()
             }
             if (tracer_)
                 tracer_->setCoreId(0);
-            if (--toSensor == 0) {
-                toSensor = sensor;
-                sampleSensors();
-            }
+            --toSensor;
+        }
+        if (toSensor == 0) {
+            toSensor = sensor;
+            sampleSensors();
+            if (at_sample())
+                break;
         }
         if (allCoresHalted())
             break;
     }
+    return stalled_cycles;
+}
+
+RunResult
+Simulator::run()
+{
+    // Establish normal-operation temperatures (HotSpot warm start) —
+    // unless this simulator resumed from a snapshot, whose restored
+    // RC-network temperatures already embed the warm start plus the
+    // shared prefix's heating.
+    if (!resumedFromSnapshot_)
+        initNominalSteadyState();
+
+    const Cycles start_cycle = cores_[0].pipeline->cycle();
+    auto wall_start = std::chrono::steady_clock::now();
+    Cycles stalled_cycles = drive([] { return false; });
     double host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
@@ -786,6 +679,54 @@ Simulator::run()
                            profile_.stallSeconds;
 
     return collectResults(host_seconds);
+}
+
+Cycles
+Simulator::runPrefix(const DivergeRule &rule, Cycles stride_samples,
+                     SimSnapshot &out)
+{
+    if (cores_[0].pipeline->cycle() != 0)
+        fatal("Simulator::runPrefix: needs a freshly constructed "
+              "simulator");
+    if (stride_samples == 0)
+        stride_samples = 1;
+
+    initNominalSteadyState();
+
+    Cycles fork_cycle = 0;
+    Cycles samples_since_save = 0;
+    // run()'s own loop, so the prefix's history is the history every
+    // cold group member produces; only what happens at a sensor sample
+    // is added.
+    drive([&] {
+        // Past this boundary some group member's policy could have
+        // observed an actionable temperature or usage; the last
+        // snapshot already taken stays the fork point.
+        if (lastObservedMax_ >= rule.temp || usageTriggered(rule.usage))
+            return true;
+        // Never hand out a snapshot at or beyond a halt: a cold run
+        // breaks here, while a restored run would tick once more
+        // before re-testing the halt.
+        if (allCoresHalted())
+            return true;
+        // Stalls begin only at sensor samples, so this fires at the
+        // sample where the stall began.
+        for (const CoreState &core : cores_)
+            if (core.pipeline->globalStalled())
+                fatal("Simulator::runPrefix: the pipeline stalled — "
+                      "the prefix simulator's DTM thresholds were not "
+                      "neutralised");
+        Cycles now = cores_[0].pipeline->cycle();
+        bool last_boundary =
+            config_.quantumCycles - now < config_.sensorInterval;
+        if (++samples_since_save >= stride_samples || last_boundary) {
+            save(out);
+            fork_cycle = now;
+            samples_since_save = 0;
+        }
+        return false;
+    });
+    return fork_cycle;
 }
 
 // --- snapshots -----------------------------------------------------------
@@ -1047,82 +988,6 @@ Simulator::restore(const SimSnapshot &snap)
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-}
-
-Cycles
-Simulator::runPrefix(const DivergeRule &rule, Cycles stride_samples,
-                     SimSnapshot &out)
-{
-    if (cores_[0].pipeline->cycle() != 0)
-        fatal("Simulator::runPrefix: needs a freshly constructed "
-              "simulator");
-    if (stride_samples == 0)
-        stride_samples = 1;
-
-    initNominalSteadyState();
-
-    const Cycles quantum = config_.quantumCycles;
-    const Cycles sensor = config_.sensorInterval;
-    const Cycles monitor = config_.monitorInterval;
-    Cycles toMonitor = monitor;
-    Cycles toSensor = sensor;
-    Cycles fork_cycle = 0;
-    Cycles samples_since_save = 0;
-
-    // Mirrors run()'s cycle loop exactly (tick, monitor sample, sensor
-    // sample, halt test, in that order) so the prefix's history is the
-    // same history every cold group member would have produced.
-    while (cores_[0].pipeline->cycle() < quantum) {
-        for (size_t c = 0; c < cores_.size(); ++c) {
-            CoreState &core = cores_[c];
-            if (core.pipeline->globalStalled())
-                fatal("Simulator::runPrefix: the pipeline stalled — "
-                      "the prefix simulator's DTM thresholds were not "
-                      "neutralised");
-            if (tracer_)
-                tracer_->setCoreId(static_cast<uint8_t>(c));
-            core.pipeline->tick();
-        }
-        if (--toMonitor == 0) {
-            toMonitor = monitor;
-            for (size_t c = 0; c < cores_.size(); ++c) {
-                CoreState &core = cores_[c];
-                if (tracer_)
-                    tracer_->setCoreId(static_cast<uint8_t>(c));
-                for (auto &policy : core.policies)
-                    policy->atMonitorSample(core.pipeline->cycle(),
-                                            core.pipeline->activity());
-            }
-        }
-        if (tracer_)
-            tracer_->setCoreId(0);
-        if (--toSensor == 0) {
-            toSensor = sensor;
-            sampleSensors();
-            // Past this boundary some group member's policy could have
-            // observed an actionable temperature or usage; the last
-            // snapshot already taken stays the fork point.
-            if (lastObservedMax_ >= rule.temp ||
-                usageTriggered(rule.usage))
-                break;
-            // Never hand out a snapshot at or beyond a halt: a cold
-            // run breaks here, while a restored run would tick once
-            // more before re-testing the halt.
-            if (allCoresHalted())
-                break;
-            ++samples_since_save;
-            bool last_boundary =
-                quantum - cores_[0].pipeline->cycle() < sensor;
-            if (samples_since_save >= stride_samples || last_boundary) {
-                save(out);
-                fork_cycle = cores_[0].pipeline->cycle();
-                samples_since_save = 0;
-            }
-        } else if (allCoresHalted()) {
-            break;
-        }
-    }
-    return fork_cycle;
 }
 
 RunResult

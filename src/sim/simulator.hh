@@ -157,11 +157,11 @@ struct DivergeRule
 DivergeRule divergeRule(const SimConfig &cfg);
 
 /** The heat-stroke simulator. */
-class Simulator : public DtmControl
+class Simulator
 {
   public:
     explicit Simulator(const SimConfig &config = {});
-    ~Simulator() override;
+    ~Simulator();
 
     /**
      * Bind a copy of @p program to global hardware context @p tid.
@@ -197,17 +197,18 @@ class Simulator : public DtmControl
     void restore(const SimSnapshot &snap);
 
     /**
-     * Run the shared warm-up prefix of an experiment group: execute
-     * like run(), but snapshot into @p out every @p stride_samples
-     * sensor samples, stopping (without saving) at the first sample
-     * where either part of @p rule holds — the observed hottest
-     * temperature of any core reaches rule.temp, or on any core an
-     * active, unsedated thread's weighted usage at any block reaches
-     * rule.usage (read from this simulator's own sedation monitor) —
-     * or the machine halts. From that sample on some group member's
+     * Run the shared warm-up prefix of an experiment group: run()'s
+     * own drive loop, plus a snapshot into @p out every
+     * @p stride_samples sensor samples, stopping (without saving) at
+     * the first sample where either part of @p rule holds — the
+     * observed hottest temperature of any core reaches rule.temp, or
+     * on any core an active, unsedated thread's weighted usage at any
+     * block reaches rule.usage (read from this simulator's own
+     * sedation monitor) — or the machine halts. From that sample on some group member's
      * DTM policy could act, so the members' futures are no longer
      * provably identical. The caller must have neutralised this
-     * simulator's own DTM thresholds so the prefix itself never acts.
+     * simulator's own DTM thresholds so the prefix itself never acts
+     * (a pipeline stalled at a sample is fatal).
      *
      * @return the cycle of the last snapshot taken (0 = none).
      */
@@ -256,29 +257,16 @@ class Simulator : public DtmControl
      *  dies. Call after run(). */
     void dumpStats(std::ostream &os) const;
 
-    // DtmControl interface, scoped to core 0 (kept so single-core
-    // tests and tools can drive the simulator directly; each core's
-    // policies act through their own per-core control instead).
-    void stallPipeline(bool stalled) override;
-    bool pipelineStalled() const override;
-    void sedateThread(ThreadId tid, bool sedated) override;
-    void throttleThread(ThreadId tid, int every_k) override;
-    void throttlePipeline(int every_k) override;
-    int numThreads() const override;
-    bool threadActive(ThreadId tid) const override;
-
   private:
-    /** DtmControl adapter scoped to one core: the policies of core c
-     *  observe core c's sensors and act on core c's pipeline only. */
-    class CoreControl;
-
     /**
      * Everything one core owns: its pipeline and bound programs, its
      * DTM policy instances and their OS extensions, its episode
      * detector, and its share of the run accounting (emergency
      * counters, peaks, run-health histograms, sedation bookkeeping).
+     * It is also the core's one DtmControl: the policies of core c
+     * observe core c's sensors and act on core c's state alone.
      */
-    struct CoreState
+    struct CoreState final : DtmControl
     {
         std::vector<std::unique_ptr<Program>> programs;
         std::unique_ptr<Pipeline> pipeline;
@@ -289,7 +277,6 @@ class Simulator : public DtmControl
         std::unique_ptr<OffenderTracker> offenderTracker;
         std::vector<ThreadId> descheduled; ///< core-local thread ids
         std::unique_ptr<OnlineEpisodeDetector> episodes;
-        std::unique_ptr<CoreControl> control;
         bool hasWork = false; ///< any program bound to this core
 
         Cycles lastActiveCycles = 0;
@@ -314,12 +301,30 @@ class Simulator : public DtmControl
         std::vector<Watts> powerBuf;  ///< reused per sensor sample
         std::vector<Kelvin> tempsBuf; ///< reused per sensor sample
 
-        CoreState();
-        CoreState(CoreState &&) noexcept;
-        CoreState &operator=(CoreState &&) noexcept;
-        ~CoreState();
+        void stallPipeline(bool stalled) override;
+        bool pipelineStalled() const override;
+        void sedateThread(ThreadId tid, bool sedated) override;
+        void throttleThread(ThreadId tid, int every_k) override;
+        void throttlePipeline(int every_k) override;
+        int numThreads() const override;
+        bool threadActive(ThreadId tid) const override;
+        /** @return true for a thread the OS descheduled: it stays
+         *  sedated whatever the hardware policy decides afterwards. */
+        bool isDescheduled(ThreadId tid) const;
     };
 
+    /**
+     * The one drive loop, Section 4's schedule: tick every core in
+     * lockstep (fast-forwarding while every pipeline is stalled),
+     * sample the usage monitors every monitorInterval cycles and the
+     * sensors every sensorInterval cycles. After each sensor sample
+     * @p at_sample runs; returning true stops the loop there.
+     * Otherwise it stops at the end of the quantum or once the machine
+     * halts.
+     *
+     * @return the cycles fast-forwarded with every pipeline stalled.
+     */
+    template <class AtSample> Cycles drive(AtSample &&at_sample);
     void sampleSensors();
     void countEmergencies(CoreState &core);
     RunResult collectResults(double host_seconds) const;
@@ -332,15 +337,6 @@ class Simulator : public DtmControl
     void initNominalSteadyState();
     CoreState &coreAt(int core);
     const CoreState &coreAt(int core) const;
-
-    // Per-core DtmControl backends (CoreControl forwards here; the
-    // public DtmControl overrides forward to core 0).
-    void coreStallPipeline(int core, bool stalled);
-    bool corePipelineStalled(int core) const;
-    void coreSedateThread(int core, ThreadId tid, bool sedated);
-    void coreThrottleThread(int core, ThreadId tid, int every_k);
-    void coreThrottlePipeline(int core, int every_k);
-    bool coreThreadActive(int core, ThreadId tid) const;
 
     SimConfig config_;
     int numCores_ = 1;

@@ -191,8 +191,6 @@ expect_bad_env()
 expect_bad_env "bad HS_STATUS_PORT" HS_STATUS_PORT=banana --spec gcc $FAST
 expect_bad_env "bad HS_JOBS under --jobs" HS_JOBS=abc --spec gcc $FAST \
     --jobs 1
-expect_bad_env "bad HS_PREFIX under --stats" HS_PREFIX=zz --spec gcc \
-    $FAST --stats
 expect_bad_env "HS_STATUS_PORT out of range under --stats" \
     HS_STATUS_PORT=99999 --spec gcc $FAST --stats
 expect_bad_env "bad HS_REMOTE_TIMEOUT_MS" HS_REMOTE_TIMEOUT_MS=abc \

@@ -158,7 +158,7 @@ TEST(Knobs, EveryEnvRowResolvesFromAFakeEnvironment)
                 << v.error;
         }
     }
-    EXPECT_EQ(rows, 10u);
+    EXPECT_EQ(rows, 9u);
 }
 
 TEST(Knobs, TableShapeAndPinnedDefaults)
@@ -181,8 +181,8 @@ TEST(Knobs, TableShapeAndPinnedDefaults)
 
     const std::map<std::string, std::string> defaults = {
         {"HS_SCALE", "50"},           {"HS_BENCH_SET", "paper"},
-        {"HS_PREFIX", "1"},           {"HS_HEARTBEAT_MS", "1000"},
-        {"HS_REMOTE_TIMEOUT_MS", "600000"}, {"HS_JOBS", ""},
+        {"HS_HEARTBEAT_MS", "1000"},  {"HS_REMOTE_TIMEOUT_MS", "600000"},
+        {"HS_JOBS", ""},
         {"HS_STORE", ""},             {"HS_LOG_JSON", ""},
         {"HS_STATUS_PORT", ""},       {"HS_FAULTS", ""},
     };

@@ -26,9 +26,12 @@
 #include "sim/runner.hh"
 #include "sim/serialize.hh"
 
+#include "scratch_dir.hh"
+
 namespace {
 
 using namespace hs;
+using hs::test::ScratchDir;
 
 ExperimentOptions
 fastOpts()
@@ -36,18 +39,6 @@ fastOpts()
     ExperimentOptions opts;
     opts.timeScale = 2000.0;
     return opts;
-}
-
-/** Fresh store directory per test (process-unique, test-unique). */
-std::string
-freshDir(const std::string &tag)
-{
-    std::string dir = "hs_store_test_" + tag + "_" +
-                      std::to_string(::getpid());
-    std::string cmd = "rm -rf " + dir;
-    if (std::system(cmd.c_str()) != 0)
-        ADD_FAILURE() << "cannot clear " << dir;
-    return dir;
 }
 
 std::vector<char>
@@ -70,7 +61,8 @@ spit(const std::string &path, const std::vector<char> &bytes)
 
 TEST(DiskStore, StoreThenLoadRoundTrips)
 {
-    DiskResultStore store(freshDir("roundtrip"));
+    ScratchDir dir("store_test_roundtrip");
+    DiskResultStore store(dir.path());
     RunSpec spec = soloSpec("gcc", fastOpts());
     RunResult original = executeRunSpec(spec);
 
@@ -89,7 +81,8 @@ TEST(DiskStore, StoreThenLoadRoundTrips)
 
 TEST(DiskStore, MissOnEmptyStore)
 {
-    DiskResultStore store(freshDir("miss"));
+    ScratchDir dir("store_test_miss");
+    DiskResultStore store(dir.path());
     RunResult out;
     EXPECT_EQ(store.load(soloSpec("gcc", fastOpts()), out),
               DiskResultStore::LoadStatus::Miss);
@@ -98,7 +91,8 @@ TEST(DiskStore, MissOnEmptyStore)
 
 TEST(DiskStore, EntryPathUsesHashFanout)
 {
-    DiskResultStore store(freshDir("path"));
+    ScratchDir dir("store_test_path");
+    DiskResultStore store(dir.path());
     RunSpec spec = soloSpec("gcc", fastOpts());
     std::string path = store.entryPath(spec.hash());
     char hex[24];
@@ -121,8 +115,7 @@ class DiskStoreCorruption : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = freshDir("corrupt");
-        store_ = std::make_unique<DiskResultStore>(dir_);
+        store_ = std::make_unique<DiskResultStore>(dir_.path());
         spec_ = soloSpec("gcc", fastOpts());
         original_ = executeRunSpec(spec_);
         ASSERT_TRUE(store_->store(spec_, original_));
@@ -157,7 +150,8 @@ class DiskStoreCorruption : public ::testing::Test
         EXPECT_TRUE(served == original_);
     }
 
-    std::string dir_, path_;
+    ScratchDir dir_{"store_test_corrupt"};
+    std::string path_;
     std::unique_ptr<DiskResultStore> store_;
     RunSpec spec_;
     RunResult original_;
@@ -261,7 +255,9 @@ TEST(DiskStoreSplice, PayloadUnderAnotherCellsEchoIsRecomputed)
     const RunResult resultB = executeRunSpec(specB);
     ASSERT_FALSE(resultA == resultB);
 
-    DiskResultStore store(freshDir("splice"));
+    ScratchDir dir("store_test_splice");
+
+    DiskResultStore store(dir.path());
     ASSERT_TRUE(store.store(specB, resultB));
     std::vector<char> splice = slurp(store.entryPath(specB.hash()));
     std::copy(keyA.begin(), keyA.end(), splice.begin() + kHeaderBytes);
@@ -301,7 +297,8 @@ TEST(DiskStoreSplice, VersionOneRecordIsRecomputed)
     opts.timeScale = 20000.0;
     const RunSpec spec = soloSpec("gcc", opts);
     const RunResult result = executeRunSpec(spec);
-    DiskResultStore store(freshDir("v1"));
+    ScratchDir dir("store_test_v1");
+    DiskResultStore store(dir.path());
     ASSERT_TRUE(store.store(spec, result));
     const std::string path = store.entryPath(spec.hash());
     std::vector<char> v1 = slurp(path);
@@ -449,7 +446,9 @@ TEST_P(RecordMutationFuzz, EveryMutantHitsIntactOrIsCorrupt)
     const RunSpec specB = soloSpec("mesa", opts);
     const RunResult resultA = executeRunSpec(specA);
 
-    DiskResultStore store(freshDir("fuzz" + std::to_string(GetParam())));
+    ScratchDir dir("store_test_fuzz" + std::to_string(GetParam()));
+
+    DiskResultStore store(dir.path());
     ASSERT_TRUE(store.store(specA, resultA));
     ASSERT_TRUE(store.store(specB, executeRunSpec(specB)));
     const std::string path = store.entryPath(specA.hash());
@@ -533,7 +532,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RecordMutationFuzz,
 
 TEST(DiskStoreTier, ReadThroughAndWriteThrough)
 {
-    std::string dir = freshDir("tier");
+    ScratchDir scratch("store_test_tier");
+    const std::string &dir = scratch.path();
     RunSpec spec = soloSpec("gcc", fastOpts());
     RunResult original;
 
@@ -586,7 +586,8 @@ TEST(DiskStoreTier, ReadThroughAndWriteThrough)
 
 TEST(DiskStoreTier, WarmStoreServesWholeMatrixWithoutSimulating)
 {
-    std::string dir = freshDir("matrix");
+    ScratchDir scratch("store_test_matrix");
+    const std::string &dir = scratch.path();
     ExperimentOptions opts = fastOpts();
     std::vector<RunSpec> specs;
     specs.push_back(soloSpec("gcc", opts));
@@ -632,7 +633,8 @@ TEST(DiskStoreTier, WarmStoreServesWholeMatrixWithoutSimulating)
  */
 TEST(DiskStoreTier, WarmSingletonMatrixDoesNoPreDispatchWork)
 {
-    std::string dir = freshDir("warm_singletons");
+    ScratchDir scratch("store_test_warm_singletons");
+    const std::string &dir = scratch.path();
     ExperimentOptions opts;
     opts.timeScale = 20000.0;
     const RunSpec base = withVariantSpec("gcc", 1, opts);
@@ -674,7 +676,8 @@ TEST(DiskStoreTier, WarmSingletonMatrixDoesNoPreDispatchWork)
  */
 TEST(DiskStoreTier, HalfStoredPairBuildsNoPrefix)
 {
-    std::string dir = freshDir("half_pair");
+    ScratchDir scratch("store_test_half_pair");
+    const std::string &dir = scratch.path();
     ExperimentOptions opts = fastOpts();
     const std::vector<RunSpec> pair = {
         withVariantSpec("gcc", 2, opts),

@@ -29,9 +29,12 @@
 #include "sim/run_spec.hh"
 #include "sim/runner.hh"
 
+#include "scratch_dir.hh"
+
 namespace {
 
 using namespace hs;
+using hs::test::ScratchDir;
 
 /** Tiny cells: the sweep cares about plumbing, not thermal fidelity. */
 ExperimentOptions
@@ -186,9 +189,8 @@ TEST(FaultDeathTest, StoreCrashExitsAfterPublishing)
 {
     RunSpec spec = soloSpec("gcc", chaosOpts());
     RunResult result = executeRunSpec(spec);
-    std::string dir =
-        "hs_fault_death_" + std::to_string(::getpid());
-    ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+    ScratchDir scratch("fault_death");
+    const std::string &dir = scratch.path();
     EXPECT_EXIT(
         {
             ScopedFaultPlan chaos("1:store_crash=1");
@@ -212,8 +214,6 @@ class FaultStoreSite : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = "hs_fault_store_" + std::to_string(::getpid());
-        ASSERT_EQ(std::system(("rm -rf " + dir_).c_str()), 0);
         spec_ = soloSpec("gcc", chaosOpts());
         result_ = executeRunSpec(spec_);
     }
@@ -224,14 +224,14 @@ class FaultStoreSite : public ::testing::Test
         installFaultPlan(nullptr);
     }
 
-    std::string dir_;
+    ScratchDir dir_{"fault_store"};
     RunSpec spec_;
     RunResult result_;
 };
 
 TEST_F(FaultStoreSite, TornWritePublishesButNeverServes)
 {
-    DiskResultStore store(dir_);
+    DiskResultStore store(dir_.path());
     {
         ScopedFaultPlan chaos("1:store_torn_write=1");
         EXPECT_TRUE(store.store(spec_, result_));
@@ -249,7 +249,7 @@ TEST_F(FaultStoreSite, TornWritePublishesButNeverServes)
 
 TEST_F(FaultStoreSite, ChecksumFlipPublishesButNeverServes)
 {
-    DiskResultStore store(dir_);
+    DiskResultStore store(dir_.path());
     {
         ScopedFaultPlan chaos("1:store_checksum_flip=1");
         EXPECT_TRUE(store.store(spec_, result_));
@@ -261,7 +261,7 @@ TEST_F(FaultStoreSite, ChecksumFlipPublishesButNeverServes)
 
 TEST_F(FaultStoreSite, RenameFailureLosesOnlyPersistence)
 {
-    DiskResultStore store(dir_);
+    DiskResultStore store(dir_.path());
     {
         ScopedFaultPlan chaos("1:store_rename_fail=1");
         EXPECT_FALSE(store.store(spec_, result_));
@@ -272,7 +272,7 @@ TEST_F(FaultStoreSite, RenameFailureLosesOnlyPersistence)
     // No temp litter left behind for prune to trip over.
     PruneOptions opts;
     opts.sweepCorrupt = true;
-    PruneStats stats = pruneStore(dir_, opts);
+    PruneStats stats = pruneStore(dir_.path(), opts);
     EXPECT_EQ(stats.scanned, 0u);
     EXPECT_EQ(stats.pruned, 0u);
 }
@@ -358,11 +358,10 @@ TEST(ChaosSweep, EverySeededScheduleMatchesFaultFreeRun)
     for (const RunSpec &spec : specs)
         baseline.push_back(executeRunSpec(spec));
 
-    const std::string dir =
-        "hs_chaos_sweep_" + std::to_string(::getpid());
     const int seeds = chaosSeeds();
     for (int seed = 1; seed <= seeds; ++seed) {
-        ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+        ScratchDir scratch("chaos_sweep"); // fresh store per seed
+        const std::string &dir = scratch.path();
         std::string spec =
             std::to_string(seed) +
             ":recv_mid_eof@0.25,connect_fail@0.25,connect_delay@0.5,"
@@ -410,7 +409,6 @@ TEST(ChaosSweep, EverySeededScheduleMatchesFaultFreeRun)
             ASSERT_TRUE(warm[i] == baseline[i])
                 << "seed " << seed << " warm cell " << i;
     }
-    ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
 }
 
 } // namespace

@@ -305,7 +305,7 @@ TEST(RunHealth, HistogramsSurvivePrefixForkBitExact)
     ASSERT_GT(fork, 0u);
 
     RunResult cold = executeRunSpec(spec);
-    RunResult warm = executeFromSnapshot(spec, snap);
+    RunResult warm = executeRunSpec(spec, &snap);
     ASSERT_EQ(cold, warm);
     // operator== excludes histograms; compare them explicitly.
     ASSERT_EQ(cold.histograms.size(), warm.histograms.size());

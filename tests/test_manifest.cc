@@ -23,9 +23,12 @@
 #include "sim/run_spec.hh"
 #include "sim/runner.hh"
 
+#include "scratch_dir.hh"
+
 namespace {
 
 using namespace hs;
+using hs::test::ScratchDir;
 
 ExperimentOptions
 fastOpts()
@@ -45,20 +48,6 @@ smallMatrix()
     specs.push_back(
         soloSpec("gcc", opts).withDtm(DtmMode::SelectiveSedation));
     return specs;
-}
-
-std::string
-freshDir(const std::string &tag)
-{
-    std::string dir = "hs_manifest_test_" + tag + "_" +
-                      std::to_string(::getpid());
-    std::string cmd = "rm -rf " + dir;
-    if (std::system(cmd.c_str()) != 0)
-        ADD_FAILURE() << "cannot clear " << dir;
-    std::string mk = "mkdir -p " + dir;
-    if (std::system(mk.c_str()) != 0)
-        ADD_FAILURE() << "cannot create " << dir;
-    return dir;
 }
 
 std::vector<char>
@@ -94,7 +83,8 @@ TEST(Manifest, MatrixHashPinsMembershipAndOrder)
 
 TEST(Manifest, SaveThenLoadRoundTrips)
 {
-    std::string dir = freshDir("roundtrip");
+    ScratchDir scratch("manifest_test_roundtrip");
+    const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
     CampaignManifest m = makeManifest(specs);
     ASSERT_EQ(m.cells.size(), specs.size());
@@ -110,7 +100,8 @@ TEST(Manifest, SaveThenLoadRoundTrips)
 
 TEST(Manifest, EmptyMatrixRoundTrips)
 {
-    std::string dir = freshDir("empty");
+    ScratchDir scratch("manifest_test_empty");
+    const std::string &dir = scratch.path();
     CampaignManifest m = makeManifest({});
     std::string path = manifestPath(dir);
     ASSERT_TRUE(saveManifest(path, m));
@@ -133,8 +124,7 @@ class ManifestCorruption : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = freshDir("corrupt");
-        path_ = manifestPath(dir_);
+        path_ = manifestPath(dir_.path());
         ASSERT_TRUE(saveManifest(path_, makeManifest(smallMatrix())));
         bytes_ = slurp(path_);
         ASSERT_GT(bytes_.size(), 24u);
@@ -147,7 +137,8 @@ class ManifestCorruption : public ::testing::Test
         EXPECT_EQ(loadManifest(path_, out), ManifestStatus::Corrupt);
     }
 
-    std::string dir_, path_;
+    ScratchDir dir_{"manifest_test_corrupt"};
+    std::string path_;
     std::vector<char> bytes_;
 };
 
@@ -196,7 +187,8 @@ TEST_F(ManifestCorruption, TrailingBytes)
 
 TEST(Campaign, FreshStoreStartsColdThenResumes)
 {
-    std::string dir = freshDir("resume");
+    ScratchDir scratch("manifest_test_resume");
+    const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
     DiskResultStore store(dir);
 
@@ -219,7 +211,8 @@ TEST(Campaign, StaleFormatRecordsCountAsNotStored)
 {
     // A store written by another result format: every record exists
     // but load() rejects it, so a resume must not claim any as stored.
-    std::string dir = freshDir("stale");
+    ScratchDir scratch("manifest_test_stale");
+    const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
     DiskResultStore store(dir);
     for (const RunSpec &spec : specs)
@@ -249,7 +242,8 @@ TEST(Campaign, StaleFormatRecordsCountAsNotStored)
 
 TEST(Campaign, DifferentMatrixReplacesTheManifest)
 {
-    std::string dir = freshDir("replace");
+    ScratchDir scratch("manifest_test_replace");
+    const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
     DiskResultStore store(dir);
     prepareCampaign(store, specs);
@@ -266,7 +260,8 @@ TEST(Campaign, DifferentMatrixReplacesTheManifest)
 
 TEST(Campaign, CorruptManifestIsReplacedNotFatal)
 {
-    std::string dir = freshDir("heal");
+    ScratchDir scratch("manifest_test_heal");
+    const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
     DiskResultStore store(dir);
     prepareCampaign(store, specs);
@@ -285,7 +280,8 @@ TEST(Campaign, ResumeRunsOnlyTheMissingCells)
     // The end-to-end resume contract, in-process: a campaign that
     // stored two of three cells restarts, simulates exactly one cell,
     // and its results match an uninterrupted run bit for bit.
-    std::string dir = freshDir("e2e");
+    ScratchDir scratch("manifest_test_e2e");
+    const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
 
     std::vector<RunResult> uninterrupted;

@@ -24,9 +24,12 @@
 #include "sim/run_spec.hh"
 #include "sim/runner.hh"
 
+#include "scratch_dir.hh"
+
 namespace {
 
 using namespace hs;
+using hs::test::ScratchDir;
 
 ExperimentOptions
 fastOpts()
@@ -34,17 +37,6 @@ fastOpts()
     ExperimentOptions opts;
     opts.timeScale = 20000.0;
     return opts;
-}
-
-std::string
-freshDir(const std::string &tag)
-{
-    std::string dir = "hs_prune_test_" + tag + "_" +
-                      std::to_string(::getpid());
-    std::string cmd = "rm -rf " + dir;
-    if (std::system(cmd.c_str()) != 0)
-        ADD_FAILURE() << "cannot clear " << dir;
-    return dir;
 }
 
 bool
@@ -93,7 +85,8 @@ populate(const std::string &dir, const std::vector<RunSpec> &specs)
 
 TEST(ValidateRecord, AcceptsFreshAndRejectsDamage)
 {
-    std::string dir = freshDir("validate");
+    ScratchDir scratch("prune_test_validate");
+    const std::string &dir = scratch.path();
     RunSpec spec = soloSpec("gcc", fastOpts());
     std::string path = populate(dir, {spec})[0];
 
@@ -117,7 +110,8 @@ TEST(ValidateRecord, AcceptsFreshAndRejectsDamage)
 
 TEST(Prune, RetentionBoundaryIsStrict)
 {
-    std::string dir = freshDir("retention");
+    ScratchDir scratch("prune_test_retention");
+    const std::string &dir = scratch.path();
     ExperimentOptions opts = fastOpts();
     std::vector<RunSpec> specs = {soloSpec("gcc", opts),
                                   soloSpec("mesa", opts)};
@@ -142,7 +136,8 @@ TEST(Prune, RetentionBoundaryIsStrict)
 
 TEST(Prune, ZeroDaysPrunesEverythingAged)
 {
-    std::string dir = freshDir("zerodays");
+    ScratchDir scratch("prune_test_zerodays");
+    const std::string &dir = scratch.path();
     std::vector<std::string> paths =
         populate(dir, {soloSpec("gcc", fastOpts())});
     ageFile(paths[0], 60.0);
@@ -156,7 +151,8 @@ TEST(Prune, ZeroDaysPrunesEverythingAged)
 
 TEST(Prune, DryRunCountsWithoutDeleting)
 {
-    std::string dir = freshDir("dryrun");
+    ScratchDir scratch("prune_test_dryrun");
+    const std::string &dir = scratch.path();
     std::vector<std::string> paths =
         populate(dir, {soloSpec("gcc", fastOpts())});
     ageFile(paths[0], 10.0 * 86400.0);
@@ -177,7 +173,8 @@ TEST(Prune, DryRunCountsWithoutDeleting)
 
 TEST(Prune, SweepCorruptDeletesRegardlessOfAge)
 {
-    std::string dir = freshDir("sweep");
+    ScratchDir scratch("prune_test_sweep");
+    const std::string &dir = scratch.path();
     ExperimentOptions opts = fastOpts();
     std::vector<RunSpec> specs = {soloSpec("gcc", opts),
                                   soloSpec("mesa", opts)};
@@ -199,7 +196,8 @@ TEST(Prune, SweepCorruptDeletesRegardlessOfAge)
 
 TEST(Prune, RefusesEverythingThatIsNotARecord)
 {
-    std::string dir = freshDir("refuse");
+    ScratchDir scratch("prune_test_refuse");
+    const std::string &dir = scratch.path();
     std::vector<std::string> paths =
         populate(dir, {soloSpec("gcc", fastOpts())});
     std::string bucket = paths[0].substr(0, paths[0].rfind('/'));
@@ -234,7 +232,8 @@ TEST(Prune, RefusesEverythingThatIsNotARecord)
 
 TEST(Prune, PrunedStoreStillServesAndRecomputes)
 {
-    std::string dir = freshDir("serve");
+    ScratchDir scratch("prune_test_serve");
+    const std::string &dir = scratch.path();
     ExperimentOptions opts = fastOpts();
     std::vector<RunSpec> specs = {soloSpec("gcc", opts),
                                   soloSpec("mesa", opts)};

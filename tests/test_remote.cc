@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -151,7 +152,8 @@ TEST(RemoteFrames, HelloCarriesCapabilityWord)
                            FrameType::HelloAck, why, &caps))
         << why;
     EXPECT_EQ(caps, localCaps());
-    EXPECT_TRUE(localCaps() & kCapSnapshotCache);
+    // Telemetry is the only optional capability left.
+    EXPECT_EQ(localCaps() & ~kCapTelemetry, 0u);
 }
 
 TEST(RemoteFrames, JobReferenceRoundTrip)
@@ -390,18 +392,36 @@ TEST(RemoteTelemetry, SnapshotShipsOnceThenByReference)
                   {spec.opts.upperThreshold}, 1, snap),
               0u);
     ASSERT_GT(snap.sizeBytes(), 0u);
-    RunResult warm = executeFromSnapshot(spec, snap);
+    RunResult warm = executeRunSpec(spec, &snap);
+
+    // The worker runs forked cells through executeRunSpec() too, so
+    // its telemetry carries the cycles it ticked past the fork.
+    std::mutex mu;
+    std::vector<uint64_t> ticked;
+    setLogEventObserver([&](const LogEventView &ev) {
+        if (std::string(ev.event) != "job_telemetry")
+            return;
+        for (size_t i = 0; i < ev.numFields; ++i)
+            if (std::string(ev.fields[i].key) == "ticked_cycles") {
+                std::lock_guard<std::mutex> lock(mu);
+                ticked.push_back(ev.fields[i].u64);
+            }
+    });
 
     InProcessWorker worker;
     RemoteWorker handle(worker.endpoint());
     ASSERT_TRUE(handle.ensureConnected());
-    ASSERT_TRUE(handle.caps() & kCapSnapshotCache);
+    ASSERT_TRUE(handle.caps() & kCapTelemetry);
 
     RunResult r1, r2;
     ASSERT_TRUE(handle.runJob(0, spec, &snap, r1));
     ASSERT_TRUE(handle.runJob(1, spec, &snap, r2));
+    setLogEventObserver(nullptr);
     EXPECT_TRUE(r1 == warm);
     EXPECT_TRUE(r2 == warm);
+    ASSERT_EQ(ticked.size(), 2u);
+    EXPECT_GT(ticked[0], 0u);
+    EXPECT_EQ(ticked[1], ticked[0]);
 
     // The first job carried the payload, the second only its hash.
     const WorkerTelemetry &wt = handle.telemetry();

@@ -188,10 +188,16 @@ TEST(Snapshot, RestoreThenRunIsBitIdenticalAndRepeatable)
     EXPECT_GT(snap.sizeBytes(), 0u);
 
     RunResult cold = executeRunSpec(spec);
-    RunResult warm1 = executeFromSnapshot(spec, snap);
-    RunResult warm2 = executeFromSnapshot(spec, snap);
+    SimProfile prof;
+    RunResult warm1 = executeRunSpec(spec, &snap, &prof);
+    RunResult warm2 = executeRunSpec(spec, &snap);
     EXPECT_EQ(warm1, warm2);
     EXPECT_EQ(cold, warm1);
+    // Cold, forked and remote cells share this one path; its profile
+    // accounts exactly the cycles run past the fork, and one restore.
+    EXPECT_EQ(prof.tickedCycles + prof.stalledCycles,
+              warm1.cycles - snap.cycle);
+    EXPECT_EQ(prof.snapshotOps, 1u);
 }
 
 /**
@@ -222,14 +228,14 @@ TEST(Snapshot, UsageCellForksBeforeItsTrigger)
     SimSnapshot later;
     EXPECT_GT(makePrefixSimulator(attack)->runPrefix({rule.temp}, 4, later),
               fork);
-    EXPECT_EQ(executeFromSnapshot(attack, snap), executeRunSpec(attack));
+    EXPECT_EQ(executeRunSpec(attack, &snap), executeRunSpec(attack));
 
     RunSpec pair = specPairSpec("gcc", "mesa", sedationOpts(356.0));
     pair.opts.sedationUsageThreshold = true;
     const SimConfig cfg = makeSimulator(pair)->config();
     fork = makePrefixSimulator(pair)->runPrefix(divergeRule(cfg), 4, snap);
     EXPECT_GT(fork, cfg.quantumCycles - cfg.sensorInterval);
-    EXPECT_EQ(executeFromSnapshot(pair, snap), executeRunSpec(pair));
+    EXPECT_EQ(executeRunSpec(pair, &snap), executeRunSpec(pair));
 }
 
 TEST(Snapshot, PrefixEngagesOnInnocentThresholdSweep)
@@ -478,7 +484,7 @@ TEST(Snapshot, TracerRoundTripsThroughSaveRestore)
     ASSERT_GT(fork, 0u);
 
     RunResult cold = executeRunSpec(spec);
-    RunResult warm = executeFromSnapshot(spec, snap);
+    RunResult warm = executeRunSpec(spec, &snap);
     EXPECT_EQ(cold, warm); // operator== covers traceEvents
 
     // The restored run's trace really is a concatenation: it contains
@@ -521,8 +527,8 @@ TEST(Snapshot, MultiCoreRoundTripIsBitIdentical)
     ASSERT_FALSE(snap.empty());
 
     RunResult cold = executeRunSpec(spec);
-    RunResult warm1 = executeFromSnapshot(spec, snap);
-    RunResult warm2 = executeFromSnapshot(spec, snap);
+    RunResult warm1 = executeRunSpec(spec, &snap);
+    RunResult warm2 = executeRunSpec(spec, &snap);
     EXPECT_EQ(warm1, warm2);
     EXPECT_EQ(cold, warm1); // covers cores[], threads[].core, traces
 
@@ -549,24 +555,25 @@ TEST(SnapshotDeathTest, MultiCoreSnapshotRefusesOtherTopologies)
                 testing::ExitedWithCode(1), "incompatible");
 }
 
-// --- HS_PREFIX environment knob ----------------------------------------
+// --- runPrefix()/save()/restore() preconditions --------------------------
 
-TEST(Snapshot, EnvPrefixDefaultsOn)
+TEST(SnapshotDeathTest, PrefixRefusesLiveThresholdsAndUsedSimulators)
 {
-    unsetenv("HS_PREFIX");
-    EXPECT_TRUE(ParallelRunner(1).prefixSharing());
-}
+    // A prefix must run with neutralised thresholds: the attack's
+    // stop-and-go would stall the pipeline at the first sample, and a
+    // rule that never fires lets the prefix reach it.
+    RunSpec attack = withVariantSpec("gcc", 1, fastOpts());
+    SimSnapshot snap;
+    EXPECT_EXIT(makeSimulator(attack)->runPrefix(DivergeRule{}, 1, snap),
+                testing::ExitedWithCode(1), "not neutralised");
 
-TEST(Snapshot, EnvPrefixZeroDisables)
-{
-    setenv("HS_PREFIX", "0", 1);
-    EXPECT_FALSE(ParallelRunner(1).prefixSharing());
-    setenv("HS_PREFIX", "1", 1);
-    EXPECT_TRUE(ParallelRunner(1).prefixSharing());
-    unsetenv("HS_PREFIX");
+    // Only a freshly constructed simulator may run a prefix.
+    RunSpec spec = specPairSpec("gcc", "mesa", sedationOpts(356.0));
+    auto used = makePrefixSimulator(spec);
+    used->run();
+    EXPECT_EXIT(used->runPrefix({spec.opts.upperThreshold}, 4, snap),
+                testing::ExitedWithCode(1), "freshly constructed");
 }
-
-// --- save()/restore() preconditions ------------------------------------
 
 TEST(SnapshotDeathTest, SaveRejectsNonBoundaryCycles)
 {

@@ -27,9 +27,12 @@
 #include "sim/runner.hh"
 #include "sim/status.hh"
 
+#include "scratch_dir.hh"
+
 namespace {
 
 using namespace hs;
+using hs::test::ScratchDir;
 
 /** One GET against @p port; @return the response body. */
 std::string
@@ -82,10 +85,8 @@ TEST(StatusEndpoint, HalfWarmMatrixServesTheRunnersTally)
         soloSpec("mesa", opts), withVariantSpec("gcc", 2, opts)};
     const size_t stored = 2;
 
-    std::string dir =
-        "hs_store_test_status_" + std::to_string(::getpid());
-    ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
-    DiskResultStore disk(dir);
+    ScratchDir dir("store_test_status");
+    DiskResultStore disk(dir.path());
     for (size_t i = 0; i < stored; ++i)
         ASSERT_TRUE(disk.store(specs[i], executeRunSpec(specs[i])));
 
