@@ -36,9 +36,6 @@ class DtmControl
     /** Stop-and-go: gate the entire pipeline clock. */
     virtual void stallPipeline(bool stalled) = 0;
 
-    /** @return true while the pipeline is globally stalled. */
-    virtual bool pipelineStalled() const = 0;
-
     /** Selective sedation: stop fetching from @p tid. */
     virtual void sedateThread(ThreadId tid, bool sedated) = 0;
 
@@ -54,9 +51,6 @@ class DtmControl
 
     /** DVFS-style throttle: run the pipeline every @p k cycles. */
     virtual void throttlePipeline(int every_k) = 0;
-
-    /** Number of hardware contexts. */
-    virtual int numThreads() const = 0;
 
     /** @return true if context @p tid has a runnable program. */
     virtual bool threadActive(ThreadId tid) const = 0;

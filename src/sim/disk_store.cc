@@ -1,6 +1,5 @@
 #include "sim/disk_store.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -32,7 +31,7 @@ struct StoreHeader
     uint32_t version = kResultFormatVersion;
     uint64_t keyBytes = 0;
     uint64_t payloadBytes = 0;
-    uint64_t checksum = 0; ///< FNV-1a over key echo + payload
+    uint64_t checksum = 0; ///< checksum64 over key echo + payload
 };
 
 /** mkdir -p for the two-level store layout; EEXIST is success. */
@@ -130,8 +129,8 @@ readRecord(const std::string &path, const std::string *key)
     rec.payloadBytes = static_cast<size_t>(hdr.payloadBytes);
     // The echo and the payload are contiguous: one pass covers both,
     // so a payload spliced under another cell's echo cannot pass.
-    if (fnv1a64(rec.bytes.data() + sizeof(hdr),
-                hdr.keyBytes + hdr.payloadBytes) != hdr.checksum)
+    if (checksum64(rec.bytes.data() + sizeof(hdr),
+                   hdr.keyBytes + hdr.payloadBytes) != hdr.checksum)
         return reject("record checksum mismatch");
     return rec;
 }
@@ -214,13 +213,20 @@ DiskResultStore::store(const std::string &key, const RunResult &result)
         return false;
     }
 
-    std::vector<uint8_t> payload = encodeRunResult(result);
+    // The whole record is assembled in one buffer and goes out in one
+    // write(), the mirror of the reader's single read(): a header
+    // slot (filled in below), the key echo, then the payload
+    // serialised in place behind it.
+    std::vector<uint8_t> image;
+    StateWriter w(image);
     StoreHeader hdr;
+    w.put(hdr);
+    w.putBytes(key.data(), key.size());
+    saveRunResult(w, result);
     hdr.keyBytes = key.size();
-    hdr.payloadBytes = payload.size();
-    hdr.checksum = fnv1a64(
-        payload.data(), payload.size(),
-        fnv1a64(reinterpret_cast<const uint8_t *>(key.data()), key.size()));
+    hdr.payloadBytes = image.size() - sizeof(hdr) - key.size();
+    hdr.checksum =
+        checksum64(image.data() + sizeof(hdr), image.size() - sizeof(hdr));
 
     // Write to a hidden per-process temp name in the target directory,
     // then rename() into place: readers never observe a partial file,
@@ -237,15 +243,9 @@ DiskResultStore::store(const std::string &key, const RunResult &result)
     // outright. All of them must cost at most a recompute.
     if (faultFire("store_checksum_flip"))
         hdr.checksum ^= 1;
-    size_t payloadWrite = payload.size();
     if (faultFire("store_torn_write"))
-        payloadWrite = payload.size() / 2;
-    // The whole record goes out in one write(), the mirror of the
-    // reader's single read().
-    std::vector<uint8_t> image(sizeof(hdr) + key.size() + payloadWrite);
+        image.resize(sizeof(hdr) + key.size() + hdr.payloadBytes / 2);
     std::memcpy(image.data(), &hdr, sizeof(hdr));
-    auto body = std::copy(key.begin(), key.end(), image.begin() + sizeof(hdr));
-    std::copy_n(payload.begin(), payloadWrite, body);
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                     0666);
     if (fd < 0) {

@@ -15,7 +15,7 @@
  * .hsr file is a self-validating record:
  *
  *     magic "HSR1" | format version | key length | payload length
- *     | FNV-1a checksum | canonical key | payload (serialised RunResult)
+ *     | checksum64 | canonical key | payload (serialised RunResult)
  *
  * The full canonical key rides along as the config echo: a lookup only
  * hits when the stored key matches byte-for-byte, so a (vanishingly
@@ -23,7 +23,9 @@
  * key layout changed is recomputed instead of served wrong. The
  * checksum covers the echo and the payload together (since format
  * version 2), so one cell's payload spliced under another cell's echo
- * is rejected too. Writes go
+ * is rejected too; since version 3 it is checksum64() rather than
+ * FNV-1a, and records of older versions are refused and recomputed.
+ * Writes go
  * through a hidden temp file in the same directory plus rename(), so
  * concurrent writers — sibling workers, other hosts on a shared
  * filesystem — can race on one cell and the loser simply overwrites

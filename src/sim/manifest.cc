@@ -15,7 +15,8 @@ namespace hs {
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x314d5348; // "HSM1", little-endian
-constexpr uint32_t kManifestVersion = 1;
+/// 2: the cell-list checksum is checksum64(), not FNV-1a.
+constexpr uint32_t kManifestVersion = 2;
 
 /** Fixed-size manifest header; the cell hash array follows it. */
 struct ManifestHeader
@@ -41,8 +42,8 @@ struct File
 uint64_t
 cellsChecksum(const std::vector<uint64_t> &cells)
 {
-    return fnv1a64(reinterpret_cast<const uint8_t *>(cells.data()),
-                   cells.size() * sizeof(uint64_t));
+    return checksum64(reinterpret_cast<const uint8_t *>(cells.data()),
+                      cells.size() * sizeof(uint64_t));
 }
 
 /** The manifest of a matrix whose cell hashes are @p cells: the
@@ -214,15 +215,19 @@ prepareCampaign(DiskResultStore &store,
     }
 
     // Records of another result format all fail load(), so none of
-    // them counts as stored. The first record with a readable header
-    // stands for the whole store: one read, not one per cell.
+    // them counts as stored, and neither does a record whose header
+    // cannot be read (short, or bad magic). The first record with a
+    // readable header stands for the whole store: one read, not one
+    // per cell.
     uint32_t format = 0;
     for (uint64_t cell : fresh.cells) {
         if (!store.contains(cell))
             continue;
         if (format == 0) {
-            format = store.entryFormat(cell); // 0: no readable header
-            if (format != 0 && format != kResultFormatVersion) {
+            format = store.entryFormat(cell);
+            if (format == 0)
+                continue; // no readable header: load() would reject it
+            if (format != kResultFormatVersion) {
                 warn("manifest: store '%s' holds result-format %u "
                      "records, this build reads format %u; its cells "
                      "will be recomputed",

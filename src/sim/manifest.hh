@@ -16,10 +16,12 @@
  * On-disk format (all fields little-endian, fixed width):
  *
  *     magic "HSM1" | format version | matrix hash | cell count
- *     | cell spec hashes... | FNV-1a checksum of the hash array
+ *     | cell spec hashes... | checksum64 of the hash array
  *
  * The matrix hash is FNV-1a chained over the cell hashes in order, so
- * it pins both membership and submission order. Writes are atomic
+ * it pins both membership and submission order; the checksum only
+ * guards the bytes (format version 2; version 1 used FNV-1a there and
+ * is refused). Writes are atomic
  * (hidden temp file + rename, like .hsr records); every load failure
  * — truncation, bad magic, version skew, checksum mismatch — degrades
  * to "no manifest": the campaign starts fresh and overwrites it,

@@ -105,7 +105,8 @@ checkHello(const std::vector<uint8_t> &frame, FrameType expected,
 }
 
 std::vector<uint8_t>
-encodeJob(uint64_t id, const RunSpec &spec, const SimSnapshot *snap)
+encodeJob(uint64_t id, const RunSpec &spec, const SimSnapshot *snap,
+          uint64_t snapshot_hash)
 {
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
@@ -115,7 +116,7 @@ encodeJob(uint64_t id, const RunSpec &spec, const SimSnapshot *snap)
     w.put<uint8_t>(static_cast<uint8_t>(
         snap ? RemoteJob::SnapMode::Inline : RemoteJob::SnapMode::None));
     if (snap) {
-        w.put<uint64_t>(fnv1a64(snap->bytes.data(), snap->bytes.size()));
+        w.put<uint64_t>(snapshot_hash);
         w.put<uint64_t>(snap->cycle);
         w.putVec(snap->bytes);
     }
@@ -441,6 +442,19 @@ serveConnection(Socket &conn, uint64_t &jobsDone)
           case RemoteJob::SnapMode::None:
             break;
           case RemoteJob::SnapMode::Inline:
+            // The hash is the cache key every later reference names,
+            // so it must be the hash of these bytes: a snapshot damaged
+            // after hashing would fork every sibling from bad state.
+            // Refuse it; the coordinator requeues the cell locally.
+            if (checksum64(job.snapshot.bytes.data(),
+                           job.snapshot.bytes.size()) != job.snapshotHash) {
+                warn("worker: snapshot for job %llu fails its checksum; "
+                     "dropping connection",
+                     static_cast<unsigned long long>(job.id));
+                logEvent("worker", "snapshot_corrupt", LogSeverity::Warn,
+                         {LogField::num("job", job.id)});
+                return false;
+            }
             snap = &(snapshotCache[job.snapshotHash] =
                          std::move(job.snapshot));
             break;
@@ -587,13 +601,15 @@ RemoteWorker::runJob(uint64_t id, const RunSpec &spec,
     // group send its content hash instead of its bytes.
     std::vector<uint8_t> jobFrame;
     uint64_t snapBytes = snap ? snap->bytes.size() : 0;
+    // One checksum per job: it both names the snapshot for the
+    // worker's cache and lets the worker verify the inline bytes.
     uint64_t hash =
-        snap ? fnv1a64(snap->bytes.data(), snap->bytes.size()) : 0;
+        snap ? checksum64(snap->bytes.data(), snap->bytes.size()) : 0;
     if (snap && shippedSnapshots_.count(hash)) {
         jobFrame = encodeJobRef(id, spec, hash);
         telemetry_.snapshotBytesSaved += snapBytes;
     } else {
-        jobFrame = encodeJob(id, spec, snap);
+        jobFrame = encodeJob(id, spec, snap, hash);
         if (snap)
             shippedSnapshots_.insert(hash);
         telemetry_.snapshotBytesSent += snapBytes;

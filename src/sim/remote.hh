@@ -17,9 +17,10 @@
  *                                     format version, capability bits
  *   worker -> coordinator   HelloAck  the same tuple, the worker's own
  *   coordinator -> worker   Job       job id, RunSpec, optional warm-up
- *                                     snapshot — inline on first use
- *                                     over a connection, by content
- *                                     hash on repeats
+ *                                     snapshot — inline with its
+ *                                     checksum64 on first use over a
+ *                                     connection (the worker verifies
+ *                                     it), by that checksum on repeats
  *   worker -> coordinator   Result    job id, RunResult, optional
  *                                     per-job telemetry block
  *   worker -> coordinator   Heartbeat jobs done, uptime, current cell
@@ -65,7 +66,10 @@ constexpr uint32_t kRemoteMagic = 0x50525348;
 /** Bump on any wire-protocol change; peers must match exactly.
  *  v2: capability word in the handshake, snapshot-by-reference jobs,
  *  telemetry blocks on Result frames, Heartbeat frames.
- *  v3: snapshot-by-reference is unconditional (no capability bit). */
+ *  v3: snapshot-by-reference is unconditional (no capability bit).
+ *  The snapshot hash in Job frames became checksum64() with result
+ *  format 3; the handshake's result-format echo already refuses an
+ *  older peer, so that change needed no protocol bump. */
 constexpr uint32_t kRemoteProtocolVersion = 3;
 
 /** Capability bits carried in the handshake (negotiated by AND). */
@@ -173,15 +177,17 @@ struct RemoteJob
     uint64_t id = 0;
     RunSpec spec;
     SnapMode snapMode = SnapMode::None;
-    uint64_t snapshotHash = 0; ///< fnv1a64 of snapshot.bytes
+    uint64_t snapshotHash = 0; ///< checksum64 of snapshot.bytes
     SimSnapshot snapshot;      ///< payload (Inline only)
 
     bool hasSnapshot() const { return snapMode != SnapMode::None; }
 };
 
-/** Encode a cold or inline-snapshot job (hash computed from @p snap). */
+/** Encode a cold or inline-snapshot job; @p snapshot_hash is
+ *  checksum64() of @p snap's bytes (ignored when @p snap is null). */
 std::vector<uint8_t> encodeJob(uint64_t id, const RunSpec &spec,
-                               const SimSnapshot *snap);
+                               const SimSnapshot *snap,
+                               uint64_t snapshot_hash);
 /** Encode a snapshot-by-reference job. */
 std::vector<uint8_t> encodeJobRef(uint64_t id, const RunSpec &spec,
                                   uint64_t snapshot_hash);

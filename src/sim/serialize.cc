@@ -1,5 +1,7 @@
 #include "sim/serialize.hh"
 
+#include <cstring>
+
 namespace hs {
 
 uint64_t
@@ -10,6 +12,61 @@ fnv1a64(const uint8_t *data, size_t size, uint64_t seed)
         h ^= data[i];
         h *= 0x100000001b3ull;
     }
+    return h;
+}
+
+namespace {
+
+constexpr uint64_t kLaneMul = 0x9e3779b97f4a7c15ull; // odd
+
+/** One lane step. A bijection of @p word for a fixed @p h (xor, a
+ *  multiply by an odd constant, an xorshift), and of @p h for a fixed
+ *  word, so a changed word changes the lane and every later state. */
+inline uint64_t
+mixWord(uint64_t h, uint64_t word)
+{
+    h = (h ^ word) * kLaneMul;
+    return h ^ (h >> 32);
+}
+
+inline uint64_t
+loadWord(const uint8_t *p)
+{
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+}
+
+} // namespace
+
+uint64_t
+checksum64(const uint8_t *data, size_t size)
+{
+    // Four lanes with distinct starts (hex digits of pi): a 32-byte
+    // block feeds one word to each, and the lanes' multiplies overlap.
+    uint64_t lane[4] = {0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
+                        0xa4093822299f31d0ull, 0x082efa98ec4e6c89ull};
+    size_t i = 0;
+    for (; i + 32 <= size; i += 32)
+        for (size_t k = 0; k < 4; ++k)
+            lane[k] = mixWord(lane[k], loadWord(data + i + 8 * k));
+    for (size_t k = 0; i + 8 <= size; i += 8, ++k)
+        lane[k] = mixWord(lane[k], loadWord(data + i));
+    uint64_t tail = 0;
+    if (i < size)
+        std::memcpy(&tail, data + i, size - i);
+
+    uint64_t h = 0;
+    for (uint64_t l : lane)
+        h = mixWord(h, l);
+    h = mixWord(mixWord(h, tail), size);
+    // MurmurHash3's 64-bit finaliser: a bijection that spreads every
+    // input bit over the whole sum.
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
     return h;
 }
 

@@ -38,12 +38,29 @@ namespace hs {
 
 /** Layout version of the serialised RunSpec/RunResult records and of
  *  the .hsr record around them. Bump on any field change; readers
- *  reject other versions. 2: the .hsr checksum covers the key echo. */
-constexpr uint32_t kResultFormatVersion = 2;
+ *  reject other versions. 2: the .hsr checksum covers the key echo.
+ *  3: that checksum is checksum64(), not FNV-1a. */
+constexpr uint32_t kResultFormatVersion = 3;
 
-/** FNV-1a 64-bit over an arbitrary byte range (store checksums). */
+/**
+ * FNV-1a 64-bit over an arbitrary byte range. The hash for addresses
+ * and identities: canonical keys (keyHash(), RunSpec::hash()) and the
+ * manifest's matrix hash. Its values are pinned by stores on disk.
+ */
 uint64_t fnv1a64(const uint8_t *data, size_t size,
                  uint64_t seed = 0xcbf29ce484222325ull);
+
+/**
+ * 64-bit integrity checksum over an arbitrary byte range: the sum
+ * every record, manifest and shipped snapshot is checked with. Reads
+ * 8-byte words (host order, little-endian like every format here)
+ * into four independent multiply-xor lanes (the tail bytes and the
+ * length are folded in last), so it runs at memory speed where
+ * FNV-1a's one multiply per byte does not. Every
+ * step is a bijection of the word it takes in, so any change confined
+ * to one word — any single-bit flip — changes the sum.
+ */
+uint64_t checksum64(const uint8_t *data, size_t size);
 
 /** Append @p spec to @p w ("SPEC"-tagged section). */
 void saveRunSpec(StateWriter &w, const RunSpec &spec);

@@ -298,12 +298,6 @@ Simulator::CoreState::stallPipeline(bool stalled)
 }
 
 bool
-Simulator::CoreState::pipelineStalled() const
-{
-    return pipeline->globalStalled();
-}
-
-bool
 Simulator::CoreState::isDescheduled(ThreadId tid) const
 {
     return std::find(descheduled.begin(), descheduled.end(), tid) !=
@@ -341,12 +335,6 @@ void
 Simulator::CoreState::throttlePipeline(int every_k)
 {
     pipeline->setThrottle(every_k);
-}
-
-int
-Simulator::CoreState::numThreads() const
-{
-    return pipeline->numThreads();
 }
 
 bool

@@ -302,11 +302,9 @@ class Simulator
         std::vector<Kelvin> tempsBuf; ///< reused per sensor sample
 
         void stallPipeline(bool stalled) override;
-        bool pipelineStalled() const override;
         void sedateThread(ThreadId tid, bool sedated) override;
         void throttleThread(ThreadId tid, int every_k) override;
         void throttlePipeline(int every_k) override;
-        int numThreads() const override;
         bool threadActive(ThreadId tid) const override;
         /** @return true for a thread the OS descheduled: it stays
          *  sedated whatever the hardware policy decides afterwards. */

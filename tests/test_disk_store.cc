@@ -332,6 +332,47 @@ TEST(DiskStoreSplice, VersionOneRecordIsRecomputed)
 }
 
 /**
+ * A record as a format-version-2 build wrote it (FNV-1a over the key
+ * echo and the payload) is refused on its version, before the checksum
+ * is consulted, and recomputed.
+ */
+TEST(DiskStoreSplice, VersionTwoRecordIsRecomputed)
+{
+    ExperimentOptions opts;
+    opts.timeScale = 20000.0;
+    const RunSpec spec = soloSpec("gcc", opts);
+    const RunResult result = executeRunSpec(spec);
+    ScratchDir dir("store_test_v2");
+    DiskResultStore store(dir.path());
+    ASSERT_TRUE(store.store(spec, result));
+    const std::string path = store.entryPath(spec.hash());
+    std::vector<char> v2 = slurp(path);
+    const uint32_t two = 2;
+    std::memcpy(v2.data() + kVersionAt, &two, sizeof(two));
+    poke64(v2, kChecksumAt,
+           fnv1a64(reinterpret_cast<const uint8_t *>(v2.data()) +
+                       kHeaderBytes,
+                   v2.size() - kHeaderBytes));
+    spit(path, v2);
+
+    std::string why;
+    EXPECT_FALSE(validateRecordFile(path, why));
+    EXPECT_EQ(why, "result-format version mismatch");
+    ResultStore mem;
+    mem.attachDisk(&store);
+    ResultStore::Source src = ResultStore::Source::Memory;
+    RunResult served = mem.getOrCompute(
+        spec, [&] { return executeRunSpec(spec); }, &src);
+    EXPECT_EQ(src, ResultStore::Source::Computed);
+    EXPECT_TRUE(served == result);
+    EXPECT_EQ(store.corrupt(), 1u);
+    // The recompute rewrote the record in the current format.
+    RunResult out;
+    EXPECT_EQ(store.load(spec, out), DiskResultStore::LoadStatus::Hit);
+    EXPECT_TRUE(out == result);
+}
+
+/**
  * Every reason the record reader can give, through both entry points:
  * load() (Corrupt, logged with the reason, then a correct recompute)
  * and validateRecordFile() (false plus the reason). The config-echo

@@ -13,14 +13,12 @@ class FakeControl : public DtmControl
 {
   public:
     void stallPipeline(bool s) override { stalled = s; }
-    bool pipelineStalled() const override { return stalled; }
     void
     sedateThread(ThreadId tid, bool s) override
     {
         gated[static_cast<size_t>(tid)] = s;
     }
     void throttlePipeline(int k) override { throttle = k; }
-    int numThreads() const override { return 2; }
     bool threadActive(ThreadId) const override { return true; }
 
     bool stalled = false;

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "sim/result_store.hh"
 #include "sim/run_spec.hh"
 #include "sim/runner.hh"
+#include "sim/serialize.hh"
 
 #include "scratch_dir.hh"
 
@@ -185,6 +187,21 @@ TEST_F(ManifestCorruption, TrailingBytes)
     expectCorrupt();
 }
 
+TEST_F(ManifestCorruption, VersionOneManifestIsRefused)
+{
+    // The manifest as a version-1 build wrote it: the same layout,
+    // with an FNV-1a checksum over the cell-hash array.
+    const uint32_t one = 1;
+    std::memcpy(bytes_.data() + 4, &one, sizeof(one));
+    const size_t cellsAt = 24, sumAt = bytes_.size() - 8;
+    const uint64_t fnv = fnv1a64(
+        reinterpret_cast<const uint8_t *>(bytes_.data()) + cellsAt,
+        sumAt - cellsAt);
+    std::memcpy(bytes_.data() + sumAt, &fnv, sizeof(fnv));
+    spit(path_, bytes_);
+    expectCorrupt();
+}
+
 TEST(Campaign, FreshStoreStartsColdThenResumes)
 {
     ScratchDir scratch("manifest_test_resume");
@@ -220,10 +237,10 @@ TEST(Campaign, StaleFormatRecordsCountAsNotStored)
     EXPECT_EQ(prepareCampaign(store, specs).storedCells, specs.size());
 
     // A record with no readable header is corrupt, not of another
-    // format: the next record's header decides.
+    // format: it is not stored, and the next record's header decides.
     spit(store.entryPath(specs[0].hash()), {'H', 'S'});
     EXPECT_EQ(store.entryFormat(specs[0].hash()), 0u);
-    EXPECT_EQ(prepareCampaign(store, specs).storedCells, specs.size());
+    EXPECT_EQ(prepareCampaign(store, specs).storedCells, specs.size() - 1);
 
     for (size_t i = 1; i < specs.size(); ++i) {
         std::string path = store.entryPath(specs[i].hash());
@@ -238,6 +255,31 @@ TEST(Campaign, StaleFormatRecordsCountAsNotStored)
     CampaignResume res = prepareCampaign(store, specs);
     EXPECT_TRUE(res.resumed);
     EXPECT_EQ(res.storedCells, 0u);
+}
+
+TEST(Campaign, UnreadableHeadersCountAsNotStored)
+{
+    // Every cell has a file, but none has a header load() could read:
+    // a short one, one with bad magic, one of zeros. A resume must not
+    // claim any of them as stored.
+    ScratchDir scratch("manifest_test_garbage");
+    std::vector<RunSpec> specs = smallMatrix();
+    DiskResultStore store(scratch.path());
+    const std::vector<std::vector<char>> garbage = {
+        {'H', 'S', 'R'},
+        std::vector<char>(64, 'x'),
+        std::vector<char>(64, 0),
+    };
+    for (size_t i = 0; i < specs.size(); ++i) {
+        std::string path = store.entryPath(specs[i].hash());
+        ASSERT_EQ(std::system(("mkdir -p " +
+                               path.substr(0, path.rfind('/'))).c_str()),
+                  0);
+        spit(path, garbage[i]);
+        ASSERT_TRUE(store.contains(specs[i].hash()));
+        EXPECT_EQ(store.entryFormat(specs[i].hash()), 0u);
+    }
+    EXPECT_EQ(prepareCampaign(store, specs).storedCells, 0u);
 }
 
 TEST(Campaign, DifferentMatrixReplacesTheManifest)

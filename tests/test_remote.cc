@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include "sim/result_store.hh"
 #include "sim/run_spec.hh"
 #include "sim/runner.hh"
+#include "sim/serialize.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -109,7 +111,7 @@ TEST(RemoteFrames, HelloValidatesAndRefuses)
 TEST(RemoteFrames, JobRoundTripWithoutSnapshot)
 {
     RunSpec spec = soloSpec("gcc", fastOpts());
-    std::vector<uint8_t> frame = encodeJob(42, spec, nullptr);
+    std::vector<uint8_t> frame = encodeJob(42, spec, nullptr, 0);
     ASSERT_FALSE(frame.empty());
     EXPECT_EQ(frame[0], static_cast<uint8_t>(FrameType::Job));
 
@@ -127,10 +129,12 @@ TEST(RemoteFrames, JobRoundTripCarriesSnapshot)
     snap.cycle = 1234;
     snap.bytes = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x42};
 
-    RemoteJob job = decodeJob(encodeJob(7, spec, &snap));
+    const uint64_t hash = checksum64(snap.bytes.data(), snap.bytes.size());
+    RemoteJob job = decodeJob(encodeJob(7, spec, &snap, hash));
     EXPECT_EQ(job.id, 7u);
     ASSERT_TRUE(job.hasSnapshot());
     EXPECT_EQ(job.snapMode, RemoteJob::SnapMode::Inline);
+    EXPECT_EQ(job.snapshotHash, hash);
     EXPECT_EQ(job.snapshot.cycle, snap.cycle);
     EXPECT_EQ(job.snapshot.bytes, snap.bytes);
 }
@@ -337,6 +341,144 @@ TEST(RemoteEndToEnd, DeadWorkerFallsBackLocally)
     ASSERT_EQ(results.size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i)
         EXPECT_TRUE(results[i] == serial[i]) << "cell " << i;
+}
+
+/**
+ * A relay between a coordinator and one worker, for one connection,
+ * that flips the last byte of every Job frame carrying an inline
+ * snapshot: the snapshot's own bytes, after the coordinator hashed
+ * them. Everything else passes through unchanged.
+ */
+class TamperingProxy
+{
+  public:
+    explicit TamperingProxy(Endpoint worker)
+        : listener_(tcpListen(0)), port_(localPort(listener_))
+    {
+        thread_ = std::thread([this, worker] { relay(worker); });
+    }
+
+    ~TamperingProxy()
+    {
+        if (thread_.joinable())
+            thread_.join();
+    }
+
+    Endpoint endpoint() const { return Endpoint{"127.0.0.1", port_}; }
+
+    /** Wait for the connection to end; @return the frames altered. */
+    int
+    finish()
+    {
+        thread_.join();
+        return tampered_;
+    }
+
+  private:
+    void
+    relay(const Endpoint &worker)
+    {
+        Socket coord = tcpAccept(listener_, 30000);
+        if (!coord.valid())
+            return;
+        Socket work = tcpConnect(worker.host, worker.port);
+        std::vector<uint8_t> frame;
+        while (work.valid() &&
+               recvFrame(coord, frame, 30000) == RecvStatus::Ok &&
+               !frame.empty()) {
+            const auto type = static_cast<FrameType>(frame[0]);
+            if (type == FrameType::Job &&
+                decodeJob(frame).snapMode == RemoteJob::SnapMode::Inline) {
+                frame.back() ^= 0x01;
+                ++tampered_;
+            }
+            if (!sendFrame(work, frame) || type == FrameType::Shutdown)
+                return;
+            // The worker's answer, after any heartbeats; a worker that
+            // drops the connection ends the relay, closing both ends.
+            do {
+                if (recvFrame(work, frame, 30000) != RecvStatus::Ok ||
+                    frame.empty() || !sendFrame(coord, frame))
+                    return;
+            } while (frame[0] == static_cast<uint8_t>(FrameType::Heartbeat));
+        }
+    }
+
+    Socket listener_;
+    uint16_t port_ = 0;
+    int tampered_ = 0;
+    std::thread thread_;
+};
+
+/**
+ * A snapshot damaged after the coordinator hashed it is refused by the
+ * worker, which drops the connection; the coordinator recomputes the
+ * cell locally, so the matrix still equals a cold run.
+ */
+TEST(RemoteEndToEnd, TamperedSnapshotIsRefusedAndRecomputedLocally)
+{
+    // One divergence group: sedation cells that differ only in their
+    // thresholds, so every cell forks from the shared prefix and every
+    // first job on a connection carries the snapshot inline.
+    ExperimentOptions opts = fastOpts();
+    opts.dtm = DtmMode::SelectiveSedation;
+    std::vector<RunSpec> specs;
+    for (double upper : {356.0, 356.5, 357.0, 357.5}) {
+        opts.upperThreshold = upper;
+        opts.lowerThreshold = upper - 1.0;
+        specs.push_back(specPairSpec("gcc", "mesa", opts));
+    }
+    std::vector<RunResult> cold;
+    for (const RunSpec &spec : specs)
+        cold.push_back(executeRunSpec(spec));
+
+    std::atomic<int> refusals{0};
+    setLogEventObserver([&](const LogEventView &ev) {
+        if (std::string(ev.event) == "snapshot_corrupt")
+            refusals.fetch_add(1);
+    });
+    InProcessWorker worker;
+
+    // Directly: the tampered job is refused, not run.
+    SimSnapshot snap;
+    ASSERT_GT(makePrefixSimulator(specs[0])->runPrefix(
+                  {specs[0].opts.upperThreshold}, 1, snap),
+              0u);
+    {
+        TamperingProxy proxy(worker.endpoint());
+        RemoteWorker handle(proxy.endpoint());
+        ASSERT_TRUE(handle.ensureConnected());
+        RunResult out;
+        EXPECT_FALSE(handle.runJob(0, specs[0], &snap, out));
+        EXPECT_FALSE(handle.alive());
+        EXPECT_EQ(proxy.finish(), 1);
+        EXPECT_EQ(refusals.load(), 1);
+    }
+
+    // Through the runner: whatever cell reached the worker is requeued
+    // locally and the results equal the cold run.
+    TamperingProxy proxy(worker.endpoint());
+    ResultStore store;
+    ParallelRunner runner(1, &store);
+    runner.setWorkers({proxy.endpoint()});
+    std::vector<RunResult> results = runner.run(specs);
+    const int tampered = proxy.finish();
+    setLogEventObserver(nullptr);
+
+    RemoteStats stats = runner.remoteStats();
+    EXPECT_EQ(stats.workers, 1u);
+    EXPECT_EQ(stats.remoteCells, 0u);
+    EXPECT_EQ(stats.lostWorkers, static_cast<uint64_t>(tampered));
+    EXPECT_EQ(stats.requeuedCells, static_cast<uint64_t>(tampered));
+    EXPECT_EQ(refusals.load(), 1 + tampered);
+    EXPECT_GT(runner.prefixStats().forkedRuns, 0u);
+    ASSERT_EQ(results.size(), cold.size());
+    for (size_t i = 0; i < cold.size(); ++i)
+        EXPECT_TRUE(results[i] == cold[i]) << "cell " << i;
+
+    worker.stop();
+    worker.join();
+    EXPECT_EQ(worker.jobsExecuted(), 0u);
 }
 
 TEST(RemoteEndToEnd, TwoWorkersStillFoldInSubmissionOrder)

@@ -11,17 +11,13 @@ namespace {
 class FakeControl : public DtmControl
 {
   public:
-    explicit FakeControl(int threads) : threads_(threads) {}
-
     void stallPipeline(bool s) override { stalled = s; }
-    bool pipelineStalled() const override { return stalled; }
     void
     sedateThread(ThreadId tid, bool s) override
     {
         sedated[static_cast<size_t>(tid)] = s;
     }
     void throttlePipeline(int k) override { throttle = k; }
-    int numThreads() const override { return threads_; }
     bool
     threadActive(ThreadId tid) const override
     {
@@ -33,9 +29,6 @@ class FakeControl : public DtmControl
     std::array<bool, 8> sedated{};
     std::array<bool, 8> active{true, true, true, true,
                                true, true, true, true};
-
-  private:
-    int threads_;
 };
 
 std::vector<Kelvin>
@@ -70,7 +63,7 @@ fastParams()
 TEST(Sedation, SedatesHighestUsageThreadAtUpperThreshold)
 {
     SelectiveSedation policy(2, fastParams());
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     primeMonitor(policy, ac, 1);
 
@@ -91,7 +84,7 @@ TEST(Sedation, SedatesHighestUsageThreadAtUpperThreshold)
 TEST(Sedation, ReleasesAtLowerThreshold)
 {
     SelectiveSedation policy(2, fastParams());
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     primeMonitor(policy, ac, 1);
     policy.atSensorSample(1000, oneHot(Block::IntReg, 356.5), ctl);
@@ -110,7 +103,7 @@ TEST(Sedation, NeverSedatesTheLastThread)
     // Section 3.2.2: the last un-sedated thread cannot hurt anyone and
     // must be left to the stop-and-go safety net.
     SelectiveSedation policy(2, fastParams());
-    FakeControl ctl(2);
+    FakeControl ctl;
     ctl.active = {true, false, false, false, false, false, false, false};
     ActivityCounters ac(2);
     primeMonitor(policy, ac, 0);
@@ -126,7 +119,7 @@ TEST(Sedation, RecheckSedatesSecondAttacker)
     // last-thread exception does not apply).
     SedationParams params = fastParams();
     SelectiveSedation policy(3, params);
-    FakeControl ctl(3);
+    FakeControl ctl;
     ActivityCounters ac(3);
     for (int i = 0; i < 400; ++i) {
         ac.record(0, Block::IntReg, 3000);  // victim
@@ -154,7 +147,7 @@ TEST(Sedation, RecheckSedatesSecondAttacker)
 TEST(Sedation, OsReportCallbackFires)
 {
     SelectiveSedation policy(2, fastParams());
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     primeMonitor(policy, ac, 1);
     std::vector<SedationEvent> reported;
@@ -171,7 +164,7 @@ TEST(Sedation, OsReportCallbackFires)
 TEST(Sedation, SedatedThreadEwmaFrozen)
 {
     SelectiveSedation policy(2, fastParams());
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     primeMonitor(policy, ac, 1);
     policy.atSensorSample(1000, oneHot(Block::IntReg, 356.5), ctl);
@@ -190,7 +183,7 @@ TEST(Sedation, IndependentResourcesTrackSeparately)
     // A second resource crossing its threshold sedates based on ITS
     // usage ranking.
     SelectiveSedation policy(2, fastParams());
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     for (int i = 0; i < 400; ++i) {
         ac.record(0, Block::FpReg, 9000);   // thread 0 hammers FP regs
@@ -207,7 +200,7 @@ TEST(Sedation, RefcountAcrossResources)
     // A thread sedated for two resources stays sedated until both
     // release it.
     SelectiveSedation policy(2, fastParams());
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     for (int i = 0; i < 400; ++i) {
         ac.record(1, Block::IntReg, 12000);
@@ -240,7 +233,7 @@ TEST(Sedation, UsageThresholdAblationTriggersWithoutHeat)
     params.useUsageThreshold = true;
     params.usageThreshold = 8000.0;
     SelectiveSedation policy(2, params);
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     primeMonitor(policy, ac, 1);
     // Temperatures entirely normal, yet the policy fires.
@@ -251,7 +244,7 @@ TEST(Sedation, UsageThresholdAblationTriggersWithoutHeat)
 TEST(Sedation, TemperatureTriggerAvoidsColdFalsePositives)
 {
     SelectiveSedation policy(2, fastParams());
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     primeMonitor(policy, ac, 1); // bursty but resource stays cool
     policy.atSensorSample(1000, oneHot(Block::IntReg, 353.0), ctl);
@@ -281,7 +274,7 @@ TEST_P(SedationThresholdSweep, TriggersExactlyAtUpper)
     params.upperThreshold = upper;
     params.lowerThreshold = lower;
     SelectiveSedation policy(2, params);
-    FakeControl ctl(2);
+    FakeControl ctl;
     ActivityCounters ac(2);
     primeMonitor(policy, ac, 1);
     policy.atSensorSample(1000, oneHot(Block::IntReg, upper - 0.2), ctl);

@@ -54,6 +54,61 @@ TEST(Serialize, Fnv1aMatchesKnownVectors)
     EXPECT_EQ(fnv1a64(foobar, 6), 0x85944171f73967e8ull);
 }
 
+/** A real encoded RunResult with its two host-dependent fields
+ *  zeroed, so its bytes are the same on every run and machine. */
+std::vector<uint8_t>
+realRecord()
+{
+    ExperimentOptions opts;
+    opts.timeScale = 20000.0;
+    RunResult r = executeRunSpec(soloSpec("gcc", opts));
+    r.hostSeconds = 0.0;
+    r.simCyclesPerHostSec = 0.0;
+    return encodeRunResult(r);
+}
+
+TEST(Checksum64, PinnedValues)
+{
+    // Pinned so that stores written by one build validate under the
+    // next: the sum is part of the .hsr, manifest and HSRP formats.
+    // 31/32/33 bytes straddle one four-lane block.
+    std::vector<uint8_t> bytes(33);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(i * 37 + 1);
+    EXPECT_EQ(checksum64(nullptr, 0), 0x84cfd106dcd703ddull);
+    EXPECT_EQ(checksum64(bytes.data(), 1), 0x808ff345390ed256ull);
+    EXPECT_EQ(checksum64(bytes.data(), 31), 0x053ec4ad717f3889ull);
+    EXPECT_EQ(checksum64(bytes.data(), 32), 0x9b82c273b4da0570ull);
+    EXPECT_EQ(checksum64(bytes.data(), 33), 0xfb86da8468bc8c05ull);
+
+    std::vector<uint8_t> rec = realRecord();
+    ASSERT_EQ(rec.size(), 4982u);
+    EXPECT_EQ(checksum64(rec.data(), rec.size()), 0xf36c51bb3c1a5ef3ull);
+}
+
+TEST(Checksum64, EverySingleBitFlipChangesTheSum)
+{
+    std::vector<uint8_t> rec = realRecord();
+    const uint64_t sum = checksum64(rec.data(), rec.size());
+    size_t unchanged = 0;
+    for (size_t bit = 0; bit < rec.size() * 8; ++bit) {
+        rec[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        unchanged += checksum64(rec.data(), rec.size()) == sum;
+        rec[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_EQ(unchanged, 0u);
+}
+
+TEST(Checksum64, EveryTruncationChangesTheSum)
+{
+    std::vector<uint8_t> rec = realRecord();
+    const uint64_t sum = checksum64(rec.data(), rec.size());
+    size_t unchanged = 0;
+    for (size_t n = 0; n < rec.size(); ++n)
+        unchanged += checksum64(rec.data(), n) == sum;
+    EXPECT_EQ(unchanged, 0u);
+}
+
 TEST(Serialize, RunSpecRoundTripPreservesCanonicalKey)
 {
     RunSpec spec = fancySpec();

@@ -14,14 +14,12 @@ class FakeControl : public DtmControl
 {
   public:
     void stallPipeline(bool stalled) override { this->stalled = stalled; }
-    bool pipelineStalled() const override { return stalled; }
     void
     sedateThread(ThreadId tid, bool s) override
     {
         sedated[static_cast<size_t>(tid)] = s;
     }
     void throttlePipeline(int k) override { throttle = k; }
-    int numThreads() const override { return 2; }
     bool threadActive(ThreadId) const override { return true; }
 
     bool stalled = false;
