@@ -50,9 +50,8 @@ const Knob kKnobs[] = {
      .values = "a comma list of host:port endpoints", .modes = kModeLocal,
      .help = "shard cells across TCP workers"},
     {.flag = "--log-json", .env = "HS_LOG_JSON", .type = T::Path,
-     .arg = "FILE", .help = "structured operational log (JSON lines)"},
-    {.flag = "--events", .type = T::Path, .arg = "FILE", .modes = kModeLocal,
-     .help = "campaign timeline (default: <store>/events.jsonl)"},
+     .arg = "FILE",
+     .help = "JSON-lines event log (default: <store>/events.jsonl)"},
     {.flag = "--status-port", .env = "HS_STATUS_PORT", .type = T::Int,
      .arg = "PORT", .min = 1, .max = 65535, .modes = kModeLocal,
      .help = "serve live campaign counters over HTTP (unset: off)"},

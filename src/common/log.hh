@@ -204,9 +204,8 @@ void closeJsonLog();
 /**
  * Install an in-process observer that receives every structured event
  * (called under the log mutex — keep it fast, don't log from it).
- * Pass nullptr to remove. Used by hs_run to tee campaign events into
- * events.jsonl and live status counters without a second
- * instrumentation channel.
+ * Pass nullptr to remove. Lets tests capture the event stream in
+ * process without a second instrumentation channel.
  */
 void setLogEventObserver(std::function<void(const LogEventView &)> fn);
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <future>
 #include <mutex>
 #include <ostream>
 #include <string_view>
@@ -102,51 +103,6 @@ bindWorkloads(Simulator &sim, const RunSpec &spec)
 /// save cost negligible, often enough that the fork point trails the
 /// divergence sample closely.
 constexpr Cycles kPrefixStrideSamples = 4;
-
-/**
- * Run @p fn(0 .. n-1) on up to @p workers threads, capturing the first
- * exception and rethrowing it after the pool drains.
- */
-template <typename Fn>
-void
-poolFor(int workers, size_t n, Fn &&fn)
-{
-    if (n == 0)
-        return;
-    workers = std::min<int>(workers, static_cast<int>(n));
-    if (workers <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    std::atomic<size_t> next{0};
-    std::exception_ptr error;
-    std::mutex errorMu;
-    auto worker = [&] {
-        for (;;) {
-            size_t i = next.fetch_add(1);
-            if (i >= n)
-                return;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(errorMu);
-                if (!error)
-                    error = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
-}
 
 } // namespace
 
@@ -284,19 +240,25 @@ ParallelRunner::prefixStats() const
     return s;
 }
 
-std::vector<std::shared_ptr<const SimSnapshot>>
-ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs,
-                              const std::vector<std::string> &keys)
+struct ParallelRunner::PrefixTask
 {
-    std::vector<std::shared_ptr<const SimSnapshot>> snaps(specs.size());
+    std::vector<size_t> members;
+    DivergeRule rule; ///< member-wise minimum of both parts
+    std::promise<SnapshotPtr> snapshot;
+};
 
+std::vector<ParallelRunner::PrefixTask>
+ParallelRunner::planPrefixes(
+    const std::vector<RunSpec> &specs, const std::vector<std::string> &keys,
+    std::vector<std::shared_future<SnapshotPtr>> &forks)
+{
     struct Group
     {
         std::vector<size_t> members;
         DivergeRule rule; ///< member-wise minimum of both parts
     };
     std::unordered_map<std::string, size_t> index;
-    std::vector<Group> groups; // insertion order: deterministic jobs
+    std::vector<Group> groups; // insertion order: deterministic tasks
 
     for (size_t i = 0; i < specs.size(); ++i) {
         DivergeRule act = divergeRule(runConfig(specs[i]));
@@ -313,35 +275,61 @@ ParallelRunner::buildPrefixes(const std::vector<RunSpec> &specs,
     // A prefix only pays for itself when at least two distinct,
     // not-yet-cached cells will fork from it, so a singleton group is
     // never probed.
-    std::vector<size_t> jobs;
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-        if (groups[gi].members.size() < 2)
+    std::vector<PrefixTask> tasks;
+    for (Group &g : groups) {
+        if (g.members.size() < 2)
             continue;
         std::unordered_set<std::string_view> fresh_keys;
-        for (size_t i : groups[gi].members) {
+        for (size_t i : g.members) {
             if (store_ && store_->available(keys[i]))
                 continue;
             fresh_keys.insert(keys[i]);
         }
-        if (fresh_keys.size() >= 2)
-            jobs.push_back(gi);
+        if (fresh_keys.size() < 2)
+            continue;
+        PrefixTask &task = tasks.emplace_back();
+        task.members = std::move(g.members);
+        task.rule = g.rule;
+        std::shared_future<SnapshotPtr> published =
+            task.snapshot.get_future().share();
+        for (size_t i : task.members)
+            forks[i] = published;
     }
+    return tasks;
+}
 
-    poolFor(jobs_, jobs.size(), [&](size_t j) {
-        const Group &g = groups[jobs[j]];
-        const RunSpec &rep = specs[g.members.front()];
+void
+ParallelRunner::buildPrefix(PrefixTask &task,
+                            const std::vector<RunSpec> &specs, int lane)
+{
+    const RunSpec &rep = specs[task.members.front()];
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
         auto snap = std::make_shared<SimSnapshot>();
         Cycles fork = makePrefixSimulator(rep)->runPrefix(
-            g.rule, kPrefixStrideSamples, *snap);
-        if (fork == 0)
-            return; // diverged before the first snapshot: all cold
+            task.rule, kPrefixStrideSamples, *snap);
+        logEvent("runner", "prefix_built",
+                 {LogField::text("label", rep.label),
+                  LogField::num("members",
+                                static_cast<uint64_t>(task.members.size())),
+                  LogField::num("lane", lane),
+                  LogField::num("fork_cycle", static_cast<uint64_t>(fork)),
+                  LogField::num("seconds",
+                                std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count())});
+        if (fork == 0) {
+            // Diverged before the first snapshot: every member runs cold.
+            task.snapshot.set_value(nullptr);
+            return;
+        }
         prefixGroups_.fetch_add(1);
         prefixCycles_.fetch_add(fork);
-        for (size_t i : g.members)
-            snaps[i] = snap;
-    });
-
-    return snaps;
+        task.snapshot.set_value(std::move(snap));
+    } catch (...) {
+        // Every member rethrows it, so run() reports it like any cell's.
+        task.snapshot.set_exception(std::current_exception());
+    }
 }
 
 std::vector<RunResult>
@@ -360,18 +348,24 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
     for (const RunSpec &spec : specs)
         keys.push_back(spec.canonicalKey());
 
-    std::vector<std::shared_ptr<const SimSnapshot>> snaps(specs.size());
-    if (prefixSharing_)
-        snaps = buildPrefixes(specs, keys);
-
     const size_t total = specs.size();
     for (size_t i = 0; i < total; ++i)
         notify({CellEvent::Kind::Queued, i, total,
                 specs[i].label.c_str(), 0.0});
 
+    // forks[i]: cell i's group snapshot, published by a prefix task
+    // (an invalid future means the cell runs cold).
+    std::vector<std::shared_future<SnapshotPtr>> forks(total);
+    std::vector<PrefixTask> prefixes;
+    if (prefixSharing_)
+        prefixes = planPrefixes(specs, keys, forks);
+
     auto runOne = [&](size_t i, RemoteWorker *remote, int lane) {
         const RunSpec &spec = specs[i];
-        const SimSnapshot *snap = snaps[i].get();
+        // A forked cell starts once its group's prefix is published; a
+        // prefix that threw rethrows here.
+        const SnapshotPtr fork = forks[i].valid() ? forks[i].get() : nullptr;
+        const SimSnapshot *snap = fork.get();
         if (faultFire("dispatch_delay")) {
             // Stall this lane so chaos runs exercise every possible
             // completion interleaving; submission-order folding must
@@ -397,7 +391,6 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
                 // local work in the dispatcher thread itself, which
                 // from here on drains the queue like any local lane.
                 lostWorkers_.fetch_add(1);
-                requeuedCells_.fetch_add(1);
             }
             return executeRunSpec(spec, snap);
         };
@@ -427,13 +420,12 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
                 simulated ? secs : 0.0, lane});
     };
 
-    // One execution pool for both the local and the sharded case:
-    // local threads and one dispatcher per connected worker drain a
-    // single shared queue. Every lane has a stable id (0..jobs-1
-    // local, then one per remote), so the event stream can attribute
-    // cells to lanes. Results land at their submission index, so
-    // folding order — and therefore every artifact — is identical
-    // whatever the lane mix.
+    // One lane pool for every kind of work: local lanes and one
+    // dispatcher per connected worker drain a single cell queue. Every
+    // lane has a stable id (0..jobs-1 local, then one per remote), so
+    // the event stream can attribute cells to lanes. Results land at
+    // their submission index, so folding order — and therefore every
+    // artifact — is identical whatever the lane mix.
     std::vector<std::unique_ptr<RemoteWorker>> remotes;
     for (const Endpoint &ep : workerEndpoints_) {
         auto rw = std::make_unique<RemoteWorker>(
@@ -447,16 +439,21 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
         // lanes cover its share.
     }
 
-    int localLanes =
-        std::min<int>(jobs_, static_cast<int>(specs.size()));
-    std::atomic<size_t> next{0};
+    int localLanes = std::min<int>(jobs_, static_cast<int>(total));
+    std::atomic<size_t> nextPrefix{0};
+    std::atomic<size_t> nextCell{0};
     std::exception_ptr error;
     std::mutex errorMu;
     auto drain = [&](RemoteWorker *rw, int lane) {
-        for (;;) {
-            size_t i = next.fetch_add(1);
-            if (i >= specs.size())
-                return;
+        // A local lane claims prefix tasks until none is left, and only
+        // then cells: every task a waiting cell depends on is already
+        // running on a lane that waits on nothing, and there is always
+        // at least one local lane. Remote lanes take cells only, so
+        // --jobs bounds the local simulation threads.
+        if (!rw)
+            for (size_t t; (t = nextPrefix.fetch_add(1)) < prefixes.size();)
+                buildPrefix(prefixes[t], specs, lane);
+        for (size_t i; (i = nextCell.fetch_add(1)) < total;) {
             try {
                 runOne(i, rw, lane);
             } catch (...) {
@@ -471,13 +468,16 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
         // Serial fast path: no threads to spawn or join.
         drain(nullptr, 0);
     } else {
+        const int lanes = localLanes + static_cast<int>(remotes.size());
         std::vector<std::thread> pool;
-        pool.reserve(static_cast<size_t>(localLanes) + remotes.size());
-        for (int w = 0; w < localLanes; ++w)
-            pool.emplace_back(drain, nullptr, w);
-        for (size_t r = 0; r < remotes.size(); ++r)
-            pool.emplace_back(drain, remotes[r].get(),
-                              localLanes + static_cast<int>(r));
+        pool.reserve(static_cast<size_t>(lanes));
+        for (int lane = 0; lane < lanes; ++lane) {
+            RemoteWorker *rw =
+                lane < localLanes
+                    ? nullptr
+                    : remotes[static_cast<size_t>(lane - localLanes)].get();
+            pool.emplace_back(drain, rw, lane);
+        }
         for (std::thread &t : pool)
             t.join();
     }
@@ -512,8 +512,9 @@ ParallelRunner::remoteStats() const
     RemoteStats s;
     s.workers = remoteWorkers_.load();
     s.remoteCells = tally().remote;
-    s.lostWorkers = lostWorkers_.load();
-    s.requeuedCells = requeuedCells_.load();
+    // A lost worker takes down exactly the one cell it held, which its
+    // dispatcher lane then requeues locally.
+    s.lostWorkers = s.requeuedCells = lostWorkers_.load();
     s.heartbeats = heartbeats_.load();
     {
         std::lock_guard<std::mutex> lock(telemetryMu_);

@@ -2,11 +2,12 @@
  * @file
  * Parallel experiment engine.
  *
- * Executes a matrix of RunSpecs across a pool of std::thread workers.
- * Each simulation owns all of its state (fixed-seed RNGs, no globals),
- * so runs are embarrassingly parallel and the engine guarantees
+ * Executes a matrix of RunSpecs on one pool of lanes: `jobs` local
+ * std::threads plus one dispatcher per connected TCP worker. Each
+ * simulation owns all of its state (fixed-seed RNGs, no globals), so
+ * runs are embarrassingly parallel and the engine guarantees
  * bit-identical results to serial execution, returned in submission
- * order regardless of the worker count.
+ * order regardless of the lane mix.
  *
  * Cells that differ only in DTM policy fields (mode, thresholds, the
  * usage-threshold ablation, the deschedule knob) simulate
@@ -15,8 +16,12 @@
  * groups such cells by RunSpec::divergenceKey(), simulates that shared
  * warm-up prefix once with neutralised thresholds, snapshots it, and
  * forks each cell from the snapshot — the forked run is bit-identical
- * to a cold one (enforced by tests), just cheaper. Prefix sharing is the
- * engine's only work-sharing mechanism (docs/PERFORMANCE.md, "One
+ * to a cold one (enforced by tests), just cheaper. Each group's prefix
+ * is a task on the same lanes: local lanes take every prefix task
+ * before their first cell, and a forked cell's lane waits for its
+ * group's snapshot before the cell starts, while cold cells run
+ * meanwhile. There is no barrier before dispatch. Prefix sharing is
+ * the engine's only work-sharing mechanism (docs/PERFORMANCE.md, "One
  * work-sharing engine").
  *
  * Two further tiers extend the engine beyond one process:
@@ -46,6 +51,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -93,7 +99,7 @@ struct RemoteStats
     uint64_t workers = 0;     ///< endpoints that handshook successfully
     uint64_t remoteCells = 0; ///< cells simulated by TCP workers
     uint64_t lostWorkers = 0; ///< workers that died mid-campaign
-    uint64_t requeuedCells = 0; ///< cells recovered by local fallback
+    uint64_t requeuedCells = 0; ///< local fallbacks (= lostWorkers)
     uint64_t heartbeats = 0;  ///< heartbeat frames folded so far (live)
     /** Per-worker fleet telemetry (job counts, remote wall time,
      *  heartbeats, snapshot bytes saved). Host-dependent sidecar data:
@@ -175,7 +181,7 @@ struct CellTally
     void fold(const CellEvent &ev);
 };
 
-/** Thread-pool executor for RunSpec matrices. */
+/** Lane-pool executor for RunSpec matrices. */
 class ParallelRunner
 {
   public:
@@ -235,23 +241,41 @@ class ParallelRunner
     /** Log @p ev, fold it into the tally and hand it to the observer. */
     void notify(CellEvent ev);
 
+    /** A divergence group's snapshot as its prefix task publishes it:
+     *  null when the group diverged before the first snapshot. */
+    using SnapshotPtr = std::shared_ptr<const SimSnapshot>;
+
+    /** One eligible divergence group: its shared prefix, run as a task
+     *  on a local lane. */
+    struct PrefixTask;
+
     /**
-     * Phase one of run(): group specs by divergence key, simulate each
-     * eligible group's shared prefix in parallel, and return one
-     * snapshot pointer per spec (null = simulate cold). @p keys holds
-     * each spec's canonical key.
+     * Plan run()'s prefix tasks, one per eligible divergence group in
+     * insertion order. Specs are grouped by divergence key; a group is
+     * eligible when at least two distinct cells not already in the
+     * store would fork from it. Each member of an eligible group gets
+     * the group's future in @p forks; every other entry stays invalid
+     * (simulate cold). @p keys holds each spec's canonical key.
      */
-    std::vector<std::shared_ptr<const SimSnapshot>>
-    buildPrefixes(const std::vector<RunSpec> &specs,
-                  const std::vector<std::string> &keys);
+    std::vector<PrefixTask>
+    planPrefixes(const std::vector<RunSpec> &specs,
+                 const std::vector<std::string> &keys,
+                 std::vector<std::shared_future<SnapshotPtr>> &forks);
+
+    /**
+     * Simulate @p task 's shared prefix on local lane @p lane, log one
+     * `prefix_built` event and publish the snapshot to its members'
+     * futures, or the exception if the prefix threw.
+     */
+    void buildPrefix(PrefixTask &task, const std::vector<RunSpec> &specs,
+                     int lane);
 
     int jobs_;
     ResultStore *store_;
     bool prefixSharing_ = true;
     std::vector<Endpoint> workerEndpoints_;
     std::atomic<uint64_t> remoteWorkers_{0};
-    std::atomic<uint64_t> lostWorkers_{0};
-    std::atomic<uint64_t> requeuedCells_{0};
+    std::atomic<uint64_t> lostWorkers_{0}; ///< = cells requeued locally
     std::atomic<uint64_t> heartbeats_{0};
     CellObserver observer_;
     mutable std::mutex observerMu_; ///< serialises notify(), guards tally_

@@ -34,7 +34,7 @@ fail()
 
 # A second run records the campaign timeline for the fleet view.
 "$RUN" --spec gcc --spec mcf --scale 20000 --each --jobs 2 \
-    --events "$TMP/fleet.jsonl" >"$TMP/fleet.out" 2>&1 ||
+    --log-json "$TMP/fleet.jsonl" >"$TMP/fleet.out" 2>&1 ||
     fail "hs_run events run failed"
 [ -s "$TMP/fleet.jsonl" ] || fail "campaign timeline missing"
 

@@ -107,18 +107,13 @@ expect_usage "store with profile" --spec gcc $FAST \
     --store "$TMP/store" --profile
 expect_usage "missing log-json value" --spec gcc $FAST --log-json
 expect_usage "empty log-json value" --spec gcc $FAST --log-json ""
-expect_usage "missing events value" --spec gcc $FAST --events
-expect_usage "empty events value" --spec gcc $FAST --events ""
 expect_usage "zero status port" --spec gcc $FAST --status-port 0
 expect_usage "negative status port" --spec gcc $FAST --status-port -1
 expect_usage "status port out of range" --spec gcc $FAST \
     --status-port 65536
 expect_usage "non-integer status port" --spec gcc $FAST \
     --status-port banana
-expect_usage "serve with events" --serve 7471 --events "$TMP/e.jsonl"
 expect_usage "serve with status port" --serve 7471 --status-port 7999
-expect_usage "events with stats" --spec gcc $FAST \
-    --events "$TMP/e.jsonl" --stats
 expect_usage "status port with profile" --spec gcc $FAST \
     --status-port 7999 --profile
 
@@ -206,17 +201,22 @@ HS_LOG_JSON="$TMP/no-such-dir/log.jsonl" "$BIN" --spec gcc $FAST \
 grep -q "HS_LOG_JSON" "$TMP/err" ||
     fail "log: HS_LOG_JSON error message missing"
 
-# A happy-path fleet run: the timeline carries every cell lifecycle
-# event and the operational log exists alongside it.
+# A happy-path fleet run: the structured log is the timeline, and it
+# carries every cell lifecycle event.
 expect_ok "events timeline" --spec gcc --spec mcf $FAST --each \
-    --jobs 2 --events "$TMP/fleet.jsonl" --log-json "$TMP/oplog.jsonl"
+    --jobs 2 --log-json "$TMP/fleet.jsonl"
 grep -q '"event":"queued"' "$TMP/fleet.jsonl" ||
     fail "events: no queued event in timeline"
 grep -q '"event":"finished"' "$TMP/fleet.jsonl" ||
     fail "events: no finished event in timeline"
 grep -q '"event":"matrix_done"' "$TMP/fleet.jsonl" ||
     fail "events: no matrix_done event in timeline"
-[ -s "$TMP/oplog.jsonl" ] || fail "log-json: operational log missing"
+
+# With a store and no --log-json / HS_LOG_JSON, the store keeps the log.
+expect_ok "store keeps the timeline" --spec gcc $FAST \
+    --store "$TMP/logstore"
+grep -q '"event":"matrix_done"' "$TMP/logstore/events.jsonl" ||
+    fail "events: store run left no events.jsonl"
 
 HS_LOG_JSON="$TMP/envlog.jsonl" "$BIN" --spec gcc $FAST \
     >"$TMP/out" 2>"$TMP/err"

@@ -177,7 +177,7 @@ TEST(Knobs, TableShapeAndPinnedDefaults)
         }
         EXPECT_NE(std::string(k.help), "") << (k.flag ? k.flag : k.env);
     }
-    EXPECT_EQ(flags, 31u);
+    EXPECT_EQ(flags, 30u);
 
     const std::map<std::string, std::string> defaults = {
         {"HS_SCALE", "50"},           {"HS_BENCH_SET", "paper"},

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -498,6 +499,131 @@ TEST(RemoteEndToEnd, TwoWorkersStillFoldInSubmissionOrder)
     ASSERT_EQ(sharded.size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i)
         EXPECT_TRUE(sharded[i] == serial[i]) << "cell " << i;
+}
+
+/**
+ * Fails the test binary if it is still in scope after @p limit: a
+ * deadlocked lane pool must fail, not hang (even outside ctest's own
+ * timeout).
+ */
+class Deadline
+{
+  public:
+    explicit Deadline(std::chrono::seconds limit)
+        : guard_([this, limit] {
+              std::unique_lock<std::mutex> lock(mu_);
+              if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+                  std::fprintf(stderr, "deadline: the runner did not "
+                                       "finish in time (deadlock?)\n");
+                  std::_Exit(1);
+              }
+          })
+    {}
+
+    Deadline(const Deadline &) = delete;
+    Deadline &operator=(const Deadline &) = delete;
+
+    ~Deadline()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            done_ = true;
+        }
+        cv_.notify_one();
+        guard_.join();
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool done_ = false;
+    std::thread guard_; ///< last: starts once the rest is built
+};
+
+/** A 4-cell sedation threshold group on the innocent pair, on a sink
+ *  of convection resistance @p conv (one divergence group per value). */
+std::vector<RunSpec>
+thresholdGroup(double conv)
+{
+    ExperimentOptions opts = fastOpts();
+    opts.dtm = DtmMode::SelectiveSedation;
+    opts.convectionR = conv;
+    std::vector<RunSpec> specs;
+    for (double upper : {356.0, 356.5, 357.0, 357.5}) {
+        opts.upperThreshold = upper;
+        opts.lowerThreshold = upper - 1.0;
+        specs.push_back(specPairSpec("gcc", "mesa", opts));
+    }
+    return specs;
+}
+
+/** @p specs run with prefix sharing off: the cold reference. */
+std::vector<RunResult>
+runUnshared(const std::vector<RunSpec> &specs)
+{
+    ParallelRunner runner(1);
+    runner.setPrefixSharing(false);
+    return runner.run(specs);
+}
+
+TEST(RemoteEndToEnd, RemoteLaneWaitsForItsGroupsPrefix)
+{
+    // The group comes first, so the dispatcher lane claims a forked
+    // cell while the only local lane is still building its prefix.
+    std::vector<RunSpec> specs = thresholdGroup(0.8);
+    specs.push_back(soloSpec("mesa", fastOpts()));
+    specs.push_back(soloSpec("mcf", fastOpts()));
+    const std::vector<RunResult> cold = runUnshared(specs);
+
+    Deadline deadline(std::chrono::seconds(300));
+    InProcessWorker worker;
+    ResultStore store;
+    ParallelRunner runner(1, &store);
+    runner.setWorkers({worker.endpoint()});
+    std::vector<RunResult> results = runner.run(specs);
+
+    EXPECT_GT(runner.tally().remote, 0u);
+    EXPECT_EQ(runner.prefixStats().forkedRuns, 4u);
+    EXPECT_EQ(runner.remoteStats().lostWorkers, 0u);
+    ASSERT_EQ(results.size(), cold.size());
+    for (size_t i = 0; i < cold.size(); ++i)
+        EXPECT_TRUE(results[i] == cold[i]) << "cell " << i;
+}
+
+TEST(RemoteEndToEnd, LanePoolDrainsMoreOrFewerGroupsThanLanes)
+{
+    ExperimentOptions opts = fastOpts();
+    // One group among cold cells: more lanes than groups.
+    std::vector<RunSpec> oneGroup = thresholdGroup(0.8);
+    oneGroup.insert(oneGroup.begin(), soloSpec("mcf", opts));
+    oneGroup.push_back(soloSpec("mesa", opts));
+    // Four groups: more groups than lanes at jobs 1 and 2.
+    std::vector<RunSpec> fourGroups;
+    for (double conv : {0.6, 0.65, 0.7, 0.75})
+        for (RunSpec &s : thresholdGroup(conv))
+            fourGroups.push_back(std::move(s));
+    fourGroups.push_back(soloSpec("mcf", opts));
+
+    Deadline deadline(std::chrono::seconds(300));
+    InProcessWorker worker;
+    for (const std::vector<RunSpec> *specs : {&oneGroup, &fourGroups}) {
+        const std::vector<RunResult> cold = runUnshared(*specs);
+        const size_t groups = specs->size() / 4;
+        for (int jobs : {1, 2, 8}) {
+            SCOPED_TRACE(std::to_string(groups) + " group(s), jobs " +
+                         std::to_string(jobs));
+            ResultStore store;
+            ParallelRunner runner(jobs, &store);
+            runner.setWorkers({worker.endpoint()});
+            std::vector<RunResult> results = runner.run(*specs);
+            EXPECT_EQ(runner.prefixStats().groups, groups);
+            EXPECT_EQ(runner.prefixStats().forkedRuns, 4 * groups);
+            EXPECT_EQ(runner.tally().done, specs->size());
+            ASSERT_EQ(results.size(), cold.size());
+            for (size_t i = 0; i < cold.size(); ++i)
+                EXPECT_TRUE(results[i] == cold[i]) << "cell " << i;
+        }
+    }
 }
 
 // --- fleet telemetry ---------------------------------------------------

@@ -16,13 +16,17 @@
  */
 
 #include <cstdlib>
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "sim/result_store.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
@@ -253,6 +257,90 @@ TEST(Snapshot, PrefixEngagesOnInnocentThresholdSweep)
     EXPECT_GE(ps.forkedRuns, 2u);
     EXPECT_GT(ps.prefixCycles, 0u);
     EXPECT_GT(ps.savedCycles, 0u);
+}
+
+/**
+ * The prefix phase emits events: each prefix task logs one
+ * `prefix_built` after every cell was queued and before any member of
+ * its group forks, while cold cells need not wait for it.
+ */
+TEST(Snapshot, PrefixBuiltFollowsQueuedAndPrecedesItsForks)
+{
+    // Two groups of three (labels a* and b*, the b group on a cooler
+    // sink) around a cold cell.
+    std::vector<RunSpec> specs = innocentSweep({356.0, 356.5, 357.0});
+    for (size_t i = 0; i < specs.size(); ++i)
+        specs[i].label = "a" + std::to_string(i);
+    RunSpec cold = soloSpec("mcf", fastOpts());
+    cold.label = "cold";
+    specs.push_back(cold);
+    for (double u : {356.0, 356.5, 357.0}) {
+        RunSpec s = specPairSpec("gcc", "mesa", sedationOpts(u));
+        s.opts.convectionR = 0.7;
+        s.label = "b" + std::to_string(specs.size());
+        specs.push_back(s);
+    }
+
+    struct Seen
+    {
+        std::string event, label;
+        uint64_t members = 0, forkCycle = 0;
+        int64_t lane = -1;
+    };
+    std::mutex mu;
+    std::vector<Seen> seen;
+    setLogEventObserver([&](const LogEventView &ev) {
+        if (std::string(ev.component) != "runner")
+            return;
+        Seen s{ev.event, "", 0, 0, -1};
+        for (size_t f = 0; f < ev.numFields; ++f) {
+            const LogField &field = ev.fields[f];
+            std::string key = field.key;
+            if (key == "label")
+                s.label = field.str;
+            else if (key == "members")
+                s.members = field.u64;
+            else if (key == "fork_cycle")
+                s.forkCycle = field.u64;
+            else if (key == "lane")
+                s.lane = field.i64;
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        seen.push_back(s);
+    });
+    ParallelRunner runner(2);
+    expectMatches(runCold(specs), runner.run(specs));
+    setLogEventObserver(nullptr);
+
+    size_t lastQueued = 0, firstBuilt = seen.size();
+    std::map<char, size_t> built; // group letter -> position
+    for (size_t at = 0; at < seen.size(); ++at) {
+        const Seen &s = seen[at];
+        if (s.event == "queued")
+            lastQueued = at;
+        if (s.event != "prefix_built")
+            continue;
+        firstBuilt = std::min(firstBuilt, at);
+        EXPECT_EQ(s.members, 3u) << s.label;
+        EXPECT_GT(s.forkCycle, 0u) << s.label;
+        EXPECT_GE(s.lane, 0);
+        EXPECT_LT(s.lane, 2);
+        EXPECT_TRUE(built.emplace(s.label.at(0), at).second) << s.label;
+    }
+    ASSERT_EQ(built.size(), 2u);
+    EXPECT_LT(lastQueued, firstBuilt);
+
+    size_t forks = 0;
+    for (size_t at = 0; at < seen.size(); ++at) {
+        if (seen[at].event != "prefix_forked")
+            continue;
+        ++forks;
+        auto group = built.find(seen[at].label.at(0));
+        ASSERT_NE(group, built.end()) << seen[at].label;
+        EXPECT_LT(group->second, at) << seen[at].label;
+    }
+    EXPECT_EQ(forks, 6u);
+    EXPECT_EQ(runner.prefixStats().groups, 2u);
 }
 
 // --- the full family matrix --------------------------------------------

@@ -18,7 +18,7 @@
  *  - per-thread IPC bars
  *  - the duty-cycle table (heat / (heat + cool)) per run
  *  - run-health metrics (counters, gauges, histogram summaries)
- *  - fleet timeline (from hs_run --events): per-lane cell Gantt with
+ *  - fleet timeline (from hs_run --log-json): per-lane cell Gantt with
  *    fault-fire markers, lane utilization / straggler table, cell
  *    source breakdown and per-worker telemetry rollups
  *
@@ -187,7 +187,7 @@ struct TraceView
     bool multiCore() const { return maxCore > 0; }
 };
 
-// --- fleet timeline (hs_run --events) --------------------------------
+// --- fleet timeline (hs_run --log-json) ------------------------------
 
 /** One cell's life on one execution lane, started -> resolved. */
 struct FleetCell
@@ -1410,7 +1410,7 @@ main(int argc, char **argv)
          .repeat = true, .help = "JSONL event trace from hs_run --trace"},
         {.flag = "--events", .type = KnobType::Path, .arg = "FILE",
          .repeat = true,
-         .help = "campaign timeline from hs_run --events (first file)"},
+         .help = "campaign timeline from hs_run --log-json (first file)"},
         {.flag = "--out", .type = KnobType::Path, .arg = "FILE",
          .def = "hs_report.html", .help = "output HTML (\"-\" = stdout)"},
         {.flag = "--title", .type = KnobType::Custom, .arg = "TEXT",

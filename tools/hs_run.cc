@@ -13,7 +13,6 @@
  * by `hs_run --help`. Malformed arguments exit 2 with the usage.
  */
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -249,7 +248,6 @@ main(int argc, char **argv)
     const std::string temp_trace_path = cl.text("--temp-trace");
     const std::string json_path = cl.text("--json");
     const std::string csv_path = cl.text("--csv");
-    std::string events_path = cl.text("--events");
 
     std::vector<int> place;
     if (cl.has("--place")) {
@@ -302,17 +300,23 @@ main(int argc, char **argv)
         specs.push_back(s);
     }
 
+    // The engine modes' persistent store, and one structured event
+    // stream, opened before any engine work so every lifecycle event
+    // lands in it: the operational log is also the campaign timeline
+    // hs_report renders. A store keeps it by default; HS_LOG_JSON
+    // alone opens lazily, at the first event.
+    std::unique_ptr<DiskResultStore> cli_store;
+    if (mode != kModeSingle && !cl.text("--store").empty())
+        cli_store = std::make_unique<DiskResultStore>(cl.text("--store"));
     if (cl.has("--log-json"))
         openJsonLog(cl.text("--log-json"));
-
-    std::ofstream events_out;
-    std::atomic<uint64_t> events_written{0};
+    else if (cli_store && cl.text("--log-json").empty())
+        openJsonLog(cli_store->dir() + "/events.jsonl");
 
     std::vector<RunResult> results;
     PrefixShareStats engine_stats;
     bool have_engine_stats = false;
     Histogram cell_seconds;
-    std::unique_ptr<DiskResultStore> cli_store;
     if (mode == kModeSingle) {
         // The statistics/profile dumps need the live simulator, so
         // this path runs serially outside the engine.
@@ -325,29 +329,7 @@ main(int argc, char **argv)
         if (profile)
             printProfile(sim->profile());
     } else {
-        DiskResultStore *disk = nullptr;
-        const std::string store_path = cl.text("--store");
-        if (!store_path.empty()) {
-            cli_store = std::make_unique<DiskResultStore>(store_path);
-            disk = cli_store.get();
-        }
-
-        // Campaign timeline: an observer tee on the structured log,
-        // installed before any engine work so every lifecycle event
-        // lands in it.
-        if (events_path.empty() && disk)
-            events_path = disk->dir() + "/events.jsonl";
-        if (!events_path.empty()) {
-            events_out.open(events_path);
-            if (!events_out)
-                fatal("cannot write '%s'", events_path.c_str());
-            setLogEventObserver([&](const LogEventView &v) {
-                events_out << v.jsonLine() << '\n';
-                events_out.flush();
-                events_written.fetch_add(1);
-            });
-        }
-
+        DiskResultStore *disk = cli_store.get();
         ParallelRunner runner(cl.integer("--jobs"),
                               &ResultStore::global());
         // Live status renders the runner's own cell tally.
@@ -430,17 +412,6 @@ main(int argc, char **argv)
                             static_cast<unsigned long long>(
                                 wt.peakRssKb / 1024));
         }
-    }
-
-    // Tear the timeline tee down before its capture targets go out of
-    // scope; everything after this point is plain output.
-    setLogEventObserver(nullptr);
-    if (events_out.is_open()) {
-        events_out.close();
-        std::printf("wrote %llu event(s) to %s\n",
-                    static_cast<unsigned long long>(
-                        events_written.load()),
-                    events_path.c_str());
     }
 
     foldRunMetrics(MetricsRegistry::global(), results,
