@@ -47,7 +47,7 @@
  *                       field is flipped (silent media corruption)
  *   store_crash         disk store: the writer _Exit()s right after
  *                       publishing a record (chaos-killed coordinator;
- *                       drives the manifest-resume tests)
+ *                       drives the campaign-resume tests)
  *   dispatch_delay      runner: a worker lane stalls briefly before
  *                       picking up a cell (perturbs which lane runs
  *                       what — results must not care)

@@ -279,8 +279,9 @@ DiskResultStore::store(const std::string &key, const RunResult &result)
     writes_.fetch_add(1);
     if (faultFire("store_crash")) {
         // A chaos-killed coordinator: the record just published is
-        // durable, everything after this write is lost. The manifest
-        // resume path must pick the campaign up from this exact gap.
+        // durable, everything after this write is lost. A restart must
+        // pick the campaign up from the records alone, at this exact
+        // gap.
         warn("result store: injected crash after publishing '%s'",
              path.c_str());
         std::_Exit(9);
@@ -359,8 +360,8 @@ pruneStore(const std::string &dir, const PruneOptions &opts)
         std::string sub = dir + "/" + de->d_name;
         struct stat sst;
         // Only the two-hex-digit bucket directories belong to the
-        // store layout; manifests and user strays at the root are
-        // never prune's business.
+        // store layout; the event log, files older builds left and
+        // user strays at the root are never prune's business.
         if (!isBucketName(de->d_name) ||
             ::lstat(sub.c_str(), &sst) != 0 || !S_ISDIR(sst.st_mode)) {
             ++stats.skipped;
@@ -415,6 +416,41 @@ pruneStore(const std::string &dir, const PruneOptions &opts)
         }
     }
     return stats;
+}
+
+CampaignResume
+prepareCampaign(const DiskResultStore &store,
+                const std::vector<RunSpec> &specs)
+{
+    CampaignResume res;
+    res.totalCells = specs.size();
+
+    // Records of another result format all fail load(), so none of
+    // them counts as stored, and neither does a record whose header
+    // cannot be read (short, or bad magic). The first record with a
+    // readable header stands for the whole store: one read, not one
+    // per cell.
+    uint32_t format = 0;
+    for (const RunSpec &spec : specs) {
+        const uint64_t cell = spec.hash();
+        if (!store.contains(cell))
+            continue;
+        if (format == 0) {
+            format = store.entryFormat(cell);
+            if (format == 0)
+                continue; // no readable header: load() would reject it
+            if (format != kResultFormatVersion) {
+                warn("result store: '%s' holds result-format %u "
+                     "records, this build reads format %u; its cells "
+                     "will be recomputed",
+                     store.dir().c_str(), format, kResultFormatVersion);
+                res.storedCells = 0;
+                break;
+            }
+        }
+        ++res.storedCells;
+    }
+    return res;
 }
 
 DiskResultStore *

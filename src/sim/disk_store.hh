@@ -43,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/results.hh"
 #include "sim/run_spec.hh"
@@ -117,6 +118,22 @@ class DiskResultStore
     std::atomic<uint64_t> writes_{0};
 };
 
+/** What prepareCampaign() found of a matrix in its store. */
+struct CampaignResume
+{
+    uint64_t totalCells = 0;  ///< matrix size
+    uint64_t storedCells = 0; ///< cells the store already holds in
+                              ///< this build's result format
+};
+
+/**
+ * Count the cells of @p specs that @p store already holds, for the
+ * resume report. Reads only: the stored records are the campaign, and
+ * nothing else about it is persisted.
+ */
+CampaignResume prepareCampaign(const DiskResultStore &store,
+                               const std::vector<RunSpec> &specs);
+
 /**
  * Process-wide disk tier configured by the HS_STORE environment
  * variable: the store rooted there on first call (shared by every
@@ -160,10 +177,10 @@ struct PruneStats
 /**
  * Garbage-collect the store rooted at @p dir (the `hs_store prune`
  * subcommand). Only regular `*.hsr` files inside the two-hex-digit
- * bucket directories are ever candidates: manifests, temp files from
- * interrupted writers, and anything else a user may have put in the
- * tree are counted as skipped and refused. fatal() if @p dir is not
- * an existing store root.
+ * bucket directories are ever candidates: the event log, temp files
+ * from interrupted writers, and anything else a user or an older build
+ * may have put in the tree are counted as skipped and refused.
+ * fatal() if @p dir is not an existing store root.
  */
 PruneStats pruneStore(const std::string &dir, const PruneOptions &opts);
 

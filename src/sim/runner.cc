@@ -18,7 +18,6 @@
 #include "common/log.hh"
 #include "isa/assembler.hh"
 #include "sim/disk_store.hh"
-#include "sim/manifest.hh"
 #include "sim/result_store.hh"
 #include "sim/simulator.hh"
 #include "trace/metrics.hh"
@@ -526,11 +525,11 @@ ParallelRunner::remoteStats() const
 void
 startCampaign(DiskResultStore &disk, const std::vector<RunSpec> &specs)
 {
-    // Persist the campaign's identity before any cell simulates: a
-    // coordinator killed mid-sweep can be restarted with the same
-    // command line and pick up exactly the missing cells.
+    // The stored records are the resume state: a coordinator killed
+    // mid-sweep restarts with the same command line and simulates
+    // only the cells the store is missing.
     CampaignResume resume = prepareCampaign(disk, specs);
-    if (!resume.resumed)
+    if (resume.storedCells == 0)
         return;
     std::fprintf(stderr,
                  "[campaign] resuming: %llu of %llu cells already "

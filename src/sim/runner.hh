@@ -39,10 +39,9 @@
  * `matrix_done` event all render it; none counts on its own.
  *
  * Knobs (HS_JOBS, HS_STORE, HS_FAULTS): `hs_run --help`.
- * With a store attached, runMatrix() also maintains
- * `<store>/manifest.hsm` (sim/manifest.hh): an interrupted campaign
- * restarted with the same command line resumes, simulating only the
- * cells the store is missing.
+ * With a store attached, the stored records are the campaign: an
+ * interrupted campaign restarted with the same command line resumes,
+ * simulating only the cells the store is missing.
  */
 
 #ifndef HS_SIM_RUNNER_HH
@@ -295,10 +294,10 @@ class ParallelRunner
 std::vector<RunResult> runMatrix(const std::vector<RunSpec> &specs);
 
 /**
- * Persist the campaign manifest for @p specs in @p disk before any
- * cell simulates (sim/manifest.hh), and announce a resumed campaign
- * with a `[campaign] resuming` stderr line and a `campaign_resumed`
- * event. runMatrix() and hs_run share it.
+ * Count the cells of @p specs that @p disk already holds
+ * (prepareCampaign(), which writes nothing) and, when there are any,
+ * announce the resume with a `[campaign] resuming` stderr line and a
+ * `campaign_resumed` event. runMatrix() and hs_run share it.
  */
 void startCampaign(DiskResultStore &disk, const std::vector<RunSpec> &specs);
 

@@ -44,15 +44,15 @@ constexpr uint32_t kResultFormatVersion = 3;
 
 /**
  * FNV-1a 64-bit over an arbitrary byte range. The hash for addresses
- * and identities: canonical keys (keyHash(), RunSpec::hash()) and the
- * manifest's matrix hash. Its values are pinned by stores on disk.
+ * and identities: canonical keys (keyHash(), RunSpec::hash()). Its
+ * values are pinned by stores on disk.
  */
 uint64_t fnv1a64(const uint8_t *data, size_t size,
                  uint64_t seed = 0xcbf29ce484222325ull);
 
 /**
  * 64-bit integrity checksum over an arbitrary byte range: the sum
- * every record, manifest and shipped snapshot is checked with. Reads
+ * every record and shipped snapshot is checked with. Reads
  * 8-byte words (host order, little-endian like every format here)
  * into four independent multiply-xor lanes (the tail bytes and the
  * length are folded in last), so it runs at memory speed where

@@ -9,7 +9,9 @@
 # the two stored cells from disk, simulate exactly the two missing
 # ones, and emit artifacts matching an uninterrupted run (host fields
 # stripped; the disk-served cells re-emit the first run's host
-# numbers).
+# numbers). The stored records are the only resume state: the store
+# root holds no campaign file, and a different matrix sharing cells
+# with the stored ones reports its own overlap.
 #
 # usage: hs_resume_test.sh <path-to-hs_run>
 
@@ -67,8 +69,8 @@ rc=$?
 records=$(find "$STORE" -name '*.hsr' | wc -l)
 [ "$records" -eq 2 ] ||
     fail "interrupted run: expected 2 stored records, found $records"
-[ -f "$STORE/manifest.hsm" ] ||
-    fail "interrupted run: no campaign manifest written"
+[ -e "$STORE/manifest.hsm" ] &&
+    fail "interrupted run: a manifest.hsm was written"
 
 # --- restart with the identical command line ---------------------------
 
@@ -112,6 +114,21 @@ grep -q "\[campaign\] resuming: 4 of 4 cells already stored" \
     fail "warm restart: no resume report"
 grep -Eq "store .*: 4 disk hit\(s\), 0 write\(s\)" "$TMP/warm.out" ||
     fail "warm restart: cells simulated on a complete store"
+extra=$(ls -A "$STORE" | grep -Ev '^([0-9a-f]{2}|events\.jsonl)$')
+[ -z "$extra" ] ||
+    fail "store root holds more than buckets and events.jsonl: $extra"
+
+# --- an overlapping matrix counts only its own stored cells ------------
+
+# gcc is stored, gzip is not.
+"$BIN" --spec gcc --spec gzip --each --scale 20000 --jobs 1 \
+    --store "$STORE" >"$TMP/overlap.out" 2>"$TMP/overlap.err" ||
+    fail "overlapping matrix: non-zero exit"
+grep -q "\[campaign\] resuming: 1 of 2 cells already stored" \
+    "$TMP/overlap.err" ||
+    fail "overlapping matrix: expected 'resuming: 1 of 2'"
+grep -Eq "store .*: 1 disk hit\(s\), 1 write\(s\)" "$TMP/overlap.out" ||
+    fail "overlapping matrix: expected 1 disk hit and 1 write"
 
 if [ "$fails" -ne 0 ]; then
     echo "$fails resume contract check(s) failed" >&2

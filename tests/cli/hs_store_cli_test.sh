@@ -4,7 +4,7 @@
 # Fills a store through hs_run, then exercises retention (--older-than,
 # via touch-backdated mtimes), --dry-run accounting, --sweep-corrupt,
 # the refusal to delete anything that is not a visible *.hsr record
-# (the campaign manifest in particular), strict command-line parsing,
+# (the store's events.jsonl in particular), strict command-line parsing,
 # and finally that a pruned store still serves a correct campaign —
 # pruned cells recompute, surviving cells serve from disk.
 #
@@ -44,7 +44,6 @@ records()
 "$RUN_BIN" $MATRIX --jobs 1 --store "$STORE" --csv "$TMP/ref.csv" \
     >/dev/null 2>&1 || fail "populate: hs_run failed"
 [ "$(records)" -eq 4 ] || fail "populate: expected 4 records"
-[ -f "$STORE/manifest.hsm" ] || fail "populate: no manifest"
 
 # --- strict command line -----------------------------------------------
 
@@ -99,7 +98,7 @@ echo "torn temp" >"$bucket/.tmp.999.dead.hsr"
 grep -q "1 pruned (1 corrupt" "$TMP/sweep.out" ||
     fail "sweep: expected 1 corrupt record pruned"
 [ "$(records)" -eq 1 ] || fail "sweep: expected 1 survivor"
-[ -f "$STORE/manifest.hsm" ] || fail "sweep deleted the manifest"
+[ -f "$STORE/events.jsonl" ] || fail "sweep deleted events.jsonl"
 [ -f "$STORE/README" ] || fail "sweep deleted a user file"
 [ -f "$bucket/.tmp.999.dead.hsr" ] || fail "sweep deleted a temp file"
 

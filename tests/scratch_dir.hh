@@ -1,7 +1,7 @@
 /**
  * @file
- * Scratch directories for tests that need real files (stores,
- * manifests, fault sweeps).
+ * Scratch directories for tests that need real files (stores, fault
+ * sweeps).
  *
  * A ScratchDir is an empty directory under the system temp directory,
  * named by a tag and the process id so concurrently running test

@@ -1,29 +1,25 @@
 /**
  * @file
- * Campaign-manifest tests: save/load round trips, the corruption
- * matrix (every damaged manifest degrades to a fresh campaign, never
- * a crash), and prepareCampaign()'s resume accounting — the persisted
- * identity that lets an interrupted coordinator restart and run only
- * the cells its store is missing.
+ * Campaign-resume tests: prepareCampaign()'s count of the cells a
+ * store already holds (records of another format or with unreadable
+ * headers do not count), the probe's promise to write nothing, and the
+ * end-to-end contract that an interrupted coordinator restarts and
+ * runs only the cells its store is missing.
  */
 
-#include <cstdio>
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "sim/disk_store.hh"
-#include "sim/manifest.hh"
 #include "sim/result_store.hh"
 #include "sim/run_spec.hh"
 #include "sim/runner.hh"
-#include "sim/serialize.hh"
 
 #include "scratch_dir.hh"
 
@@ -70,147 +66,14 @@ spit(const std::string &path, const std::vector<char> &bytes)
     ASSERT_TRUE(out.good()) << path;
 }
 
-TEST(Manifest, MatrixHashPinsMembershipAndOrder)
-{
-    std::vector<RunSpec> specs = smallMatrix();
-    uint64_t h = makeManifest(specs).matrixHash;
-    EXPECT_EQ(h, makeManifest(specs).matrixHash); // stable
-
-    std::vector<RunSpec> reordered = {specs[1], specs[0], specs[2]};
-    EXPECT_NE(h, makeManifest(reordered).matrixHash);
-
-    std::vector<RunSpec> shorter = {specs[0], specs[1]};
-    EXPECT_NE(h, makeManifest(shorter).matrixHash);
-}
-
-TEST(Manifest, SaveThenLoadRoundTrips)
-{
-    ScratchDir scratch("manifest_test_roundtrip");
-    const std::string &dir = scratch.path();
-    std::vector<RunSpec> specs = smallMatrix();
-    CampaignManifest m = makeManifest(specs);
-    ASSERT_EQ(m.cells.size(), specs.size());
-
-    std::string path = manifestPath(dir);
-    ASSERT_TRUE(saveManifest(path, m));
-
-    CampaignManifest back;
-    ASSERT_EQ(loadManifest(path, back), ManifestStatus::Ok);
-    EXPECT_EQ(back.matrixHash, m.matrixHash);
-    EXPECT_EQ(back.cells, m.cells);
-}
-
-TEST(Manifest, EmptyMatrixRoundTrips)
-{
-    ScratchDir scratch("manifest_test_empty");
-    const std::string &dir = scratch.path();
-    CampaignManifest m = makeManifest({});
-    std::string path = manifestPath(dir);
-    ASSERT_TRUE(saveManifest(path, m));
-    CampaignManifest back;
-    ASSERT_EQ(loadManifest(path, back), ManifestStatus::Ok);
-    EXPECT_TRUE(back.cells.empty());
-}
-
-TEST(Manifest, MissingFileIsNone)
-{
-    CampaignManifest out;
-    EXPECT_EQ(loadManifest("hs_manifest_no_such_file.hsm", out),
-              ManifestStatus::None);
-}
-
-/** Every mutation of a valid manifest must load as Corrupt. */
-class ManifestCorruption : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        path_ = manifestPath(dir_.path());
-        ASSERT_TRUE(saveManifest(path_, makeManifest(smallMatrix())));
-        bytes_ = slurp(path_);
-        ASSERT_GT(bytes_.size(), 24u);
-    }
-
-    void
-    expectCorrupt()
-    {
-        CampaignManifest out;
-        EXPECT_EQ(loadManifest(path_, out), ManifestStatus::Corrupt);
-    }
-
-    ScratchDir dir_{"manifest_test_corrupt"};
-    std::string path_;
-    std::vector<char> bytes_;
-};
-
-TEST_F(ManifestCorruption, TruncatedHeader)
-{
-    spit(path_, std::vector<char>(bytes_.begin(), bytes_.begin() + 9));
-    expectCorrupt();
-}
-
-TEST_F(ManifestCorruption, TruncatedCellList)
-{
-    spit(path_, std::vector<char>(bytes_.begin(),
-                                  bytes_.end() - 12));
-    expectCorrupt();
-}
-
-TEST_F(ManifestCorruption, BadMagic)
-{
-    bytes_[0] = 'X';
-    spit(path_, bytes_);
-    expectCorrupt();
-}
-
-TEST_F(ManifestCorruption, WrongVersion)
-{
-    bytes_[4] = 0x7f;
-    spit(path_, bytes_);
-    expectCorrupt();
-}
-
-TEST_F(ManifestCorruption, FlippedCellHash)
-{
-    // First cell hash sits right after the 24-byte header; flipping it
-    // breaks the checksum (and the matrix hash).
-    bytes_[24] = static_cast<char>(bytes_[24] ^ 0x01);
-    spit(path_, bytes_);
-    expectCorrupt();
-}
-
-TEST_F(ManifestCorruption, TrailingBytes)
-{
-    bytes_.push_back(0x00);
-    spit(path_, bytes_);
-    expectCorrupt();
-}
-
-TEST_F(ManifestCorruption, VersionOneManifestIsRefused)
-{
-    // The manifest as a version-1 build wrote it: the same layout,
-    // with an FNV-1a checksum over the cell-hash array.
-    const uint32_t one = 1;
-    std::memcpy(bytes_.data() + 4, &one, sizeof(one));
-    const size_t cellsAt = 24, sumAt = bytes_.size() - 8;
-    const uint64_t fnv = fnv1a64(
-        reinterpret_cast<const uint8_t *>(bytes_.data()) + cellsAt,
-        sumAt - cellsAt);
-    std::memcpy(bytes_.data() + sumAt, &fnv, sizeof(fnv));
-    spit(path_, bytes_);
-    expectCorrupt();
-}
-
 TEST(Campaign, FreshStoreStartsColdThenResumes)
 {
-    ScratchDir scratch("manifest_test_resume");
+    ScratchDir scratch("campaign_test_resume");
     const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
     DiskResultStore store(dir);
 
     CampaignResume first = prepareCampaign(store, specs);
-    EXPECT_FALSE(first.resumed);
     EXPECT_EQ(first.totalCells, specs.size());
     EXPECT_EQ(first.storedCells, 0u);
 
@@ -219,7 +82,6 @@ TEST(Campaign, FreshStoreStartsColdThenResumes)
     store.store(specs[1], executeRunSpec(specs[1]));
 
     CampaignResume second = prepareCampaign(store, specs);
-    EXPECT_TRUE(second.resumed);
     EXPECT_EQ(second.storedCells, 2u);
     EXPECT_EQ(second.totalCells, specs.size());
 }
@@ -228,7 +90,7 @@ TEST(Campaign, StaleFormatRecordsCountAsNotStored)
 {
     // A store written by another result format: every record exists
     // but load() rejects it, so a resume must not claim any as stored.
-    ScratchDir scratch("manifest_test_stale");
+    ScratchDir scratch("campaign_test_stale");
     const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
     DiskResultStore store(dir);
@@ -252,9 +114,7 @@ TEST(Campaign, StaleFormatRecordsCountAsNotStored)
         EXPECT_EQ(store.entryFormat(specs[i].hash()), 1u);
     }
 
-    CampaignResume res = prepareCampaign(store, specs);
-    EXPECT_TRUE(res.resumed);
-    EXPECT_EQ(res.storedCells, 0u);
+    EXPECT_EQ(prepareCampaign(store, specs).storedCells, 0u);
 }
 
 TEST(Campaign, UnreadableHeadersCountAsNotStored)
@@ -262,7 +122,7 @@ TEST(Campaign, UnreadableHeadersCountAsNotStored)
     // Every cell has a file, but none has a header load() could read:
     // a short one, one with bad magic, one of zeros. A resume must not
     // claim any of them as stored.
-    ScratchDir scratch("manifest_test_garbage");
+    ScratchDir scratch("campaign_test_garbage");
     std::vector<RunSpec> specs = smallMatrix();
     DiskResultStore store(scratch.path());
     const std::vector<std::vector<char>> garbage = {
@@ -282,39 +142,54 @@ TEST(Campaign, UnreadableHeadersCountAsNotStored)
     EXPECT_EQ(prepareCampaign(store, specs).storedCells, 0u);
 }
 
-TEST(Campaign, DifferentMatrixReplacesTheManifest)
+/** Every path under @p dir, relative to it, in sorted order. */
+std::vector<std::string>
+listTree(const std::string &dir)
 {
-    ScratchDir scratch("manifest_test_replace");
-    const std::string &dir = scratch.path();
-    std::vector<RunSpec> specs = smallMatrix();
-    DiskResultStore store(dir);
-    prepareCampaign(store, specs);
-
-    std::vector<RunSpec> other = {specs[0]};
-    CampaignResume res = prepareCampaign(store, other);
-    EXPECT_FALSE(res.resumed); // different campaign, not a resume
-
-    // The manifest now describes the new campaign.
-    CampaignManifest m;
-    ASSERT_EQ(loadManifest(manifestPath(dir), m), ManifestStatus::Ok);
-    EXPECT_EQ(m.matrixHash, makeManifest(other).matrixHash);
+    std::vector<std::string> paths;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(dir))
+        paths.push_back(
+            std::filesystem::relative(entry.path(), dir).string());
+    std::sort(paths.begin(), paths.end());
+    return paths;
 }
 
-TEST(Campaign, CorruptManifestIsReplacedNotFatal)
+TEST(Campaign, ProbeLeavesTheStoreUntouched)
 {
-    ScratchDir scratch("manifest_test_heal");
+    // The stored records are the campaign: counting them writes
+    // nothing, on an empty store or on a partly filled one.
+    ScratchDir scratch("campaign_test_untouched");
     const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
     DiskResultStore store(dir);
-    prepareCampaign(store, specs);
-    spit(manifestPath(dir), {'j', 'u', 'n', 'k'});
 
-    CampaignResume res = prepareCampaign(store, specs);
-    EXPECT_FALSE(res.resumed);
+    std::vector<std::string> before = listTree(dir);
+    EXPECT_EQ(prepareCampaign(store, specs).storedCells, 0u);
+    EXPECT_EQ(listTree(dir), before);
 
-    CampaignManifest m;
-    ASSERT_EQ(loadManifest(manifestPath(dir), m), ManifestStatus::Ok);
-    EXPECT_EQ(m.matrixHash, makeManifest(specs).matrixHash);
+    store.store(specs[0], executeRunSpec(specs[0]));
+    before = listTree(dir);
+    ASSERT_FALSE(before.empty());
+    EXPECT_EQ(prepareCampaign(store, specs).storedCells, 1u);
+    EXPECT_EQ(listTree(dir), before);
+}
+
+TEST(Campaign, OverlappingMatrixCountsItsStoredCells)
+{
+    // One store serves many matrices: a matrix sharing one cell with
+    // the stored one finds exactly that cell.
+    ScratchDir scratch("campaign_test_overlap");
+    std::vector<RunSpec> specs = smallMatrix();
+    DiskResultStore store(scratch.path());
+    for (const RunSpec &spec : specs)
+        store.store(spec, executeRunSpec(spec));
+
+    std::vector<RunSpec> other = {specs[1],
+                                  soloSpec("mcf", fastOpts())};
+    CampaignResume res = prepareCampaign(store, other);
+    EXPECT_EQ(res.totalCells, 2u);
+    EXPECT_EQ(res.storedCells, 1u);
 }
 
 TEST(Campaign, ResumeRunsOnlyTheMissingCells)
@@ -322,7 +197,7 @@ TEST(Campaign, ResumeRunsOnlyTheMissingCells)
     // The end-to-end resume contract, in-process: a campaign that
     // stored two of three cells restarts, simulates exactly one cell,
     // and its results match an uninterrupted run bit for bit.
-    ScratchDir scratch("manifest_test_e2e");
+    ScratchDir scratch("campaign_test_e2e");
     const std::string &dir = scratch.path();
     std::vector<RunSpec> specs = smallMatrix();
 
@@ -338,9 +213,7 @@ TEST(Campaign, ResumeRunsOnlyTheMissingCells)
     }
 
     DiskResultStore store(dir);
-    CampaignResume res = prepareCampaign(store, specs);
-    EXPECT_TRUE(res.resumed);
-    EXPECT_EQ(res.storedCells, 2u);
+    EXPECT_EQ(prepareCampaign(store, specs).storedCells, 2u);
 
     ResultStore mem;
     mem.attachDisk(&store);

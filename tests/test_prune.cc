@@ -3,9 +3,9 @@
  * Store garbage-collection tests: pruneStore() must honour the
  * retention boundary exactly, delete corrupt records only in sweep
  * mode, refuse everything that is not a visible `*.hsr` record inside
- * a bucket directory (manifests, temp litter, user strays), and count
- * honestly in dry-run mode. validateRecordFile() is the structural
- * gate the sweep relies on.
+ * a bucket directory (files older builds left, temp litter, user
+ * strays), and count honestly in dry-run mode. validateRecordFile() is
+ * the structural gate the sweep relies on.
  */
 
 #include <cstdio>
@@ -202,10 +202,10 @@ TEST(Prune, RefusesEverythingThatIsNotARecord)
         populate(dir, {soloSpec("gcc", fastOpts())});
     std::string bucket = paths[0].substr(0, paths[0].rfind('/'));
 
-    // Litter the tree with things prune must never touch: a campaign
-    // manifest at the root, a user file at the root, a non-record and
-    // a hidden temp file inside a bucket, and a record-named file in
-    // a directory that is not a bucket.
+    // Litter the tree with things prune must never touch: a
+    // manifest.hsm that older builds left at the root, a user file at
+    // the root, a non-record and a hidden temp file inside a bucket,
+    // and a record-named file in a directory that is not a bucket.
     writeFile(dir + "/manifest.hsm", "manifest bytes");
     writeFile(dir + "/README", "user notes");
     writeFile(bucket + "/notes.txt", "not a record");

@@ -203,7 +203,7 @@ pinnedSpecs()
     return specs;
 }
 
-// Every persistent store and campaign manifest is addressed by these
+// Every persistent store record is addressed by these
 // bytes: a change here silently re-addresses existing stores, so the
 // literals may only change together with kResultFormatVersion.
 TEST(RunSpec, CanonicalKeyTextIsPinned)

@@ -70,7 +70,7 @@ realRecord()
 TEST(Checksum64, PinnedValues)
 {
     // Pinned so that stores written by one build validate under the
-    // next: the sum is part of the .hsr, manifest and HSRP formats.
+    // next: the sum is part of the .hsr and HSRP formats.
     // 31/32/33 bytes straddle one four-lane block.
     std::vector<uint8_t> bytes(33);
     for (size_t i = 0; i < bytes.size(); ++i)

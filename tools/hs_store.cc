@@ -17,10 +17,10 @@
  *     is a mistyped command line, not a request.
  *
  *     Only regular `*.hsr` record files inside the two-hex-digit
- *     bucket directories are ever deleted. Campaign manifests, hidden
- *     temp files from interrupted writers, and anything else a user
- *     may have placed in the tree are refused and reported as
- *     skipped.
+ *     bucket directories are ever deleted. The event log, hidden temp
+ *     files from interrupted writers, files older builds left, and
+ *     anything else a user may have placed in the tree are refused
+ *     and reported as skipped.
  *
  * Exit status: 0 on success, 2 on a command-line error. See
  * docs/DISTRIBUTED.md for the workflow.
