@@ -96,10 +96,14 @@ class BranchPredictor
     struct BtbEntry
     {
         bool valid = false;
+        /** Explicit, always-zero padding: snapshots copy entries as
+         *  raw bytes, so equal entries must have equal bytes. */
+        uint8_t pad[7] = {};
         uint64_t pc = 0;
         uint64_t target = 0;
         uint64_t lruStamp = 0;
     };
+    static_assert(sizeof(BtbEntry) == 32, "BTB entries are saved raw");
 
     static void bumpCounter(uint8_t &ctr, bool up);
     int bimodalIndex(uint64_t pc) const;

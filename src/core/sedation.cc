@@ -82,7 +82,10 @@ SelectiveSedation::sedate(Cycles now, Block b, ThreadId tid,
         else
             control.sedateThread(tid, true);
     }
-    SedationEvent event{now, b, tid, monitor_.weightedAvg(tid, b)};
+    SedationEvent event{.cycle = now,
+                        .resource = b,
+                        .thread = tid,
+                        .weightedAvg = monitor_.weightedAvg(tid, b)};
     events_.push_back(event);
     if (osReport_)
         osReport_(event);

@@ -67,11 +67,15 @@ struct SedationEvent
 {
     Cycles cycle = 0;
     Block resource = Block::IntReg;
+    /** Explicit, always-zero padding: events are encoded as raw bytes,
+     *  so equal events must have equal bytes. */
+    uint8_t pad[3] = {};
     ThreadId thread = invalidThreadId;
     double weightedAvg = 0.0;
 
     bool operator==(const SedationEvent &) const = default;
 };
+static_assert(sizeof(SedationEvent) == 24, "SedationEvent is encoded raw");
 
 /** The selective-sedation DTM policy. */
 class SelectiveSedation : public DtmPolicy

@@ -107,10 +107,14 @@ class Cache
     {
         bool valid = false;
         bool dirty = false;
+        /** Explicit, always-zero padding: snapshots copy lines as raw
+         *  bytes, so equal lines must have equal bytes. */
+        uint8_t pad[6] = {};
         Addr tag = 0;
         uint64_t lruStamp = 0; ///< access stamp (LRU) or fill stamp
                                ///< (FIFO); unused for Random
     };
+    static_assert(sizeof(Line) == 24, "cache lines are saved raw");
 
     Addr lineAddr(Addr addr) const;
     Addr tagOf(Addr addr) const;

@@ -62,17 +62,23 @@ struct ThreadResult
 struct CoreResult
 {
     int core = 0;
+    /** Explicit, always-zero padding (here and below): results carry
+     *  core records as raw bytes, so equal records must have equal
+     *  bytes. */
+    uint8_t pad0[4] = {};
     Cycles activeCycles = 0;
     uint64_t emergencies = 0;
     std::array<uint64_t, numBlocks> emergenciesPerBlock{};
     std::array<Kelvin, numBlocks> peakTemp{};
     Kelvin peakTempOverall = 0;
     Block hottestBlock = Block::IntReg;
+    uint8_t pad1[7] = {};
     uint64_t stopAndGoTriggers = 0;
     Cycles coolingStallCycles = 0;
 
     bool operator==(const CoreResult &) const = default;
 };
+static_assert(sizeof(CoreResult) == 328, "CoreResult is encoded raw");
 
 /** One downsampled temperature trace point. */
 struct TempSample

@@ -23,13 +23,20 @@ namespace hs {
 struct InstHandle
 {
     uint16_t slot = 0;
+    /** Explicit, always-zero padding: snapshots copy handle lists as
+     *  raw bytes, so equal handles must have equal bytes. */
+    uint16_t pad = 0;
     uint32_t gen = 0;
+
+    constexpr InstHandle() = default;
+    constexpr InstHandle(uint16_t s, uint32_t g) : slot(s), gen(g) {}
 
     bool operator==(const InstHandle &o) const
     {
         return slot == o.slot && gen == o.gen;
     }
 };
+static_assert(sizeof(InstHandle) == 8, "handle lists are saved raw");
 
 /** Progress of a dynamic instruction through the backend. */
 enum class InstStage : uint8_t {

@@ -88,9 +88,13 @@ struct TraceEvent
     TraceKind kind = TraceKind::StopGoTrigger;
     uint8_t block = traceNoBlock; ///< blockIndex(), or traceNoBlock
     uint8_t core = 0;   ///< core the event happened on
+    /** Explicit, always-zero padding: results carry events as raw
+     *  bytes, so equal events must have equal bytes. */
+    uint8_t pad[2] = {};
 
     bool operator==(const TraceEvent &) const = default;
 };
+static_assert(sizeof(TraceEvent) == 32, "TraceEvent is encoded raw");
 
 /** Build an event; the category is derived from @p kind. */
 inline TraceEvent

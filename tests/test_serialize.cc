@@ -6,15 +6,19 @@
  * from the locally computed original.
  */
 
+#include <cstring>
+#include <new>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/remote.hh"
 #include "sim/results.hh"
 #include "sim/run_spec.hh"
 #include "sim/runner.hh"
 #include "sim/serialize.hh"
+#include "sim/simulator.hh"
 
 namespace {
 
@@ -173,6 +177,165 @@ TEST(Serialize, RoundTrippedResultEmitsIdenticalJsonAndCsv)
     writeResultCsv(c0, original);
     writeResultCsv(c1, back);
     EXPECT_EQ(c0.str(), c1.str());
+}
+
+/** checksum64 of a whole byte buffer. */
+uint64_t
+sumOf(const std::vector<uint8_t> &bytes)
+{
+    return checksum64(bytes.data(), bytes.size());
+}
+
+/** Sedation options with an upper trigger of @p upper (lower = -1 K). */
+ExperimentOptions
+sedationOpts(double upper)
+{
+    ExperimentOptions opts = fastOpts();
+    opts.dtm = DtmMode::SelectiveSedation;
+    opts.upperThreshold = upper;
+    opts.lowerThreshold = upper - 1.0;
+    return opts;
+}
+
+/** The snapshot of @p spec at its first sensor boundary: at scale
+ *  25000 the quantum is exactly one 20 K-cycle sensor interval. */
+SimSnapshot
+firstBoundarySnapshot(RunSpec spec)
+{
+    spec.opts.timeScale = 25000.0;
+    auto sim = makePrefixSimulator(spec);
+    sim->run();
+    SimSnapshot snap;
+    sim->save(snap);
+    return snap;
+}
+
+TEST(Serialize, EncodingsArePinned)
+{
+    // Snapshot, .hsr and HSRP bytes are formats: stores on disk, peers
+    // on the wire and shipped snapshots all assume them. These sums
+    // must not move unless kResultFormatVersion (and, for frames,
+    // kRemoteProtocolVersion) moves with them.
+    RunSpec traced = withVariantSpec("gcc", 2, sedationOpts(354.0))
+                         .withTopology(2, {0, 0})
+                         .withTraceEvents(true);
+    RunResult result = executeRunSpec(traced);
+    result.hostSeconds = 0.0;
+    result.simCyclesPerHostSec = 0.0;
+    ASSERT_EQ(result.cores.size(), 2u);
+    ASSERT_FALSE(result.sedationEvents.empty());
+    ASSERT_FALSE(result.traceEvents.empty());
+    std::vector<uint8_t> record = encodeRunResult(result);
+    EXPECT_EQ(record.size(), 42960u);
+    EXPECT_EQ(sumOf(record), 0x53fddc9bb065be82ull);
+
+    RunSpec benign = specPairSpec("gcc", "mesa", fastOpts());
+    SimSnapshot one = firstBoundarySnapshot(benign);
+    EXPECT_EQ(one.cycle, 20000u);
+    EXPECT_EQ(one.bytes.size(), 910491u);
+    EXPECT_EQ(sumOf(one.bytes), 0x5689184024f6161full);
+    SimSnapshot two =
+        firstBoundarySnapshot(benign.withTopology(2, {0, 1}));
+    EXPECT_EQ(two.cycle, 20000u);
+    EXPECT_EQ(two.bytes.size(), 1804314u);
+    EXPECT_EQ(sumOf(two.bytes), 0x2fc6af6ad11c8889ull);
+
+    RunSpec spec = fancySpec();
+    SimSnapshot snap;
+    snap.cycle = 40000;
+    for (int i = 0; i < 100; ++i)
+        snap.bytes.push_back(static_cast<uint8_t>(i * 7));
+    EXPECT_EQ(sumOf(encodeJob(42, spec, nullptr, 0)),
+              0xc1295900abf90f85ull);
+    EXPECT_EQ(sumOf(encodeJob(43, spec, &snap, sumOf(snap.bytes))),
+              0xd26586bdc5bb35deull);
+    EXPECT_EQ(sumOf(encodeJobRef(44, spec, 0xfeedfacecafebeefull)),
+              0x659305b3be413073ull);
+
+    JobTelemetry tel;
+    tel.simSeconds = 1.5;
+    tel.restoreSeconds = 0.25;
+    tel.snapshotBytes = 12345;
+    tel.snapshotFromCache = true;
+    tel.peakRssKb = 4096;
+    tel.tickedCycles = 1000;
+    tel.stalledCycles = 200;
+    tel.sensorSamples = 60;
+    tel.tickSeconds = 0.75;
+    tel.thermalSeconds = 0.125;
+    tel.stallSeconds = 0.0625;
+    EXPECT_EQ(sumOf(encodeResult(45, result)), 0x56eac2708489e0e4ull);
+    EXPECT_EQ(sumOf(encodeResult(46, result, &tel)), 0x11a592e571e9dbcbull);
+
+    HeartbeatInfo hb;
+    hb.jobsDone = 7;
+    hb.uptimeSeconds = 12.5;
+    hb.currentLabel = "gcc+mesa sedation";
+    EXPECT_EQ(sumOf(encodeHeartbeat(hb)), 0x6827074823ac850full);
+}
+
+/** Append a @p T to @p v that was default-constructed over bytes all
+ *  reading @p fill, then given its fields by @p set: whatever bytes
+ *  the type leaves unset keep @p fill. */
+template <class T, class Set>
+void
+appendBuiltOver(std::vector<T> &v, uint8_t fill, Set set)
+{
+    alignas(T) unsigned char raw[sizeof(T)];
+    std::memset(raw, fill, sizeof(raw));
+    T *t = new (raw) T;
+    set(*t);
+    v.push_back(*t);
+    t->~T();
+}
+
+/** A result holding one of each record encoded as raw bytes, every
+ *  one built over storage pre-filled with @p fill. */
+RunResult
+resultBuiltOver(uint8_t fill)
+{
+    alignas(RunResult) unsigned char raw[sizeof(RunResult)];
+    std::memset(raw, fill, sizeof(raw));
+    RunResult *r = new (raw) RunResult;
+    r->cycles = 1000;
+    r->numCores = 2;
+    r->hottestBlock = Block::IntReg;
+    for (int c = 0; c < 2; ++c) {
+        appendBuiltOver(r->cores, fill, [c](CoreResult &cr) {
+            cr.core = c;
+            cr.activeCycles = 900;
+            cr.hottestBlock = Block::IntReg;
+            cr.stopAndGoTriggers = 3;
+        });
+    }
+    appendBuiltOver(r->sedationEvents, fill, [](SedationEvent &e) {
+        e.cycle = 500;
+        e.resource = Block::IntReg;
+        e.thread = 1;
+        e.weightedAvg = 2.5;
+    });
+    appendBuiltOver(r->traceEvents, fill, [](TraceEvent &e) {
+        e.cycle = 600;
+        e.value = 2.5;
+        e.thread = 1;
+        e.cat = TraceCategory::Dtm;
+        e.kind = TraceKind::ThreadSedated;
+        e.block = 0;
+    });
+    RunResult out = *r;
+    r->~RunResult();
+    return out;
+}
+
+TEST(Serialize, EqualResultsEncodeToEqualBytes)
+{
+    // Two results that compare equal must encode to the same bytes,
+    // whatever the memory they were built in held: a rerun's record
+    // can then be compared to the first byte for byte.
+    RunResult zeros = resultBuiltOver(0x00);
+    RunResult ones = resultBuiltOver(0xff);
+    ASSERT_TRUE(zeros == ones);
+    EXPECT_EQ(encodeRunResult(zeros), encodeRunResult(ones));
 }
 
 TEST(Serialize, TrailingBytesAreFatal)
