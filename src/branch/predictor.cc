@@ -169,39 +169,22 @@ BranchPredictor::restoreHistory(ThreadId tid, uint32_t history, bool taken)
         ((history << 1) | (taken ? 1u : 0u)) & mask;
 }
 
+template <class IO>
 void
-BranchPredictor::saveState(StateWriter &w) const
+BranchPredictor::serialize(IO &io)
 {
-    w.putTag(stateTag("BPRD"));
-    w.putVec(bimodal_);
-    w.putVec(gshare_);
-    w.putVec(chooser_);
-    w.putVec(history_);
-    w.putVec(btb_);
-    w.put<uint64_t>(btbClock_);
-    w.put<uint64_t>(lookups_);
-    w.put<uint64_t>(mispredicts_);
+    io.tag(stateTag("BPRD"), "BranchPredictor");
+    io.table(bimodal_, "bimodal table size");
+    io.table(gshare_, "gshare table size");
+    io.table(chooser_, "chooser table size");
+    io.table(history_, "branch history count");
+    io.table(btb_, "BTB size");
+    io.value(btbClock_);
+    io.value(lookups_);
+    io.value(mispredicts_);
 }
 
-void
-BranchPredictor::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("BPRD"), "BranchPredictor");
-    size_t bimodal = bimodal_.size(), gshare = gshare_.size();
-    size_t chooser = chooser_.size(), history = history_.size();
-    size_t btb = btb_.size();
-    r.getVec(bimodal_);
-    r.getVec(gshare_);
-    r.getVec(chooser_);
-    r.getVec(history_);
-    r.getVec(btb_);
-    if (bimodal_.size() != bimodal || gshare_.size() != gshare ||
-        chooser_.size() != chooser || history_.size() != history ||
-        btb_.size() != btb)
-        fatal("BranchPredictor::restoreState: geometry mismatch");
-    btbClock_ = r.get<uint64_t>();
-    lookups_ = r.get<uint64_t>();
-    mispredicts_ = r.get<uint64_t>();
-}
+template void BranchPredictor::serialize(StateWriter &);
+template void BranchPredictor::serialize(StateReader &);
 
 } // namespace hs

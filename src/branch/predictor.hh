@@ -16,9 +16,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /** Predictor geometry. */
 struct BranchPredictorParams
 {
@@ -84,13 +81,9 @@ class BranchPredictor
         mispredicts_ = 0;
     }
 
-    /** Serialise tables, per-thread histories, BTB and statistics
-     *  (snapshot support). */
-    void saveState(StateWriter &w) const;
-
-    /** Restore state captured by saveState(); the geometry must
-     *  match. */
-    void restoreState(StateReader &r);
+    /** Snapshot state: tables, per-thread histories, BTB and
+     *  statistics. A restore needs the same geometry. */
+    template <class IO> void serialize(IO &io);
 
   private:
     struct BtbEntry

@@ -94,71 +94,39 @@ UsageMonitor::reset()
     samples_ = 0;
 }
 
+template <class IO>
 void
-UsageMonitor::saveState(StateWriter &w) const
+UsageMonitor::serialize(IO &io, const ActivityCounters &activity)
 {
-    w.putTag(stateTag("UMON"));
-    w.put<int32_t>(numThreads_);
-    w.put<int32_t>(shift_);
-    w.put<uint64_t>(samples_);
-    std::vector<int64_t> raw(ewma_.size());
-    for (size_t i = 0; i < ewma_.size(); ++i)
-        raw[i] = ewma_[i].raw();
-    w.putVec(raw);
-    w.putVec(flatSum_);
-    w.putVec(flatWindows_);
-    w.put<uint8_t>(snapshot_ ? 1 : 0);
-    if (snapshot_)
-        snapshot_->saveState(w);
-}
-
-void
-UsageMonitor::restoreState(StateReader &r,
-                           const ActivityCounters &activity)
-{
-    r.expectTag(stateTag("UMON"), "UsageMonitor");
-    int32_t threads = r.get<int32_t>();
-    int32_t shift = r.get<int32_t>();
-    if (threads != numThreads_ || shift != shift_)
-        fatal("UsageMonitor::restoreState: snapshot shape "
-              "(%d threads, shift %d) does not match (%d, %d)",
-              threads, shift, numThreads_, shift_);
-    samples_ = r.get<uint64_t>();
-    std::vector<int64_t> raw;
-    r.getVec(raw);
-    if (raw.size() != ewma_.size())
-        fatal("UsageMonitor::restoreState: EWMA cell count mismatch");
-    for (size_t i = 0; i < ewma_.size(); ++i)
-        ewma_[i].setRaw(raw[i]);
-    r.getVec(flatSum_);
-    r.getVec(flatWindows_);
-    if (flatSum_.size() != ewma_.size() ||
-        flatWindows_.size() != static_cast<size_t>(numThreads_))
-        fatal("UsageMonitor::restoreState: flat-average shape mismatch");
-    bool bound = r.get<uint8_t>() != 0;
-    if (bound) {
-        boundTo_ = &activity;
-        snapshot_ =
-            std::make_unique<ActivityCounters::Snapshot>(activity);
-        snapshot_->restoreState(r);
-    } else {
-        boundTo_ = nullptr;
-        snapshot_.reset();
+    io.tag(stateTag("UMON"), "UsageMonitor");
+    io.echo(numThreads_, "usage-monitor thread count");
+    io.echo(shift_, "usage-monitor EWMA shift");
+    io.value(samples_);
+    io.echo(static_cast<uint64_t>(ewma_.size()),
+            "usage-monitor EWMA cell count");
+    for (FixedEwma &e : ewma_) {
+        int64_t raw = e.raw();
+        io.value(raw);
+        if constexpr (IO::kReading)
+            e.setRaw(raw);
     }
+    io.table(flatSum_, "usage-monitor flat-sum count");
+    io.table(flatWindows_, "usage-monitor flat-window count");
+    bool bound = snapshot_ != nullptr;
+    io.value(bound);
+    if constexpr (IO::kReading) {
+        boundTo_ = bound ? &activity : nullptr;
+        snapshot_ = bound ? std::make_unique<ActivityCounters::Snapshot>(
+                                activity)
+                          : nullptr;
+    }
+    if (bound)
+        snapshot_->serialize(io);
 }
 
-void
-UsageMonitor::skipState(StateReader &r)
-{
-    r.expectTag(stateTag("UMON"), "UsageMonitor");
-    (void)r.get<int32_t>();
-    (void)r.get<int32_t>();
-    (void)r.get<uint64_t>();
-    r.skipVec<int64_t>();
-    r.skipVec<uint64_t>();
-    r.skipVec<uint64_t>();
-    if (r.get<uint8_t>() != 0)
-        r.skipVec<std::array<uint64_t, numBlocks>>();
-}
+template void UsageMonitor::serialize(StateWriter &,
+                                      const ActivityCounters &);
+template void UsageMonitor::serialize(StateReader &,
+                                      const ActivityCounters &);
 
 } // namespace hs

@@ -27,9 +27,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /** The selective-sedation usage monitor. */
 class UsageMonitor
 {
@@ -69,20 +66,15 @@ class UsageMonitor
     /** Reset all averages and the window snapshot. */
     void reset();
 
-    /** Serialise EWMAs, flat averages and the window snapshot
-     *  (snapshot support). */
-    void saveState(StateWriter &w) const;
-
     /**
-     * Restore state captured by saveState(), rebinding the window
-     * snapshot to @p activity (the restoring simulator's own counters,
-     * which carry the same restored values the saved owner had).
+     * Snapshot state: EWMAs, flat averages and the window snapshot. A
+     * restore needs the same thread count and EWMA shift, and rebinds
+     * the window snapshot to @p activity (the restoring simulator's
+     * own counters, which carry the same restored values the saved
+     * owner had).
      */
-    void restoreState(StateReader &r, const ActivityCounters &activity);
-
-    /** Consume a saveState() record without applying it (a snapshot
-     *  carries monitor state the restoring config does not use). */
-    static void skipState(StateReader &r);
+    template <class IO>
+    void serialize(IO &io, const ActivityCounters &activity);
 
   private:
     size_t cell(ThreadId tid, Block b) const

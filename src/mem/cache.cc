@@ -174,32 +174,20 @@ Cache::invalidate(Addr addr)
     return false;
 }
 
+template <class IO>
 void
-Cache::saveState(StateWriter &w) const
+Cache::serialize(IO &io)
 {
-    w.putTag(stateTag("CACH"));
-    w.put<uint64_t>(lruClock_);
-    w.put<uint32_t>(lfsr_);
-    w.put<uint64_t>(hits_);
-    w.put<uint64_t>(misses_);
-    w.put<uint64_t>(writebacks_);
-    w.putVec(lines_);
+    io.tag(stateTag("CACH"), "Cache");
+    io.value(lruClock_);
+    io.value(lfsr_);
+    io.value(hits_);
+    io.value(misses_);
+    io.value(writebacks_);
+    io.table(lines_, "cache line count");
 }
 
-void
-Cache::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("CACH"), "Cache");
-    size_t expect = lines_.size();
-    lruClock_ = r.get<uint64_t>();
-    lfsr_ = r.get<uint32_t>();
-    hits_ = r.get<uint64_t>();
-    misses_ = r.get<uint64_t>();
-    writebacks_ = r.get<uint64_t>();
-    r.getVec(lines_);
-    if (lines_.size() != expect)
-        fatal("Cache '%s': snapshot has %zu lines, geometry has %zu",
-              params_.name.c_str(), lines_.size(), expect);
-}
+template void Cache::serialize(StateWriter &);
+template void Cache::serialize(StateReader &);
 
 } // namespace hs

@@ -16,9 +16,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /** Victim-selection policy. */
 enum class ReplacementPolicy {
     Lru,    ///< least recently used (default)
@@ -94,13 +91,9 @@ class Cache
         hits_ = misses_ = writebacks_ = 0;
     }
 
-    /** Serialise tags, LRU/LFSR state and statistics (snapshot
-     *  support). */
-    void saveState(StateWriter &w) const;
-
-    /** Restore state captured by saveState(); the geometry must
-     *  match. */
-    void restoreState(StateReader &r);
+    /** Snapshot state: tags, LRU/LFSR state and statistics. A
+     *  restore needs the same geometry. */
+    template <class IO> void serialize(IO &io);
 
   private:
     struct Line

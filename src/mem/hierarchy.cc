@@ -65,24 +65,18 @@ MemoryHierarchy::resetStats()
     memWritebacks_ = 0;
 }
 
+template <class IO>
 void
-MemoryHierarchy::saveState(StateWriter &w) const
+MemoryHierarchy::serialize(IO &io)
 {
-    w.putTag(stateTag("MHIE"));
-    l1i_->saveState(w);
-    l1d_->saveState(w);
-    l2_->saveState(w);
-    w.put<uint64_t>(memWritebacks_);
+    io.tag(stateTag("MHIE"), "MemoryHierarchy");
+    io.record(*l1i_);
+    io.record(*l1d_);
+    io.record(*l2_);
+    io.value(memWritebacks_);
 }
 
-void
-MemoryHierarchy::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("MHIE"), "MemoryHierarchy");
-    l1i_->restoreState(r);
-    l1d_->restoreState(r);
-    l2_->restoreState(r);
-    memWritebacks_ = r.get<uint64_t>();
-}
+template void MemoryHierarchy::serialize(StateWriter &);
+template void MemoryHierarchy::serialize(StateReader &);
 
 } // namespace hs

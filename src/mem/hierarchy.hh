@@ -17,9 +17,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /** Parameters for the full hierarchy. */
 struct HierarchyParams
 {
@@ -71,13 +68,9 @@ class MemoryHierarchy
 
     void resetStats();
 
-    /** Serialise all three cache levels plus the writeback counter
-     *  (snapshot support). */
-    void saveState(StateWriter &w) const;
-
-    /** Restore state captured by saveState() on a same-geometry
-     *  hierarchy. */
-    void restoreState(StateReader &r);
+    /** Snapshot state: all three cache levels plus the writeback
+     *  counter. A restore needs the same geometry. */
+    template <class IO> void serialize(IO &io);
 
   private:
     MemAccessResult accessThrough(Cache &l1, Addr addr, bool is_write);

@@ -59,35 +59,32 @@ SparseMemory::write8(Addr addr, uint8_t value)
     touchPage(addr)[addr % pageBytes] = value;
 }
 
+template <class IO>
 void
-SparseMemory::saveState(StateWriter &w) const
+SparseMemory::serialize(IO &io)
 {
-    w.putTag(stateTag("SMEM"));
+    io.tag(stateTag("SMEM"), "SparseMemory");
     std::vector<Addr> keys;
-    keys.reserve(pages_.size());
     for (const auto &[key, page] : pages_)
         keys.push_back(key);
     std::sort(keys.begin(), keys.end());
-    w.put<uint64_t>(keys.size());
-    for (Addr key : keys) {
-        w.put<Addr>(key);
-        w.putBytes(pages_.at(key)->data(), pageBytes);
+    uint64_t n = keys.size();
+    io.count(n, sizeof(Addr) + pageBytes);
+    if constexpr (IO::kReading) {
+        pages_.clear();
+        pages_.reserve(static_cast<size_t>(n));
+        keys.resize(static_cast<size_t>(n));
+    }
+    for (Addr &key : keys) {
+        io.value(key);
+        std::unique_ptr<Page> &page = pages_[key];
+        if constexpr (IO::kReading)
+            page = std::make_unique<Page>();
+        io.bytes(page->data(), pageBytes);
     }
 }
 
-void
-SparseMemory::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("SMEM"), "SparseMemory");
-    uint64_t n = r.get<uint64_t>();
-    pages_.clear();
-    pages_.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-        Addr key = r.get<Addr>();
-        auto page = std::make_unique<Page>();
-        r.getBytes(page->data(), pageBytes);
-        pages_.emplace(key, std::move(page));
-    }
-}
+template void SparseMemory::serialize(StateWriter &);
+template void SparseMemory::serialize(StateReader &);
 
 } // namespace hs

@@ -20,9 +20,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /** Byte-addressable sparse memory with 64-bit accessors. */
 class SparseMemory
 {
@@ -48,13 +45,10 @@ class SparseMemory
     /** @return number of 4 KB pages currently allocated. */
     size_t allocatedPages() const { return pages_.size(); }
 
-    /** Serialise all allocated pages in ascending-address order
-     *  (snapshot support; the ordering makes the byte stream
-     *  deterministic regardless of hash-map iteration order). */
-    void saveState(StateWriter &w) const;
-
-    /** Replace the contents with pages captured by saveState(). */
-    void restoreState(StateReader &r);
+    /** Snapshot state: every allocated page, in ascending-address
+     *  order so the bytes do not depend on hash-map iteration order.
+     *  A restore replaces the contents. */
+    template <class IO> void serialize(IO &io);
 
   private:
     using Page = std::array<uint8_t, pageBytes>;

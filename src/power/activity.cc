@@ -30,27 +30,17 @@ ActivityCounters::reset()
         row.fill(0);
 }
 
+template <class IO>
 void
-ActivityCounters::saveState(StateWriter &w) const
+ActivityCounters::serialize(IO &io)
 {
-    w.putTag(stateTag("ACTV"));
-    w.put<int32_t>(numThreads_);
-    w.putVec(counts_);
+    io.tag(stateTag("ACTV"), "ActivityCounters");
+    io.echo(numThreads_, "activity-counter thread count");
+    io.table(counts_, "activity-counter row count");
 }
 
-void
-ActivityCounters::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("ACTV"), "ActivityCounters");
-    int32_t threads = r.get<int32_t>();
-    if (threads != numThreads_)
-        fatal("ActivityCounters::restoreState: snapshot has %d threads, "
-              "this instance has %d",
-              threads, numThreads_);
-    r.getVec(counts_);
-    if (counts_.size() != static_cast<size_t>(numThreads_))
-        fatal("ActivityCounters::restoreState: corrupt row count");
-}
+template void ActivityCounters::serialize(StateWriter &);
+template void ActivityCounters::serialize(StateReader &);
 
 ActivityCounters::Snapshot::Snapshot(const ActivityCounters &owner)
     : owner_(owner), last_(owner.counts_.size())
@@ -73,20 +63,14 @@ ActivityCounters::Snapshot::take()
     last_ = owner_.counts_;
 }
 
+template <class IO>
 void
-ActivityCounters::Snapshot::saveState(StateWriter &w) const
+ActivityCounters::Snapshot::serialize(IO &io)
 {
-    w.putVec(last_);
+    io.table(last_, "activity baseline row count");
 }
 
-void
-ActivityCounters::Snapshot::restoreState(StateReader &r)
-{
-    r.getVec(last_);
-    if (last_.size() != owner_.counts_.size())
-        fatal("ActivityCounters::Snapshot::restoreState: baseline shape "
-              "does not match the owner (%zu vs %zu rows)",
-              last_.size(), owner_.counts_.size());
-}
+template void ActivityCounters::Snapshot::serialize(StateWriter &);
+template void ActivityCounters::Snapshot::serialize(StateReader &);
 
 } // namespace hs

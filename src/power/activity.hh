@@ -24,9 +24,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /** Cumulative access counters, indexed [thread][block]. */
 class ActivityCounters
 {
@@ -57,12 +54,9 @@ class ActivityCounters
     /** Zero all counters. */
     void reset();
 
-    /** Serialise every counter cell (snapshot support). */
-    void saveState(StateWriter &w) const;
-
-    /** Restore counters captured by saveState(); the thread count must
-     *  match this instance's. */
-    void restoreState(StateReader &r);
+    /** Snapshot state: every counter cell. A restore needs the same
+     *  thread count. */
+    template <class IO> void serialize(IO &io);
 
     /**
      * A consumer-owned snapshot for windowed differencing.
@@ -80,12 +74,9 @@ class ActivityCounters
         /** Advance the snapshot to the counters' current state. */
         void take();
 
-        /** Serialise the differencing baseline (snapshot support). */
-        void saveState(StateWriter &w) const;
-
-        /** Restore a baseline captured by saveState() against a
-         *  same-shaped owner. */
-        void restoreState(StateReader &r);
+        /** Snapshot state: the differencing baseline. A restore
+         *  needs a same-shaped owner. */
+        template <class IO> void serialize(IO &io);
 
       private:
         const ActivityCounters &owner_;

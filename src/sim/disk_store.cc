@@ -220,9 +220,9 @@ DiskResultStore::store(const std::string &key, const RunResult &result)
     std::vector<uint8_t> image;
     StateWriter w(image);
     StoreHeader hdr;
-    w.put(hdr);
-    w.putBytes(key.data(), key.size());
-    saveRunResult(w, result);
+    w.value(hdr);
+    w.bytes(key.data(), key.size());
+    w.record(result);
     hdr.keyBytes = key.size();
     hdr.payloadBytes = image.size() - sizeof(hdr) - key.size();
     hdr.checksum =

@@ -123,25 +123,20 @@ OnlineEpisodeDetector::sample(Cycles cycle, Kelvin t)
     }
 }
 
+template <class IO>
 void
-OnlineEpisodeDetector::saveState(StateWriter &w) const
+OnlineEpisodeDetector::serialize(IO &io)
 {
-    w.putTag(stateTag("EPIS"));
-    w.put<uint8_t>(static_cast<uint8_t>(phase_));
-    w.put<Cycles>(current_.riseStart);
-    w.put<Cycles>(current_.peakAt);
-    w.put<uint64_t>(completed_);
+    io.tag(stateTag("EPIS"), "OnlineEpisodeDetector state");
+    io.enumerated(phase_, Phase::Cooling, "episode phase");
+    if constexpr (IO::kReading)
+        current_ = Episode{};
+    io.value(current_.riseStart);
+    io.value(current_.peakAt);
+    io.value(completed_);
 }
 
-void
-OnlineEpisodeDetector::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("EPIS"), "OnlineEpisodeDetector state");
-    phase_ = static_cast<Phase>(r.get<uint8_t>());
-    current_ = Episode{};
-    current_.riseStart = r.get<Cycles>();
-    current_.peakAt = r.get<Cycles>();
-    completed_ = r.get<uint64_t>();
-}
+template void OnlineEpisodeDetector::serialize(StateWriter &);
+template void OnlineEpisodeDetector::serialize(StateReader &);
 
 } // namespace hs

@@ -66,8 +66,6 @@ std::vector<Episode> extractEpisodes(const std::vector<TempSample> &trace,
 EpisodeStats summarizeEpisodes(const std::vector<Episode> &episodes);
 
 class Histogram;
-class StateReader;
-class StateWriter;
 class Tracer;
 
 /**
@@ -91,7 +89,7 @@ class OnlineEpisodeDetector
      * Route every completed episode's heating / cooling durations (in
      * cycles) into @p heat / @p cool. The sinks are owned by the
      * caller and are not serialised — the owner reattaches them after
-     * restoreState(). Either may be null.
+     * a restore. Either may be null.
      */
     void
     setDurationSinks(Histogram *heat, Histogram *cool)
@@ -103,8 +101,8 @@ class OnlineEpisodeDetector
     /** Completed episodes observed so far. */
     uint64_t completed() const { return completed_; }
 
-    void saveState(StateWriter &w) const;
-    void restoreState(StateReader &r);
+    /** Snapshot state: the phase machine and its counters. */
+    template <class IO> void serialize(IO &io);
 
   private:
     enum class Phase : uint8_t { Low = 0, Rising = 1, Cooling = 2 };

@@ -65,11 +65,11 @@ encodeHello(FrameType type, uint32_t caps)
 {
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    w.put<uint8_t>(static_cast<uint8_t>(type));
-    w.put<uint32_t>(kRemoteMagic);
-    w.put<uint32_t>(kRemoteProtocolVersion);
-    w.put<uint32_t>(kResultFormatVersion);
-    w.put<uint32_t>(caps);
+    w.value(static_cast<uint8_t>(type));
+    w.value(kRemoteMagic);
+    w.value(kRemoteProtocolVersion);
+    w.value(kResultFormatVersion);
+    w.value(caps);
     return bytes;
 }
 
@@ -82,27 +82,108 @@ checkHello(const std::vector<uint8_t> &frame, FrameType expected,
         return false;
     }
     StateReader r(frame);
-    if (r.get<uint8_t>() != static_cast<uint8_t>(expected)) {
+    uint8_t type = 0;
+    uint32_t magic = 0, protocol = 0, format = 0, caps = 0;
+    r.value(type);
+    r.value(magic);
+    r.value(protocol);
+    r.value(format);
+    r.value(caps);
+    if (type != static_cast<uint8_t>(expected)) {
         why = "unexpected frame type in handshake";
         return false;
     }
-    if (r.get<uint32_t>() != kRemoteMagic) {
+    if (magic != kRemoteMagic) {
         why = "not a heat-stroke peer (bad magic)";
         return false;
     }
-    if (r.get<uint32_t>() != kRemoteProtocolVersion) {
+    if (protocol != kRemoteProtocolVersion) {
         why = "protocol version mismatch";
         return false;
     }
-    if (r.get<uint32_t>() != kResultFormatVersion) {
+    if (format != kResultFormatVersion) {
         why = "result-format version mismatch (rebuild the peer)";
         return false;
     }
-    uint32_t caps = r.get<uint32_t>();
     if (peer_caps)
         *peer_caps = caps;
     return true;
 }
+
+namespace {
+
+/** The leading frame-type byte of every frame but the handshake's. */
+template <class IO>
+void
+frameType(IO &io, FrameType type)
+{
+    io.echo(static_cast<uint8_t>(type), "frame type");
+}
+
+/** The one body of a Job frame. The snapshot payload travels only in
+ *  Inline mode; @p snap is where it is written from or read into. The
+ *  part types are const when encoding. */
+template <class IO, class Spec, class Snap>
+void
+jobFrame(IO &io, uint64_t &id, Spec &spec, RemoteJob::SnapMode &mode,
+         uint64_t &snapshot_hash, Snap &snap)
+{
+    frameType(io, FrameType::Job);
+    io.value(id);
+    io.record(spec);
+    io.enumerated(mode, RemoteJob::SnapMode::Reference, "snapshot mode");
+    if (mode != RemoteJob::SnapMode::None)
+        io.value(snapshot_hash);
+    if (mode == RemoteJob::SnapMode::Inline) {
+        io.value(snap.cycle);
+        io.vec(snap.bytes);
+    }
+}
+
+template <class IO, class Telemetry>
+void
+telemetryBlock(IO &io, Telemetry &tel)
+{
+    io.value(tel.simSeconds);
+    io.value(tel.restoreSeconds);
+    io.value(tel.snapshotBytes);
+    io.value(tel.snapshotFromCache);
+    io.value(tel.peakRssKb);
+    io.value(tel.tickedCycles);
+    io.value(tel.stalledCycles);
+    io.value(tel.sensorSamples);
+    io.value(tel.tickSeconds);
+    io.value(tel.thermalSeconds);
+    io.value(tel.stallSeconds);
+}
+
+/** The one body of a Result frame; @p tel travels when @p has_tel. */
+template <class IO, class Result, class Telemetry>
+void
+resultFrame(IO &io, uint64_t &id, Result &result, bool &has_tel,
+            Telemetry &tel)
+{
+    frameType(io, FrameType::Result);
+    io.value(id);
+    io.record(result);
+    io.value(has_tel);
+    if (has_tel)
+        telemetryBlock(io, tel);
+}
+
+template <class IO, class Heartbeat>
+void
+heartbeatFrame(IO &io, Heartbeat &hb)
+{
+    frameType(io, FrameType::Heartbeat);
+    io.value(hb.jobsDone);
+    io.value(hb.uptimeSeconds);
+    io.string(hb.currentLabel);
+}
+
+const SimSnapshot kNoSnapshot;
+
+} // namespace
 
 std::vector<uint8_t>
 encodeJob(uint64_t id, const RunSpec &spec, const SimSnapshot *snap,
@@ -110,16 +191,9 @@ encodeJob(uint64_t id, const RunSpec &spec, const SimSnapshot *snap,
 {
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    w.put<uint8_t>(static_cast<uint8_t>(FrameType::Job));
-    w.put<uint64_t>(id);
-    saveRunSpec(w, spec);
-    w.put<uint8_t>(static_cast<uint8_t>(
-        snap ? RemoteJob::SnapMode::Inline : RemoteJob::SnapMode::None));
-    if (snap) {
-        w.put<uint64_t>(snapshot_hash);
-        w.put<uint64_t>(snap->cycle);
-        w.putVec(snap->bytes);
-    }
+    RemoteJob::SnapMode mode =
+        snap ? RemoteJob::SnapMode::Inline : RemoteJob::SnapMode::None;
+    jobFrame(w, id, spec, mode, snapshot_hash, snap ? *snap : kNoSnapshot);
     return bytes;
 }
 
@@ -128,11 +202,8 @@ encodeJobRef(uint64_t id, const RunSpec &spec, uint64_t snapshot_hash)
 {
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    w.put<uint8_t>(static_cast<uint8_t>(FrameType::Job));
-    w.put<uint64_t>(id);
-    saveRunSpec(w, spec);
-    w.put<uint8_t>(static_cast<uint8_t>(RemoteJob::SnapMode::Reference));
-    w.put<uint64_t>(snapshot_hash);
+    RemoteJob::SnapMode mode = RemoteJob::SnapMode::Reference;
+    jobFrame(w, id, spec, mode, snapshot_hash, kNoSnapshot);
     return bytes;
 }
 
@@ -140,77 +211,23 @@ RemoteJob
 decodeJob(const std::vector<uint8_t> &frame)
 {
     StateReader r(frame);
-    if (r.get<uint8_t>() != static_cast<uint8_t>(FrameType::Job))
-        fatal("decodeJob: not a Job frame");
     RemoteJob job;
-    job.id = r.get<uint64_t>();
-    job.spec = loadRunSpec(r);
-    uint8_t mode = r.get<uint8_t>();
-    if (mode > static_cast<uint8_t>(RemoteJob::SnapMode::Reference))
-        fatal("decodeJob: bad snapshot mode %u",
-              static_cast<unsigned>(mode));
-    job.snapMode = static_cast<RemoteJob::SnapMode>(mode);
-    if (job.snapMode != RemoteJob::SnapMode::None)
-        job.snapshotHash = r.get<uint64_t>();
-    if (job.snapMode == RemoteJob::SnapMode::Inline) {
-        job.snapshot.cycle = r.get<uint64_t>();
-        r.getVec(job.snapshot.bytes);
-    }
-    if (!r.done())
-        fatal("decodeJob: trailing bytes");
+    jobFrame(r, job.id, job.spec, job.snapMode, job.snapshotHash,
+             job.snapshot);
+    r.expectEnd("decodeJob");
     return job;
 }
-
-namespace {
-
-void
-saveTelemetry(StateWriter &w, const JobTelemetry &tel)
-{
-    w.put<double>(tel.simSeconds);
-    w.put<double>(tel.restoreSeconds);
-    w.put<uint64_t>(tel.snapshotBytes);
-    w.put<uint8_t>(tel.snapshotFromCache ? 1 : 0);
-    w.put<uint64_t>(tel.peakRssKb);
-    w.put<uint64_t>(tel.tickedCycles);
-    w.put<uint64_t>(tel.stalledCycles);
-    w.put<uint64_t>(tel.sensorSamples);
-    w.put<double>(tel.tickSeconds);
-    w.put<double>(tel.thermalSeconds);
-    w.put<double>(tel.stallSeconds);
-}
-
-JobTelemetry
-loadTelemetry(StateReader &r)
-{
-    JobTelemetry tel;
-    tel.simSeconds = r.get<double>();
-    tel.restoreSeconds = r.get<double>();
-    tel.snapshotBytes = r.get<uint64_t>();
-    tel.snapshotFromCache = r.get<uint8_t>() != 0;
-    tel.peakRssKb = r.get<uint64_t>();
-    tel.tickedCycles = r.get<uint64_t>();
-    tel.stalledCycles = r.get<uint64_t>();
-    tel.sensorSamples = r.get<uint64_t>();
-    tel.tickSeconds = r.get<double>();
-    tel.thermalSeconds = r.get<double>();
-    tel.stallSeconds = r.get<double>();
-    return tel;
-}
-
-} // namespace
 
 std::vector<uint8_t>
 encodeResult(uint64_t id, const RunResult &result,
              const JobTelemetry *telemetry)
 {
+    static const JobTelemetry kNoTelemetry;
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    w.put<uint8_t>(static_cast<uint8_t>(FrameType::Result));
-    w.put<uint64_t>(id);
-    saveRunResult(w, result);
-    w.put<uint8_t>(telemetry ? 1 : 0);
-    if (telemetry)
-        saveTelemetry(w, *telemetry);
+    bool has_tel = telemetry != nullptr;
+    resultFrame(w, id, result, has_tel,
+                telemetry ? *telemetry : kNoTelemetry);
     return bytes;
 }
 
@@ -219,20 +236,15 @@ decodeResult(const std::vector<uint8_t> &frame, RunResult &out,
              JobTelemetry *telemetry, bool *has_telemetry)
 {
     StateReader r(frame);
-    if (r.get<uint8_t>() != static_cast<uint8_t>(FrameType::Result))
-        fatal("decodeResult: not a Result frame");
-    uint64_t id = r.get<uint64_t>();
-    out = loadRunResult(r);
-    bool carried = r.get<uint8_t>() != 0;
+    uint64_t id = 0;
+    bool carried = false;
+    JobTelemetry tel;
+    resultFrame(r, id, out, carried, tel);
+    r.expectEnd("decodeResult");
     if (has_telemetry)
         *has_telemetry = carried;
-    if (carried) {
-        JobTelemetry tel = loadTelemetry(r);
-        if (telemetry)
-            *telemetry = tel;
-    }
-    if (!r.done())
-        fatal("decodeResult: trailing bytes");
+    if (carried && telemetry)
+        *telemetry = tel;
     return id;
 }
 
@@ -241,10 +253,7 @@ encodeHeartbeat(const HeartbeatInfo &hb)
 {
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    w.put<uint8_t>(static_cast<uint8_t>(FrameType::Heartbeat));
-    w.put<uint64_t>(hb.jobsDone);
-    w.put<double>(hb.uptimeSeconds);
-    w.putString(hb.currentLabel);
+    heartbeatFrame(w, hb);
     return bytes;
 }
 
@@ -252,14 +261,9 @@ HeartbeatInfo
 decodeHeartbeat(const std::vector<uint8_t> &frame)
 {
     StateReader r(frame);
-    if (r.get<uint8_t>() != static_cast<uint8_t>(FrameType::Heartbeat))
-        fatal("decodeHeartbeat: not a Heartbeat frame");
     HeartbeatInfo hb;
-    hb.jobsDone = r.get<uint64_t>();
-    hb.uptimeSeconds = r.get<double>();
-    hb.currentLabel = r.getString();
-    if (!r.done())
-        fatal("decodeHeartbeat: trailing bytes");
+    heartbeatFrame(r, hb);
+    r.expectEnd("decodeHeartbeat");
     return hb;
 }
 
@@ -694,7 +698,7 @@ RemoteWorker::sendShutdown()
         return;
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    w.put<uint8_t>(static_cast<uint8_t>(FrameType::Shutdown));
+    w.value(static_cast<uint8_t>(FrameType::Shutdown));
     sendFrame(sock_, bytes);
     sock_.close();
     state_ = State::Fresh;

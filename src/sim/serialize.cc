@@ -70,186 +70,133 @@ checksum64(const uint8_t *data, size_t size)
     return h;
 }
 
-void
-saveRunSpec(StateWriter &w, const RunSpec &spec)
-{
-    w.putTag(stateTag("SPEC"));
-    w.put<uint64_t>(spec.workloads.size());
-    for (const WorkloadSpec &wl : spec.workloads) {
-        w.put<uint8_t>(static_cast<uint8_t>(wl.kind));
-        w.putString(wl.name);
-        w.put<int32_t>(wl.variant);
-        w.putString(wl.asmText);
-    }
-    w.put<double>(spec.opts.timeScale);
-    w.put<uint8_t>(static_cast<uint8_t>(spec.opts.sink));
-    w.put<uint8_t>(static_cast<uint8_t>(spec.opts.dtm));
-    w.put<double>(spec.opts.convectionR);
-    w.put<double>(spec.opts.upperThreshold);
-    w.put<double>(spec.opts.lowerThreshold);
-    w.put<uint8_t>(spec.opts.sedationUsageThreshold ? 1 : 0);
-    w.put<uint8_t>(spec.opts.recordTempTrace ? 1 : 0);
-    w.put<int32_t>(spec.numThreads);
-    w.put<double>(spec.dieShrink);
-    w.put<double>(spec.sensorNoiseK);
-    w.put<int32_t>(spec.descheduleAfter);
-    w.put<uint8_t>(spec.traceEvents ? 1 : 0);
-    w.put<int32_t>(spec.numCores);
-    w.putVec(spec.placement);
-    w.putString(spec.label);
-}
-
-RunSpec
-loadRunSpec(StateReader &r)
-{
-    r.expectTag(stateTag("SPEC"), "RunSpec");
-    RunSpec spec;
-    uint64_t n = r.get<uint64_t>();
-    spec.workloads.resize(static_cast<size_t>(n));
-    for (WorkloadSpec &wl : spec.workloads) {
-        wl.kind = static_cast<WorkloadSpec::Kind>(r.get<uint8_t>());
-        wl.name = r.getString();
-        wl.variant = r.get<int32_t>();
-        wl.asmText = r.getString();
-    }
-    spec.opts.timeScale = r.get<double>();
-    spec.opts.sink = static_cast<SinkType>(r.get<uint8_t>());
-    spec.opts.dtm = static_cast<DtmMode>(r.get<uint8_t>());
-    spec.opts.convectionR = r.get<double>();
-    spec.opts.upperThreshold = r.get<double>();
-    spec.opts.lowerThreshold = r.get<double>();
-    spec.opts.sedationUsageThreshold = r.get<uint8_t>() != 0;
-    spec.opts.recordTempTrace = r.get<uint8_t>() != 0;
-    spec.numThreads = r.get<int32_t>();
-    spec.dieShrink = r.get<double>();
-    spec.sensorNoiseK = r.get<double>();
-    spec.descheduleAfter = r.get<int32_t>();
-    spec.traceEvents = r.get<uint8_t>() != 0;
-    spec.numCores = r.get<int32_t>();
-    r.getVec(spec.placement);
-    spec.label = r.getString();
-    return spec;
-}
-
 namespace {
 
+// The smallest wire size of one list element, which bounds a reader's
+// element counts by the bytes left.
+/** kind, name length, variant, text length. */
+constexpr size_t kWorkloadMinBytes = 1 + 8 + 4 + 8;
+/** program length, core, ten 8-byte counters and rates. */
+constexpr size_t kThreadMinBytes = 8 + 4 + 10 * 8;
+/** name and description lengths, then the histogram's fixed fields. */
+constexpr size_t kHistogramMinBytes =
+    8 + 8 + 4 + 8 + 3 * 8 + Histogram::kBuckets * 8;
+
+constexpr Block kLastBlock = static_cast<Block>(numBlocks - 1);
+
+template <class IO>
 void
-saveThreadResult(StateWriter &w, const ThreadResult &t)
+serialize(IO &io, ThreadResult &t)
 {
-    w.putString(t.program);
-    w.put<int32_t>(t.core);
-    w.put<uint64_t>(t.committed);
-    w.put<double>(t.ipc);
-    w.put<uint64_t>(t.normalCycles);
-    w.put<uint64_t>(t.coolingCycles);
-    w.put<uint64_t>(t.sedationCycles);
-    w.put<double>(t.intRegAccessRate);
-    w.put<double>(t.l1dMissRate);
-    w.put<double>(t.l2MissRate);
-    w.put<double>(t.bpredAccuracy);
-    w.put<double>(t.fpPerInst);
+    io.string(t.program);
+    io.value(t.core);
+    io.value(t.committed);
+    io.value(t.ipc);
+    io.value(t.normalCycles);
+    io.value(t.coolingCycles);
+    io.value(t.sedationCycles);
+    io.value(t.intRegAccessRate);
+    io.value(t.l1dMissRate);
+    io.value(t.l2MissRate);
+    io.value(t.bpredAccuracy);
+    io.value(t.fpPerInst);
 }
 
-ThreadResult
-loadThreadResult(StateReader &r)
+/** fatal() on a block a raw-copied record names that does not exist. */
+void
+checkBlock(Block b, const char *what)
 {
-    ThreadResult t;
-    t.program = r.getString();
-    t.core = r.get<int32_t>();
-    t.committed = r.get<uint64_t>();
-    t.ipc = r.get<double>();
-    t.normalCycles = r.get<uint64_t>();
-    t.coolingCycles = r.get<uint64_t>();
-    t.sedationCycles = r.get<uint64_t>();
-    t.intRegAccessRate = r.get<double>();
-    t.l1dMissRate = r.get<double>();
-    t.l2MissRate = r.get<double>();
-    t.bpredAccuracy = r.get<double>();
-    t.fpPerInst = r.get<double>();
-    return t;
+    if (static_cast<int>(b) >= numBlocks)
+        fatal("StateReader: %s %d out of range (at most %d)", what,
+              static_cast<int>(b), numBlocks - 1);
 }
 
 } // namespace
 
+template <class IO>
 void
-saveRunResult(StateWriter &w, const RunResult &result)
+serialize(IO &io, RunSpec &spec)
 {
-    w.putTag(stateTag("RRES"));
-    w.put<uint64_t>(result.cycles);
-    w.put<uint64_t>(result.activeCycles);
-    w.put<uint64_t>(result.threads.size());
-    for (const ThreadResult &t : result.threads)
-        saveThreadResult(w, t);
-    w.put<int32_t>(result.numCores);
-    w.putVec(result.cores); // CoreResult is fixed-size POD
-    w.put<uint64_t>(result.emergencies);
-    w.put(result.emergenciesPerBlock);
-    w.put(result.peakTemp);
-    w.put<double>(result.peakTempOverall);
-    w.put<uint8_t>(static_cast<uint8_t>(result.hottestBlock));
-    w.put<uint64_t>(result.stopAndGoTriggers);
-    w.put<uint64_t>(result.coolingStallCycles);
-    w.putVec(result.sedationEvents);
-    w.putVec(result.descheduledThreads);
-    w.put<double>(result.avgTotalPowerW);
-    w.putVec(result.tempTrace);
-    w.putVec(result.traceEvents);
-    w.put<uint64_t>(result.traceEventsDropped);
-    w.put<double>(result.hostSeconds);
-    w.put<double>(result.simCyclesPerHostSec);
-    w.put<uint64_t>(result.histograms.size());
-    for (const NamedHistogram &h : result.histograms) {
-        w.putString(h.name);
-        w.putString(h.desc);
-        h.hist.saveState(w);
+    io.tag(stateTag("SPEC"), "RunSpec");
+    io.length(spec.workloads, kWorkloadMinBytes);
+    for (WorkloadSpec &wl : spec.workloads) {
+        io.enumerated(wl.kind, WorkloadSpec::Kind::Asm, "workload kind");
+        io.string(wl.name);
+        io.value(wl.variant);
+        io.string(wl.asmText);
+    }
+    io.value(spec.opts.timeScale);
+    io.enumerated(spec.opts.sink, SinkType::Realistic, "sink type");
+    io.enumerated(spec.opts.dtm, DtmMode::FetchGating, "DTM mode");
+    io.value(spec.opts.convectionR);
+    io.value(spec.opts.upperThreshold);
+    io.value(spec.opts.lowerThreshold);
+    io.value(spec.opts.sedationUsageThreshold);
+    io.value(spec.opts.recordTempTrace);
+    io.value(spec.numThreads);
+    io.value(spec.dieShrink);
+    io.value(spec.sensorNoiseK);
+    io.value(spec.descheduleAfter);
+    io.value(spec.traceEvents);
+    io.value(spec.numCores);
+    io.vec(spec.placement);
+    io.string(spec.label);
+}
+
+template <class IO>
+void
+serialize(IO &io, RunResult &result)
+{
+    io.tag(stateTag("RRES"), "RunResult");
+    io.value(result.cycles);
+    io.value(result.activeCycles);
+    io.length(result.threads, kThreadMinBytes);
+    for (ThreadResult &t : result.threads)
+        serialize(io, t);
+    io.value(result.numCores);
+    io.vec(result.cores);
+    io.value(result.emergencies);
+    io.value(result.emergenciesPerBlock);
+    io.value(result.peakTemp);
+    io.value(result.peakTempOverall);
+    io.enumerated(result.hottestBlock, kLastBlock, "hottest block");
+    io.value(result.stopAndGoTriggers);
+    io.value(result.coolingStallCycles);
+    io.vec(result.sedationEvents);
+    io.vec(result.descheduledThreads);
+    io.value(result.avgTotalPowerW);
+    io.vec(result.tempTrace);
+    io.vec(result.traceEvents);
+    io.value(result.traceEventsDropped);
+    io.value(result.hostSeconds);
+    io.value(result.simCyclesPerHostSec);
+    io.length(result.histograms, kHistogramMinBytes);
+    for (NamedHistogram &h : result.histograms) {
+        io.string(h.name);
+        io.string(h.desc);
+        io.record(h.hist);
+    }
+    // Records copied raw name blocks too; the writers panic on one
+    // that does not exist.
+    if constexpr (IO::kReading) {
+        for (const CoreResult &c : result.cores)
+            checkBlock(c.hottestBlock, "core hottest block");
+        for (const SedationEvent &e : result.sedationEvents)
+            checkBlock(e.resource, "sedation resource");
     }
 }
 
-RunResult
-loadRunResult(StateReader &r)
-{
-    r.expectTag(stateTag("RRES"), "RunResult");
-    RunResult result;
-    result.cycles = r.get<uint64_t>();
-    result.activeCycles = r.get<uint64_t>();
-    uint64_t nthreads = r.get<uint64_t>();
-    result.threads.resize(static_cast<size_t>(nthreads));
-    for (ThreadResult &t : result.threads)
-        t = loadThreadResult(r);
-    result.numCores = r.get<int32_t>();
-    r.getVec(result.cores);
-    result.emergencies = r.get<uint64_t>();
-    result.emergenciesPerBlock =
-        r.get<std::array<uint64_t, numBlocks>>();
-    result.peakTemp = r.get<std::array<Kelvin, numBlocks>>();
-    result.peakTempOverall = r.get<double>();
-    result.hottestBlock = static_cast<Block>(r.get<uint8_t>());
-    result.stopAndGoTriggers = r.get<uint64_t>();
-    result.coolingStallCycles = r.get<uint64_t>();
-    r.getVec(result.sedationEvents);
-    r.getVec(result.descheduledThreads);
-    result.avgTotalPowerW = r.get<double>();
-    r.getVec(result.tempTrace);
-    r.getVec(result.traceEvents);
-    result.traceEventsDropped = r.get<uint64_t>();
-    result.hostSeconds = r.get<double>();
-    result.simCyclesPerHostSec = r.get<double>();
-    uint64_t nhists = r.get<uint64_t>();
-    result.histograms.resize(static_cast<size_t>(nhists));
-    for (NamedHistogram &h : result.histograms) {
-        h.name = r.getString();
-        h.desc = r.getString();
-        h.hist.restoreState(r);
-    }
-    return result;
-}
+template void serialize(StateWriter &, RunSpec &);
+template void serialize(StateReader &, RunSpec &);
+template void serialize(StateWriter &, RunResult &);
+template void serialize(StateReader &, RunResult &);
 
 std::vector<uint8_t>
 encodeRunResult(const RunResult &result)
 {
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    saveRunResult(w, result);
+    w.record(result);
     return bytes;
 }
 
@@ -257,11 +204,9 @@ RunResult
 decodeRunResult(std::span<const uint8_t> bytes)
 {
     StateReader r(bytes.data(), bytes.size());
-    RunResult result = loadRunResult(r);
-    if (!r.done())
-        fatal("decodeRunResult: %zu trailing bytes after the result "
-              "record",
-              r.remaining());
+    RunResult result;
+    r.record(result);
+    r.expectEnd("decodeRunResult");
     return result;
 }
 

@@ -62,17 +62,13 @@ uint64_t fnv1a64(const uint8_t *data, size_t size,
  */
 uint64_t checksum64(const uint8_t *data, size_t size);
 
-/** Append @p spec to @p w ("SPEC"-tagged section). */
-void saveRunSpec(StateWriter &w, const RunSpec &spec);
+/** The RunSpec record ("SPEC"-tagged section), for StateWriter and
+ *  StateReader; reach it through io.record(spec). */
+template <class IO> void serialize(IO &io, RunSpec &spec);
 
-/** Read a RunSpec written by saveRunSpec(). */
-RunSpec loadRunSpec(StateReader &r);
-
-/** Append @p result to @p w ("RRES"-tagged section). */
-void saveRunResult(StateWriter &w, const RunResult &result);
-
-/** Read a RunResult written by saveRunResult(). */
-RunResult loadRunResult(StateReader &r);
+/** The RunResult record ("RRES"-tagged section), for StateWriter and
+ *  StateReader; reach it through io.record(result). */
+template <class IO> void serialize(IO &io, RunResult &result);
 
 /** Convenience: one whole RunResult as a standalone byte buffer. */
 std::vector<uint8_t> encodeRunResult(const RunResult &result);

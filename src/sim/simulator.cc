@@ -739,93 +739,8 @@ Simulator::save(SimSnapshot &snap) const
 
     snap.clear();
     StateWriter w(snap.bytes);
-    w.putTag(stateTag("HSS1"));
-
-    // Echo the configuration fields a forked cell must share with the
-    // prefix, so restoring into an incompatible cell fails loudly.
-    // DTM policy parameters are deliberately absent: cells differ
-    // there by design, and policy state below the trigger is inert.
-    w.put<int32_t>(config_.smt.numThreads);
-    w.put<Cycles>(config_.quantumCycles);
-    w.put<Cycles>(config_.sensorInterval);
-    w.put<Cycles>(config_.monitorInterval);
-    w.put<double>(config_.emergencyTemp);
-    w.put<double>(config_.sensorNoiseK);
-    w.put<uint8_t>(config_.recordTempTrace ? 1 : 0);
-    w.put<double>(config_.thermal.timeScale);
-    w.put<double>(config_.thermal.convectionR);
-    w.put<uint8_t>(config_.thermal.idealSink ? 1 : 0);
-    w.put<double>(config_.thermal.dieShrink);
-    w.put<uint8_t>(config_.traceEvents ? 1 : 0);
-    w.put<uint32_t>(config_.traceCapacity);
-    w.put<double>(config_.episodeTriggerTemp);
-    w.put<double>(config_.episodeResumeTemp);
-    // Topology axis: a fork must share the die composition and the
-    // thread placement (both are in the divergence key, so every
-    // member of a prefix group does).
-    w.put<int32_t>(numCores_);
-    w.put<double>(config_.topology.coreSpacing);
-    w.put<double>(config_.topology.couplingScale);
-    w.putVec(coreOf_);
-
-    for (const CoreState &core : cores_)
-        core.pipeline->saveState(w);
-    thermal_->saveState(w);
-
-    w.putTag(stateTag("SIMS"));
-    for (const CoreState &core : cores_) {
-        w.put<Cycles>(core.lastActiveCycles);
-        w.put<uint64_t>(core.emergencies);
-        for (uint64_t e : core.emergenciesPerBlock)
-            w.put<uint64_t>(e);
-        for (bool b : core.aboveEmergency)
-            w.put<uint8_t>(b ? 1 : 0);
-        for (Kelvin t : core.peakTemp)
-            w.put<double>(t);
-    }
-    w.put<double>(energyAccumJ_);
-    for (uint64_t s : sensorNoise_.state())
-        w.put<uint64_t>(s);
-    w.putVec(tempTrace_);
-    w.put<Cycles>(lastTraceAt_);
-    for (const CoreState &core : cores_)
-        core.powerSnapshot->saveState(w);
-    for (const CoreState &core : cores_)
-        w.putVec(core.descheduled);
-
-    // Sedation usage monitors: the one piece of policy state that
-    // evolves unconditionally below the trigger, so forked sedation
-    // cells need the prefix's copy transplanted.
-    for (const CoreState &core : cores_) {
-        w.put<uint8_t>(core.sedation ? 1 : 0);
-        if (core.sedation)
-            core.sedation->monitor().saveState(w);
-    }
-
-    // Event tracer: traced forks must replay the prefix's event
-    // history so their final traces are bit-identical to cold runs'.
-    w.put<uint8_t>(tracer_ ? 1 : 0);
-    if (tracer_)
-        tracer_->saveState(w);
-
-    // The episode detectors always run (their phase machines feed the
-    // run-health histograms), so their state is saved unconditionally.
-    for (const CoreState &core : cores_)
-        core.episodes->saveState(w);
-
-    // Run-health histograms + sedation bookkeeping: forked cells must
-    // resume with the prefix's distribution state so their exported
-    // histograms match cold runs' bit for bit.
-    w.putTag(stateTag("HMET"));
-    for (const CoreState &core : cores_) {
-        core.histEpisodeHeat.saveState(w);
-        core.histEpisodeCool.saveState(w);
-        core.histSedation.saveState(w);
-        core.histRuu.saveState(w);
-        core.histLsq.saveState(w);
-        core.histFetchShare.saveState(w);
-        w.putVec(core.sedStart);
-    }
+    // A writer only reads the simulator.
+    const_cast<Simulator *>(this)->serialize(w);
 
     snap.cycle = now;
     ++profile_.snapshotOps;
@@ -849,125 +764,8 @@ Simulator::restore(const SimSnapshot &snap)
                   cores_[0].pipeline->cycle()));
 
     StateReader r(snap.bytes);
-    r.expectTag(stateTag("HSS1"), "SimSnapshot header");
-
-    int32_t threads = r.get<int32_t>();
-    Cycles quantum = r.get<Cycles>();
-    Cycles sensor = r.get<Cycles>();
-    Cycles monitor = r.get<Cycles>();
-    double emergency = r.get<double>();
-    double noise = r.get<double>();
-    bool trace = r.get<uint8_t>() != 0;
-    double time_scale = r.get<double>();
-    double conv_r = r.get<double>();
-    bool ideal = r.get<uint8_t>() != 0;
-    double shrink = r.get<double>();
-    bool etrace = r.get<uint8_t>() != 0;
-    uint32_t trace_cap = r.get<uint32_t>();
-    double episode_trigger = r.get<double>();
-    double episode_resume = r.get<double>();
-    int32_t num_cores = r.get<int32_t>();
-    double core_spacing = r.get<double>();
-    double coupling = r.get<double>();
-    std::vector<int> placement;
-    r.getVec(placement);
-    if (threads != config_.smt.numThreads ||
-        quantum != config_.quantumCycles ||
-        sensor != config_.sensorInterval ||
-        monitor != config_.monitorInterval ||
-        emergency != config_.emergencyTemp ||
-        noise != config_.sensorNoiseK ||
-        trace != config_.recordTempTrace ||
-        time_scale != config_.thermal.timeScale ||
-        conv_r != config_.thermal.convectionR ||
-        ideal != config_.thermal.idealSink ||
-        shrink != config_.thermal.dieShrink ||
-        etrace != config_.traceEvents ||
-        (etrace && trace_cap != config_.traceCapacity) ||
-        episode_trigger != config_.episodeTriggerTemp ||
-        episode_resume != config_.episodeResumeTemp ||
-        num_cores != numCores_ ||
-        core_spacing != config_.topology.coreSpacing ||
-        coupling != config_.topology.couplingScale ||
-        placement != coreOf_)
-        fatal("Simulator::restore: snapshot comes from an incompatible "
-              "configuration (prefix-invariant fields differ)");
-
-    for (CoreState &core : cores_)
-        core.pipeline->restoreState(r);
-    thermal_->restoreState(r);
-
-    r.expectTag(stateTag("SIMS"), "Simulator accounting");
-    for (CoreState &core : cores_) {
-        core.lastActiveCycles = r.get<Cycles>();
-        core.emergencies = r.get<uint64_t>();
-        for (uint64_t &e : core.emergenciesPerBlock)
-            e = r.get<uint64_t>();
-        for (size_t i = 0; i < core.aboveEmergency.size(); ++i)
-            core.aboveEmergency[i] = r.get<uint8_t>() != 0;
-        for (Kelvin &t : core.peakTemp)
-            t = r.get<double>();
-    }
-    energyAccumJ_ = r.get<double>();
-    std::array<uint64_t, 4> rng_state;
-    for (uint64_t &s : rng_state)
-        s = r.get<uint64_t>();
-    sensorNoise_.setState(rng_state);
-    r.getVec(tempTrace_);
-    lastTraceAt_ = r.get<Cycles>();
-    for (CoreState &core : cores_)
-        core.powerSnapshot->restoreState(r);
-    for (CoreState &core : cores_)
-        r.getVec(core.descheduled);
-
-    for (CoreState &core : cores_) {
-        bool has_monitor = r.get<uint8_t>() != 0;
-        if (has_monitor) {
-            if (core.sedation)
-                core.sedation->monitor().restoreState(
-                    r, core.pipeline->activity());
-            else
-                UsageMonitor::skipState(r);
-        } else if (core.sedation) {
-            fatal("Simulator::restore: this configuration needs "
-                  "usage-monitor state the snapshot does not carry");
-        }
-    }
-
-    bool has_tracer = r.get<uint8_t>() != 0;
-    if (has_tracer) {
-        // The config echo above guarantees tracer_ exists here.
-        tracer_->restoreState(r);
-        // The shared prefix runs under (neutralised) sedation policies
-        // and therefore records usage-monitor samples. A cold run of a
-        // cell without a sedation policy never emits those; drop them
-        // so forked and cold traces match (the trace-side twin of
-        // UsageMonitor::skipState above).
-        if (!cores_[0].sedation)
-            tracer_->dropCategory(TraceCategory::Monitor);
-    }
-    for (CoreState &core : cores_)
-        core.episodes->restoreState(r);
-
-    r.expectTag(stateTag("HMET"), "run-health histograms");
-    for (CoreState &core : cores_) {
-        core.histEpisodeHeat.restoreState(r);
-        core.histEpisodeCool.restoreState(r);
-        core.histSedation.restoreState(r);
-        core.histRuu.restoreState(r);
-        core.histLsq.restoreState(r);
-        core.histFetchShare.restoreState(r);
-        r.getVec(core.sedStart);
-        if (core.sedStart.size() !=
-            static_cast<size_t>(config_.smt.numThreads))
-            fatal("Simulator::restore: sedation bookkeeping for %zu "
-                  "threads, expected %d",
-                  core.sedStart.size(), config_.smt.numThreads);
-    }
-    if (!r.done())
-        fatal("Simulator::restore: %zu trailing bytes (snapshot layout "
-              "mismatch)",
-              r.remaining());
+    serialize(r);
+    r.expectEnd("Simulator::restore");
 
     resumedFromSnapshot_ = true;
     ++profile_.snapshotOps;
@@ -976,6 +774,129 @@ Simulator::restore(const SimSnapshot &snap)
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
+}
+
+template <class IO>
+void
+Simulator::serialize(IO &io)
+{
+    io.tag(stateTag("HSS1"), "SimSnapshot header");
+
+    // Echo the configuration fields a forked cell must share with the
+    // prefix, so restoring into an incompatible cell fails loudly.
+    // DTM policy parameters are deliberately absent: cells differ
+    // there by design, and policy state below the trigger is inert.
+    io.echo(config_.smt.numThreads, "configuration (threads per core)");
+    io.echo(config_.quantumCycles, "configuration (quantum)");
+    io.echo(config_.sensorInterval, "configuration (sensor interval)");
+    io.echo(config_.monitorInterval, "configuration (monitor interval)");
+    io.echo(config_.emergencyTemp, "configuration (emergency temp)");
+    io.echo(config_.sensorNoiseK, "configuration (sensor noise)");
+    io.echo(config_.recordTempTrace, "configuration (temp trace)");
+    io.echo(config_.thermal.timeScale, "configuration (time scale)");
+    io.echo(config_.thermal.convectionR, "configuration (convection R)");
+    io.echo(config_.thermal.idealSink, "configuration (ideal sink)");
+    io.echo(config_.thermal.dieShrink, "configuration (die shrink)");
+    io.echo(config_.traceEvents, "configuration (event trace)");
+    // The trace capacity matters only to a traced run.
+    uint32_t trace_cap = config_.traceCapacity;
+    if (config_.traceEvents)
+        io.echo(trace_cap, "configuration (trace capacity)");
+    else
+        io.value(trace_cap);
+    io.echo(config_.episodeTriggerTemp, "configuration (episode trigger)");
+    io.echo(config_.episodeResumeTemp, "configuration (episode resume)");
+    // Topology axis: a fork must share the die composition and the
+    // thread placement (both are in the divergence key, so every
+    // member of a prefix group does).
+    io.echo(numCores_, "configuration (cores)");
+    io.echo(config_.topology.coreSpacing, "configuration (core spacing)");
+    io.echo(config_.topology.couplingScale, "configuration (coupling)");
+    io.echo(coreOf_, "configuration (placement)");
+
+    for (CoreState &core : cores_)
+        io.record(*core.pipeline);
+    io.record(*thermal_);
+
+    io.tag(stateTag("SIMS"), "Simulator accounting");
+    for (CoreState &core : cores_) {
+        io.value(core.lastActiveCycles);
+        io.value(core.emergencies);
+        io.value(core.emergenciesPerBlock);
+        for (bool &above : core.aboveEmergency)
+            io.value(above);
+        io.value(core.peakTemp);
+    }
+    io.value(energyAccumJ_);
+    std::array<uint64_t, 4> rng_state = sensorNoise_.state();
+    io.value(rng_state);
+    if constexpr (IO::kReading)
+        sensorNoise_.setState(rng_state);
+    io.vec(tempTrace_);
+    io.value(lastTraceAt_);
+    for (CoreState &core : cores_)
+        io.record(*core.powerSnapshot);
+    for (CoreState &core : cores_)
+        io.vec(core.descheduled);
+
+    // Sedation usage monitors: the one piece of policy state that
+    // evolves unconditionally below the trigger, so forked sedation
+    // cells need the prefix's copy transplanted.
+    for (CoreState &core : cores_) {
+        const ActivityCounters &activity = core.pipeline->activity();
+        bool has_monitor = core.sedation != nullptr;
+        io.value(has_monitor);
+        if constexpr (IO::kReading) {
+            if (!has_monitor && core.sedation)
+                fatal("Simulator::restore: this configuration needs "
+                      "usage-monitor state the snapshot does not carry");
+            if (has_monitor && !core.sedation) {
+                // State this configuration does not use: read it into
+                // a same-shaped monitor and drop it.
+                UsageMonitor unused(config_.smt.numThreads,
+                                    config_.sedation.ewmaShift);
+                unused.serialize(io, activity);
+                continue;
+            }
+        }
+        if (has_monitor)
+            core.sedation->monitor().serialize(io, activity);
+    }
+
+    // Event tracer: traced forks must replay the prefix's event
+    // history so their final traces are bit-identical to cold runs'.
+    io.echo(tracer_ != nullptr, "configuration (event tracer)");
+    if (tracer_) {
+        io.record(*tracer_);
+        // The shared prefix runs under (neutralised) sedation policies
+        // and therefore records usage-monitor samples. A cold run of a
+        // cell without a sedation policy never emits those; drop them
+        // so forked and cold traces match (the trace-side twin of the
+        // unused monitor above).
+        if constexpr (IO::kReading) {
+            if (!cores_[0].sedation)
+                tracer_->dropCategory(TraceCategory::Monitor);
+        }
+    }
+
+    // The episode detectors always run (their phase machines feed the
+    // run-health histograms), so their state is saved unconditionally.
+    for (CoreState &core : cores_)
+        io.record(*core.episodes);
+
+    // Run-health histograms + sedation bookkeeping: forked cells must
+    // resume with the prefix's distribution state so their exported
+    // histograms match cold runs' bit for bit.
+    io.tag(stateTag("HMET"), "run-health histograms");
+    for (CoreState &core : cores_) {
+        io.record(core.histEpisodeHeat);
+        io.record(core.histEpisodeCool);
+        io.record(core.histSedation);
+        io.record(core.histRuu);
+        io.record(core.histLsq);
+        io.record(core.histFetchShare);
+        io.table(core.sedStart, "sedation bookkeeping thread count");
+    }
 }
 
 RunResult

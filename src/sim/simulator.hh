@@ -323,6 +323,9 @@ class Simulator
      * @return the cycles fast-forwarded with every pipeline stalled.
      */
     template <class AtSample> Cycles drive(AtSample &&at_sample);
+    /** The one body of save() and restore(): every field of a
+     *  snapshot, in order. */
+    template <class IO> void serialize(IO &io);
     void sampleSensors();
     void countEmergencies(CoreState &core);
     RunResult collectResults(double host_seconds) const;

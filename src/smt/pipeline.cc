@@ -1009,324 +1009,205 @@ Pipeline::captureSource(DynInst &inst, const InstHandle &self, int slot,
 
 namespace {
 
-void
-putHandle(StateWriter &w, const InstHandle &h)
-{
-    w.put<uint16_t>(h.slot);
-    w.put<uint32_t>(h.gen);
-}
+/** Wire size of one handle: slot and generation, no padding. */
+constexpr size_t kHandleBytes = 6;
 
-InstHandle
-getHandle(StateReader &r)
+template <class IO>
+void
+serializeHandle(IO &io, InstHandle &h)
 {
-    InstHandle h;
-    h.slot = r.get<uint16_t>();
-    h.gen = r.get<uint32_t>();
-    return h;
+    io.value(h.slot);
+    io.value(h.gen);
 }
 
 /**
- * Serialise one slot field by field. Dead slots are written too: their
+ * One slot, field by field. Dead slots are written too: their
  * generation counters must survive so stale handles keep failing
  * validation after restore, and their dependents vectors are kept
- * verbatim so slot reuse proceeds bit-identically.
+ * verbatim so slot reuse proceeds bit-identically. si is not state: a
+ * restoring pipeline rebinds it through the bound program.
  */
+template <class IO>
 void
-saveInst(StateWriter &w, const DynInst &inst)
+serializeInst(IO &io, DynInst &inst)
 {
-    w.put<uint32_t>(inst.gen);
-    w.put<uint8_t>(inst.live ? 1 : 0);
-    w.put<InstSeqNum>(inst.seq);
-    w.put<int32_t>(inst.tid);
-    w.put<uint64_t>(inst.pc);
-    w.put<uint8_t>(static_cast<uint8_t>(inst.stage));
-    w.put<Cycles>(inst.completeCycle);
-    w.put<int32_t>(inst.srcPending);
+    io.value(inst.gen);
+    io.value(inst.live);
+    io.value(inst.seq);
+    io.value(inst.tid);
+    io.value(inst.pc);
+    io.enumerated(inst.stage, InstStage::Completed, "instruction stage");
+    io.value(inst.completeCycle);
+    io.value(inst.srcPending);
     for (int s = 0; s < 2; ++s) {
-        putHandle(w, inst.srcProducer[s]);
-        w.put<uint8_t>(inst.srcWaiting[s] ? 1 : 0);
-        w.put<int64_t>(inst.srcInt[s]);
-        w.put<double>(inst.srcFp[s]);
+        serializeHandle(io, inst.srcProducer[s]);
+        io.value(inst.srcWaiting[s]);
+        io.value(inst.srcInt[s]);
+        io.value(inst.srcFp[s]);
     }
-    w.put<int64_t>(inst.intResult);
-    w.put<double>(inst.fpResult);
-    w.put<uint8_t>(inst.hasDest ? 1 : 0);
-    w.put<uint8_t>(inst.destIsFp ? 1 : 0);
-    w.put<uint8_t>(inst.destReg);
-    w.put<uint8_t>(inst.hadPrevProducer ? 1 : 0);
-    putHandle(w, inst.prevProducer);
-    w.put<uint8_t>(inst.addrValid ? 1 : 0);
-    w.put<Addr>(inst.effAddr);
-    w.put<uint8_t>(inst.forwarded ? 1 : 0);
-    w.put<uint8_t>(inst.predTaken ? 1 : 0);
-    w.put<uint8_t>(inst.predTargetKnown ? 1 : 0);
-    w.put<uint64_t>(inst.predTarget);
-    w.put<uint32_t>(inst.historyAtPredict);
-    w.put<uint8_t>(inst.actualTaken ? 1 : 0);
-    w.put<uint64_t>(inst.actualTarget);
-    w.put<uint8_t>(inst.mispredicted ? 1 : 0);
-    uint64_t ndeps = inst.dependents.size();
-    w.put<uint64_t>(ndeps);
-    for (const InstHandle &d : inst.dependents)
-        putHandle(w, d);
+    io.value(inst.intResult);
+    io.value(inst.fpResult);
+    io.value(inst.hasDest);
+    io.value(inst.destIsFp);
+    io.value(inst.destReg);
+    io.value(inst.hadPrevProducer);
+    serializeHandle(io, inst.prevProducer);
+    io.value(inst.addrValid);
+    io.value(inst.effAddr);
+    io.value(inst.forwarded);
+    io.value(inst.predTaken);
+    io.value(inst.predTargetKnown);
+    io.value(inst.predTarget);
+    io.value(inst.historyAtPredict);
+    io.value(inst.actualTaken);
+    io.value(inst.actualTarget);
+    io.value(inst.mispredicted);
+    io.length(inst.dependents, kHandleBytes);
+    for (InstHandle &d : inst.dependents)
+        serializeHandle(io, d);
 }
 
-/** Restore everything saveInst() wrote except si, which the caller
- *  rebinds through the bound program once tid and pc are known. */
+template <class IO>
 void
-restoreInst(StateReader &r, DynInst &inst)
+serializeRing(IO &io, RingBuffer<InstHandle> &ring, const char *what)
 {
-    inst.gen = r.get<uint32_t>();
-    inst.live = r.get<uint8_t>() != 0;
-    inst.seq = r.get<InstSeqNum>();
-    inst.tid = r.get<int32_t>();
-    inst.pc = r.get<uint64_t>();
-    inst.stage = static_cast<InstStage>(r.get<uint8_t>());
-    inst.completeCycle = r.get<Cycles>();
-    inst.srcPending = r.get<int32_t>();
-    for (int s = 0; s < 2; ++s) {
-        inst.srcProducer[s] = getHandle(r);
-        inst.srcWaiting[s] = r.get<uint8_t>() != 0;
-        inst.srcInt[s] = r.get<int64_t>();
-        inst.srcFp[s] = r.get<double>();
+    uint64_t n = ring.size();
+    io.count(n, kHandleBytes);
+    if constexpr (IO::kReading) {
+        if (n > ring.capacity())
+            fatal("Pipeline: snapshot %s holds %llu entries but only %zu "
+                  "fit",
+                  what, static_cast<unsigned long long>(n),
+                  ring.capacity());
+        ring.clear();
+        for (uint64_t i = 0; i < n; ++i)
+            ring.push_back(InstHandle{});
     }
-    inst.intResult = r.get<int64_t>();
-    inst.fpResult = r.get<double>();
-    inst.hasDest = r.get<uint8_t>() != 0;
-    inst.destIsFp = r.get<uint8_t>() != 0;
-    inst.destReg = r.get<uint8_t>();
-    inst.hadPrevProducer = r.get<uint8_t>() != 0;
-    inst.prevProducer = getHandle(r);
-    inst.addrValid = r.get<uint8_t>() != 0;
-    inst.effAddr = r.get<Addr>();
-    inst.forwarded = r.get<uint8_t>() != 0;
-    inst.predTaken = r.get<uint8_t>() != 0;
-    inst.predTargetKnown = r.get<uint8_t>() != 0;
-    inst.predTarget = r.get<uint64_t>();
-    inst.historyAtPredict = r.get<uint32_t>();
-    inst.actualTaken = r.get<uint8_t>() != 0;
-    inst.actualTarget = r.get<uint64_t>();
-    inst.mispredicted = r.get<uint8_t>() != 0;
-    uint64_t ndeps = r.get<uint64_t>();
-    inst.dependents.clear();
-    inst.dependents.reserve(static_cast<size_t>(ndeps));
-    for (uint64_t i = 0; i < ndeps; ++i)
-        inst.dependents.push_back(getHandle(r));
-}
-
-void
-saveRing(StateWriter &w, const RingBuffer<InstHandle> &ring)
-{
-    w.put<uint64_t>(ring.size());
     for (size_t i = 0; i < ring.size(); ++i)
-        putHandle(w, ring[i]);
+        serializeHandle(io, ring[i]);
 }
 
+/** One thread context. id and program are identity, not state: the
+ *  restoring pipeline already has the same thread slot bound to an
+ *  identical program. */
+template <class IO>
 void
-restoreRing(StateReader &r, RingBuffer<InstHandle> &ring,
-            const char *what)
+serializeThread(IO &io, ThreadContext &tc)
 {
-    uint64_t n = r.get<uint64_t>();
-    if (n > ring.capacity())
-        fatal("Pipeline::restoreState: snapshot %s holds %llu entries "
-              "but only %zu fit",
-              what, static_cast<unsigned long long>(n), ring.capacity());
-    ring.clear();
-    for (uint64_t i = 0; i < n; ++i)
-        ring.push_back(getHandle(r));
+    io.enumerated(tc.state, ThreadState::Halted, "thread state");
+    io.value(tc.pc);
+    io.value(tc.intRegs);
+    io.value(tc.fpRegs);
+    for (ThreadContext::RenameEntry &e : tc.intRename) {
+        io.value(e.valid);
+        serializeHandle(io, e.handle);
+    }
+    for (ThreadContext::RenameEntry &e : tc.fpRename) {
+        io.value(e.valid);
+        serializeHandle(io, e.handle);
+    }
+    io.record(tc.memory);
+    serializeRing(io, tc.rob, "ROB");
+    serializeRing(io, tc.lsq, "LSQ");
+    io.value(tc.fetchStallUntil);
+    io.value(tc.sedated);
+    io.value(tc.fetchEvery);
+    io.value(tc.stoppedFetchingAfterHalt);
+    io.value(tc.committedInsts);
+    io.value(tc.committedLoads);
+    io.value(tc.committedStores);
+    io.value(tc.committedBranches);
+    io.value(tc.squashedInsts);
+    io.value(tc.normalCycles);
+    io.value(tc.coolingCycles);
+    io.value(tc.sedationCycles);
 }
 
 } // namespace
 
+template <class IO>
 void
-Pipeline::saveThread(StateWriter &w, const ThreadContext &tc) const
+Pipeline::serialize(IO &io)
 {
-    // id and program are identity, not state: the restoring pipeline
-    // already has the same thread slot bound to an identical program.
-    w.put<uint8_t>(static_cast<uint8_t>(tc.state));
-    w.put<uint64_t>(tc.pc);
-    w.putBytes(tc.intRegs.data(), sizeof(tc.intRegs));
-    w.putBytes(tc.fpRegs.data(), sizeof(tc.fpRegs));
-    for (const ThreadContext::RenameEntry &e : tc.intRename) {
-        w.put<uint8_t>(e.valid ? 1 : 0);
-        putHandle(w, e.handle);
-    }
-    for (const ThreadContext::RenameEntry &e : tc.fpRename) {
-        w.put<uint8_t>(e.valid ? 1 : 0);
-        putHandle(w, e.handle);
-    }
-    tc.memory.saveState(w);
-    saveRing(w, tc.rob);
-    saveRing(w, tc.lsq);
-    w.put<Cycles>(tc.fetchStallUntil);
-    w.put<uint8_t>(tc.sedated ? 1 : 0);
-    w.put<int32_t>(tc.fetchEvery);
-    w.put<uint8_t>(tc.stoppedFetchingAfterHalt ? 1 : 0);
-    w.put<uint64_t>(tc.committedInsts);
-    w.put<uint64_t>(tc.committedLoads);
-    w.put<uint64_t>(tc.committedStores);
-    w.put<uint64_t>(tc.committedBranches);
-    w.put<uint64_t>(tc.squashedInsts);
-    w.put<uint64_t>(tc.normalCycles);
-    w.put<uint64_t>(tc.coolingCycles);
-    w.put<uint64_t>(tc.sedationCycles);
-}
-
-void
-Pipeline::restoreThread(StateReader &r, ThreadContext &tc)
-{
-    tc.state = static_cast<ThreadState>(r.get<uint8_t>());
-    tc.pc = r.get<uint64_t>();
-    r.getBytes(tc.intRegs.data(), sizeof(tc.intRegs));
-    r.getBytes(tc.fpRegs.data(), sizeof(tc.fpRegs));
-    for (ThreadContext::RenameEntry &e : tc.intRename) {
-        e.valid = r.get<uint8_t>() != 0;
-        e.handle = getHandle(r);
-    }
-    for (ThreadContext::RenameEntry &e : tc.fpRename) {
-        e.valid = r.get<uint8_t>() != 0;
-        e.handle = getHandle(r);
-    }
-    tc.memory.restoreState(r);
-    restoreRing(r, tc.rob, "ROB");
-    restoreRing(r, tc.lsq, "LSQ");
-    tc.fetchStallUntil = r.get<Cycles>();
-    tc.sedated = r.get<uint8_t>() != 0;
-    tc.fetchEvery = r.get<int32_t>();
-    tc.stoppedFetchingAfterHalt = r.get<uint8_t>() != 0;
-    tc.committedInsts = r.get<uint64_t>();
-    tc.committedLoads = r.get<uint64_t>();
-    tc.committedStores = r.get<uint64_t>();
-    tc.committedBranches = r.get<uint64_t>();
-    tc.squashedInsts = r.get<uint64_t>();
-    tc.normalCycles = r.get<uint64_t>();
-    tc.coolingCycles = r.get<uint64_t>();
-    tc.sedationCycles = r.get<uint64_t>();
-}
-
-void
-Pipeline::saveState(StateWriter &w) const
-{
-    w.putTag(stateTag("PIPE"));
+    io.tag(stateTag("PIPE"), "Pipeline");
     // Geometry echo: restoring into a pipeline with different
     // capacities would corrupt handle validation, so it fails loudly.
-    w.put<int32_t>(params_.numThreads);
-    w.put<uint64_t>(slots_.size());
-    w.put<int32_t>(params_.ruuEntries);
-    w.put<int32_t>(params_.lsqEntries);
+    io.echo(params_.numThreads, "pipeline thread count");
+    io.echo(static_cast<uint64_t>(slots_.size()), "pipeline slot count");
+    io.echo(params_.ruuEntries, "RUU size");
+    io.echo(params_.lsqEntries, "LSQ size");
 
-    w.put<Cycles>(cycle_);
-    w.put<Cycles>(activeCycles_);
-    w.put<InstSeqNum>(nextSeq_);
-    w.put<int32_t>(ruuUsed_);
-    w.put<int32_t>(lsqUsed_);
-    w.put<uint8_t>(globalStall_ ? 1 : 0);
-    w.put<int32_t>(throttle_);
-    w.put<uint64_t>(icountRotor_);
+    io.value(cycle_);
+    io.value(activeCycles_);
+    io.value(nextSeq_);
+    io.value(ruuUsed_);
+    io.value(lsqUsed_);
+    io.value(globalStall_);
+    io.value(throttle_);
+    io.value(icountRotor_);
 
     // Free-list order matters (allocSlot pops the back), so it is kept
     // verbatim.
-    w.putVec(freeSlots_);
-    for (const DynInst &inst : slots_)
-        saveInst(w, inst);
-    w.putVec(issued_);
+    io.vec(freeSlots_);
+    if constexpr (IO::kReading) {
+        if (freeSlots_.size() > slots_.size())
+            fatal("Pipeline: free list (%zu) larger than the slot pool "
+                  "(%zu)",
+                  freeSlots_.size(), slots_.size());
+    }
+    for (DynInst &inst : slots_) {
+        serializeInst(io, inst);
+        if constexpr (IO::kReading) {
+            inst.si = nullptr;
+            if (!inst.live)
+                continue;
+            if (inst.tid < 0 || inst.tid >= params_.numThreads)
+                fatal("Pipeline: live slot names thread %d", inst.tid);
+            const Program *prog =
+                threads_[static_cast<size_t>(inst.tid)].program;
+            if (!prog)
+                fatal("Pipeline: live instruction for thread %d, but no "
+                      "program is bound to it",
+                      inst.tid);
+            if (!prog->validPc(inst.pc))
+                fatal("Pipeline: pc %llu out of range for program '%s' "
+                      "(%llu instructions)",
+                      static_cast<unsigned long long>(inst.pc),
+                      prog->name().c_str(),
+                      static_cast<unsigned long long>(prog->size()));
+            inst.si = &prog->fetch(inst.pc);
+        }
+    }
+    io.vec(issued_);
 
-    // Ready lists: only [head, end) is ever read again, so store the
+    // Ready lists: only [head, end) is ever read again, so save the
     // active region and restart the restored list at head = 0. Issue
     // order depends only on the active entries; the consumed prefix
     // influences nothing but when the semantics-free trim runs.
-    for (const ReadyList &rl : ready_) {
-        w.put<uint64_t>(rl.v.size() - rl.head);
+    for (ReadyList &rl : ready_) {
+        uint64_t n = rl.v.size() - rl.head;
+        io.count(n, sizeof(InstSeqNum) + kHandleBytes);
+        if constexpr (IO::kReading) {
+            rl.v.resize(static_cast<size_t>(n));
+            rl.head = 0;
+        }
         for (size_t i = rl.head; i < rl.v.size(); ++i) {
-            w.put<InstSeqNum>(rl.v[i].seq);
-            putHandle(w, rl.v[i].h);
+            io.value(rl.v[i].seq);
+            serializeHandle(io, rl.v[i].h);
         }
     }
 
     // scratch_ and fetchOrder_ are per-cycle temporaries, rebuilt from
     // scratch inside every stage that uses them.
-    for (const ThreadContext &tc : threads_)
-        saveThread(w, tc);
-
-    mem_->saveState(w);
-    bpred_->saveState(w);
-    activity_->saveState(w);
-}
-
-void
-Pipeline::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("PIPE"), "Pipeline");
-    int32_t threads = r.get<int32_t>();
-    uint64_t slots = r.get<uint64_t>();
-    int32_t ruu = r.get<int32_t>();
-    int32_t lsq = r.get<int32_t>();
-    if (threads != params_.numThreads || slots != slots_.size() ||
-        ruu != params_.ruuEntries || lsq != params_.lsqEntries)
-        fatal("Pipeline::restoreState: geometry mismatch (snapshot has "
-              "%d threads, %llu slots, RUU %d, LSQ %d; this pipeline "
-              "has %d, %zu, %d, %d)",
-              threads, static_cast<unsigned long long>(slots), ruu, lsq,
-              params_.numThreads, slots_.size(), params_.ruuEntries,
-              params_.lsqEntries);
-
-    cycle_ = r.get<Cycles>();
-    activeCycles_ = r.get<Cycles>();
-    nextSeq_ = r.get<InstSeqNum>();
-    ruuUsed_ = r.get<int32_t>();
-    lsqUsed_ = r.get<int32_t>();
-    globalStall_ = r.get<uint8_t>() != 0;
-    throttle_ = r.get<int32_t>();
-    icountRotor_ = r.get<uint64_t>();
-
-    r.getVec(freeSlots_);
-    if (freeSlots_.size() > slots_.size())
-        fatal("Pipeline::restoreState: free list (%zu) larger than the "
-              "slot pool (%zu)",
-              freeSlots_.size(), slots_.size());
-    for (DynInst &inst : slots_) {
-        restoreInst(r, inst);
-        if (!inst.live) {
-            inst.si = nullptr;
-            continue;
-        }
-        if (inst.tid < 0 || inst.tid >= params_.numThreads)
-            fatal("Pipeline::restoreState: live slot names thread %d",
-                  inst.tid);
-        const Program *prog =
-            threads_[static_cast<size_t>(inst.tid)].program;
-        if (!prog)
-            fatal("Pipeline::restoreState: live instruction for thread "
-                  "%d, but no program is bound to it",
-                  inst.tid);
-        if (!prog->validPc(inst.pc))
-            fatal("Pipeline::restoreState: pc %llu out of range for "
-                  "program '%s' (%llu instructions)",
-                  static_cast<unsigned long long>(inst.pc),
-                  prog->name().c_str(),
-                  static_cast<unsigned long long>(prog->size()));
-        inst.si = &prog->fetch(inst.pc);
-    }
-    r.getVec(issued_);
-
-    for (ReadyList &rl : ready_) {
-        uint64_t n = r.get<uint64_t>();
-        rl.v.clear();
-        rl.head = 0;
-        for (uint64_t i = 0; i < n; ++i) {
-            ReadyList::Ent e;
-            e.seq = r.get<InstSeqNum>();
-            e.h = getHandle(r);
-            rl.v.push_back(e);
-        }
-    }
-
     for (ThreadContext &tc : threads_)
-        restoreThread(r, tc);
+        serializeThread(io, tc);
 
-    mem_->restoreState(r);
-    bpred_->restoreState(r);
-    activity_->restoreState(r);
+    io.record(*mem_);
+    io.record(*bpred_);
+    io.record(*activity_);
 }
+
+template void Pipeline::serialize(StateWriter &);
+template void Pipeline::serialize(StateReader &);
 
 } // namespace hs

@@ -35,8 +35,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
 class Tracer;
 
 /** Front-end thread-selection policy. */
@@ -138,27 +136,21 @@ class Pipeline
     int lsqOccupancy() const { return lsqUsed_; }
 
     /**
-     * Serialise the complete microarchitectural state: slot pool
-     * (including dead slots' generation counters, so stale handles
-     * still fail validation after restore), free/issued lists, ready
-     * lists, and every thread context (registers, rename maps,
-     * functional memory, ROB/LSQ, statistics), plus the cache
+     * Snapshot state: the complete microarchitectural state. That is
+     * the slot pool (including dead slots' generation counters, so
+     * stale handles still fail validation after restore), free/issued
+     * lists, ready lists, and every thread context (registers, rename
+     * maps, functional memory, ROB/LSQ, statistics), plus the cache
      * hierarchy, branch predictor and activity counters.
+     *
+     * A restore needs the same geometry, and each thread that was
+     * bound at save time must already have an identical program bound
+     * (program text is not serialised; in-flight instruction pointers
+     * are rebound through it by program counter).
      */
-    void saveState(StateWriter &w) const;
-
-    /**
-     * Restore state captured by saveState(). The pipeline must have
-     * the same geometry, and each thread that was bound at save time
-     * must already have an identical program bound (program text is
-     * not serialised; in-flight instruction pointers are rebound
-     * through it by program counter).
-     */
-    void restoreState(StateReader &r);
+    template <class IO> void serialize(IO &io);
 
   private:
-    void saveThread(StateWriter &w, const ThreadContext &tc) const;
-    void restoreThread(StateReader &r, ThreadContext &tc);
     // Slot pool.
     DynInst &get(const InstHandle &h);
     const DynInst &get(const InstHandle &h) const;

@@ -240,21 +240,18 @@ ThermalModel::minTimeConstant() const
     return net_->minTimeConstant();
 }
 
+template <class IO>
 void
-ThermalModel::saveState(StateWriter &w) const
+ThermalModel::serialize(IO &io)
 {
-    w.putTag(stateTag("THRM"));
-    w.putVec(net_->temps());
+    io.tag(stateTag("THRM"), "ThermalModel");
+    std::vector<Kelvin> temps = net_->temps();
+    io.table(temps, "thermal node count");
+    if constexpr (IO::kReading)
+        net_->setTemps(temps);
 }
 
-void
-ThermalModel::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("THRM"), "ThermalModel");
-    std::vector<Kelvin> temps;
-    r.getVec(temps);
-    // setTemps fatals on a node-count mismatch.
-    net_->setTemps(temps);
-}
+template void ThermalModel::serialize(StateWriter &);
+template void ThermalModel::serialize(StateReader &);
 
 } // namespace hs

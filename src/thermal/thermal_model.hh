@@ -29,9 +29,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /** Package and material parameters. */
 struct ThermalParams
 {
@@ -114,14 +111,10 @@ class ThermalModel
     /** The stiffest time constant of the network, seconds. */
     double minTimeConstant() const;
 
-    /** Serialise node temperatures — the only dynamic state; topology
-     *  and derived caches are rebuilt from the config (snapshot
-     *  support). */
-    void saveState(StateWriter &w) const;
-
-    /** Restore temperatures captured by saveState() on a same-topology
-     *  model. */
-    void restoreState(StateReader &r);
+    /** Snapshot state: node temperatures, the only dynamic state
+     *  (topology and derived caches are rebuilt from the config). A
+     *  restore needs the same topology. */
+    template <class IO> void serialize(IO &io);
 
   private:
     std::vector<Watts> padPower(const std::vector<Watts> &block_power)

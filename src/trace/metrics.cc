@@ -132,29 +132,20 @@ Histogram::percentile(double p) const
     return max_;
 }
 
+template <class IO>
 void
-Histogram::saveState(StateWriter &w) const
+Histogram::serialize(IO &io)
 {
-    w.putTag(stateTag("HIST"));
-    w.put<uint64_t>(count_);
-    w.put<double>(sum_);
-    w.put<double>(min_);
-    w.put<double>(max_);
-    for (int b = 0; b < kBuckets; ++b)
-        w.put<uint64_t>(buckets_[static_cast<size_t>(b)]);
+    io.tag(stateTag("HIST"), "Histogram");
+    io.value(count_);
+    io.value(sum_);
+    io.value(min_);
+    io.value(max_);
+    io.value(buckets_);
 }
 
-void
-Histogram::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("HIST"), "Histogram");
-    count_ = r.get<uint64_t>();
-    sum_ = r.get<double>();
-    min_ = r.get<double>();
-    max_ = r.get<double>();
-    for (int b = 0; b < kBuckets; ++b)
-        buckets_[static_cast<size_t>(b)] = r.get<uint64_t>();
-}
+template void Histogram::serialize(StateWriter &);
+template void Histogram::serialize(StateReader &);
 
 void
 Histogram::writeJson(std::ostream &os) const

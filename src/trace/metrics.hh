@@ -34,9 +34,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /**
  * Log-bucketed distribution summary.
  *
@@ -93,9 +90,8 @@ class Histogram
 
     bool operator==(const Histogram &) const = default;
 
-    /** Serialise into a simulator snapshot ("HIST"-tagged section). */
-    void saveState(StateWriter &w) const;
-    void restoreState(StateReader &r);
+    /** Snapshot and result state ("HIST"-tagged section). */
+    template <class IO> void serialize(IO &io);
 
     /**
      * Emit `{"count": N, "sum": S, "min": m, "max": M, "mean": a,

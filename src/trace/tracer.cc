@@ -43,54 +43,39 @@ Tracer::dropCategory(TraceCategory cat)
     emitted_ -= removed;
 }
 
+template <class IO>
 void
-Tracer::saveState(StateWriter &w) const
+Tracer::serialize(IO &io)
 {
-    w.putTag(stateTag("TRCE"));
-    w.put<uint64_t>(static_cast<uint64_t>(ring_.capacity()));
-    w.put<uint64_t>(emitted_);
-    w.put<uint64_t>(dropped_);
-    w.put<uint64_t>(static_cast<uint64_t>(ring_.size()));
-    // Field by field: TraceEvent has padding bytes a raw byte copy
-    // would serialise nondeterministically.
+    io.tag(stateTag("TRCE"), "Tracer state");
+    io.echo(static_cast<uint64_t>(ring_.capacity()), "tracer capacity");
+    io.value(emitted_);
+    io.value(dropped_);
+    // Events go field by field (30 bytes each, the padding left out).
+    uint64_t n = ring_.size();
+    io.count(n, 30);
+    if constexpr (IO::kReading) {
+        if (n > ring_.capacity())
+            fatal("Tracer: %llu events do not fit a ring of %zu",
+                  static_cast<unsigned long long>(n), ring_.capacity());
+        ring_.clear();
+        for (uint64_t i = 0; i < n; ++i)
+            ring_.push_back(TraceEvent{});
+    }
     for (size_t i = 0; i < ring_.size(); ++i) {
-        const TraceEvent &e = ring_[i];
-        w.put<Cycles>(e.cycle);
-        w.put<double>(e.value);
-        w.put<uint64_t>(e.arg);
-        w.put<int16_t>(e.thread);
-        w.put<uint8_t>(static_cast<uint8_t>(e.cat));
-        w.put<uint8_t>(static_cast<uint8_t>(e.kind));
-        w.put<uint8_t>(e.block);
-        w.put<uint8_t>(e.core);
+        TraceEvent &e = ring_[i];
+        io.value(e.cycle);
+        io.value(e.value);
+        io.value(e.arg);
+        io.value(e.thread);
+        io.enumerated(e.cat, TraceCategory::Episode, "trace category");
+        io.enumerated(e.kind, TraceKind::EpisodeEnd, "trace kind");
+        io.value(e.block);
+        io.value(e.core);
     }
 }
 
-void
-Tracer::restoreState(StateReader &r)
-{
-    r.expectTag(stateTag("TRCE"), "Tracer state");
-    uint64_t cap = r.get<uint64_t>();
-    if (cap != ring_.capacity())
-        fatal("Tracer::restoreState: snapshot capacity %llu differs "
-              "from this tracer's %zu",
-              static_cast<unsigned long long>(cap), ring_.capacity());
-    emitted_ = r.get<uint64_t>();
-    dropped_ = r.get<uint64_t>();
-    uint64_t n = r.get<uint64_t>();
-    ring_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        TraceEvent e;
-        e.cycle = r.get<Cycles>();
-        e.value = r.get<double>();
-        e.arg = r.get<uint64_t>();
-        e.thread = r.get<int16_t>();
-        e.cat = static_cast<TraceCategory>(r.get<uint8_t>());
-        e.kind = static_cast<TraceKind>(r.get<uint8_t>());
-        e.block = r.get<uint8_t>();
-        e.core = r.get<uint8_t>();
-        ring_.push_back(e);
-    }
-}
+template void Tracer::serialize(StateWriter &);
+template void Tracer::serialize(StateReader &);
 
 } // namespace hs

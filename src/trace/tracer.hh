@@ -29,9 +29,6 @@
 
 namespace hs {
 
-class StateReader;
-class StateWriter;
-
 /** Bounded drop-oldest event buffer. */
 class Tracer
 {
@@ -93,13 +90,10 @@ class Tracer
     void setCoreId(uint8_t core) { coreId_ = core; }
     uint8_t coreId() const { return coreId_; }
 
-    /** Serialise the buffer and counters (snapshot support). */
-    void saveState(StateWriter &w) const;
-
-    /** Restore state captured by saveState(). The restoring tracer's
+    /** Snapshot state: the buffer and counters. A restoring tracer's
      *  capacity must match the saved one (it is part of the simulator
      *  configuration a snapshot requires to be shared). */
-    void restoreState(StateReader &r);
+    template <class IO> void serialize(IO &io);
 
   private:
     RingBuffer<TraceEvent> ring_;

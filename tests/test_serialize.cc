@@ -19,6 +19,7 @@
 #include "sim/runner.hh"
 #include "sim/serialize.hh"
 #include "sim/simulator.hh"
+#include "trace/tracer.hh"
 
 namespace {
 
@@ -118,10 +119,11 @@ TEST(Serialize, RunSpecRoundTripPreservesCanonicalKey)
     RunSpec spec = fancySpec();
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    saveRunSpec(w, spec);
+    w.record(spec);
     StateReader r(bytes);
-    RunSpec back = loadRunSpec(r);
-    EXPECT_TRUE(r.done());
+    RunSpec back;
+    r.record(back);
+    EXPECT_EQ(r.remaining(), 0u);
 
     EXPECT_EQ(back.canonicalKey(), spec.canonicalKey());
     EXPECT_EQ(back.hash(), spec.hash());
@@ -135,9 +137,11 @@ TEST(Serialize, MultiWorkloadSpecRoundTrip)
     RunSpec spec = specPairSpec("gcc", "mesa", fastOpts());
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
-    saveRunSpec(w, spec);
+    w.record(spec);
     StateReader r(bytes);
-    EXPECT_EQ(loadRunSpec(r).canonicalKey(), spec.canonicalKey());
+    RunSpec back;
+    r.record(back);
+    EXPECT_EQ(back.canonicalKey(), spec.canonicalKey());
 }
 
 TEST(Serialize, RunResultRoundTripIsBitIdentical)
@@ -344,6 +348,144 @@ TEST(Serialize, TrailingBytesAreFatal)
     std::vector<uint8_t> bytes = encodeRunResult(r);
     bytes.push_back(0x5a);
     EXPECT_DEATH(decodeRunResult(bytes), "trailing");
+}
+
+// --- hostile input ------------------------------------------------------
+
+/** Overwrite the 8 bytes at @p at with @p v. */
+void
+poke64(std::vector<uint8_t> &bytes, size_t at, uint64_t v)
+{
+    ASSERT_LE(at + sizeof(v), bytes.size());
+    std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+TEST(SerializeDeathTest, WrappedCountIsTruncatedNotThrown)
+{
+    // 2^61 + 1 eight-byte elements: the byte count wraps to 8, which
+    // fits; the count check must still see the claim as truncated.
+    std::vector<uint8_t> bytes(16, 0);
+    poke64(bytes, 0, (uint64_t{1} << 61) + 1);
+    auto read = [&] {
+        StateReader r(bytes);
+        std::vector<uint64_t> v;
+        r.vec(v);
+    };
+    EXPECT_DEATH(read(), "truncated");
+}
+
+TEST(SerializeDeathTest, HugeListCountsFailCleanly)
+{
+    // A Result frame: type, id, "RRES", cycles, active cycles, then
+    // the thread count.
+    RunResult result = resultBuiltOver(0);
+    std::vector<uint8_t> frame = encodeResult(1, result);
+    poke64(frame, 1 + 8 + 4 + 8 + 8, uint64_t{1} << 40);
+    RunResult out;
+    EXPECT_DEATH(decodeResult(frame, out), "truncated");
+
+    // A Job frame: type, id, "SPEC", then the workload count.
+    frame = encodeJob(2, fancySpec(), nullptr, 0);
+    poke64(frame, 1 + 8 + 4, uint64_t{1} << 40);
+    EXPECT_DEATH(decodeJob(frame), "truncated");
+}
+
+/** The offset of the one byte at which @p a and @p b differ. */
+size_t
+onlyDifference(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
+{
+    EXPECT_EQ(a.size(), b.size());
+    size_t at = 0, diffs = 0;
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        if (a[i] != b[i]) {
+            at = i;
+            ++diffs;
+        }
+    }
+    EXPECT_EQ(diffs, 1u);
+    return at;
+}
+
+TEST(SerializeDeathTest, OutOfRangeEnumsAreRejected)
+{
+    // Each case flips one enum field between two legal values to find
+    // its byte, then stores 0xff there.
+    RunResult base = resultBuiltOver(0);
+    auto resultWith = [&](auto &&set) {
+        RunResult r = base;
+        set(r);
+        return encodeRunResult(r);
+    };
+    std::vector<uint8_t> bytes = encodeRunResult(base);
+    size_t at = onlyDifference(bytes, resultWith([](RunResult &r) {
+                                   r.hottestBlock = Block::FpAdd;
+                               }));
+    bytes[at] = 0xff;
+    EXPECT_DEATH(decodeRunResult(bytes), "hottest block 255 out of range");
+
+    bytes = encodeRunResult(base);
+    at = onlyDifference(bytes, resultWith([](RunResult &r) {
+                            r.cores[1].hottestBlock = Block::FpAdd;
+                        }));
+    bytes[at] = 0xff;
+    EXPECT_DEATH(decodeRunResult(bytes),
+                 "core hottest block 255 out of range");
+
+    RunSpec spec = fancySpec();
+    auto jobWith = [&](auto &&set) {
+        RunSpec s = spec;
+        set(s);
+        return encodeJob(3, s, nullptr, 0);
+    };
+    const struct
+    {
+        const char *message;
+        std::vector<uint8_t> other;
+    } specCases[] = {
+        {"workload kind 255 out of range", jobWith([](RunSpec &s) {
+             s.workloads[0].kind = WorkloadSpec::Kind::Asm;
+         })},
+        {"sink type 255 out of range",
+         jobWith([](RunSpec &s) { s.opts.sink = SinkType::Ideal; })},
+        {"DTM mode 255 out of range",
+         jobWith([](RunSpec &s) { s.opts.dtm = DtmMode::None; })},
+    };
+    for (const auto &c : specCases) {
+        bytes = encodeJob(3, spec, nullptr, 0);
+        bytes[onlyDifference(bytes, c.other)] = 0xff;
+        EXPECT_DEATH(decodeJob(bytes), c.message);
+    }
+
+    Tracer tracer(4);
+    tracer.emit(traceEvent(10, TraceKind::StopGoTrigger, 0, 0));
+    auto saved = [](Tracer &t) {
+        std::vector<uint8_t> out;
+        StateWriter w(out);
+        t.serialize(w);
+        return out;
+    };
+    auto restore = [](const std::vector<uint8_t> &in) {
+        Tracer t(4);
+        StateReader r(in);
+        t.serialize(r);
+    };
+    Tracer other(4);
+    other.emit(traceEvent(10, TraceKind::EmergencyUp, 0, 0));
+    std::vector<uint8_t> mine = saved(tracer);
+    std::vector<uint8_t> theirs = saved(other);
+    // EmergencyUp is a Thermal event: category and kind both differ.
+    ASSERT_EQ(mine.size(), theirs.size());
+    std::vector<size_t> diffs;
+    for (size_t i = 0; i < mine.size(); ++i)
+        if (mine[i] != theirs[i])
+            diffs.push_back(i);
+    ASSERT_EQ(diffs.size(), 2u);
+    bytes = mine;
+    bytes[diffs[0]] = 0xff;
+    EXPECT_DEATH(restore(bytes), "trace category 255 out of range");
+    bytes = mine;
+    bytes[diffs[1]] = 0xff;
+    EXPECT_DEATH(restore(bytes), "trace kind 255 out of range");
 }
 
 } // namespace

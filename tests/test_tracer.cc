@@ -71,10 +71,10 @@ TEST(Tracer, StateRoundTripsExactly)
 
     std::vector<uint8_t> buf;
     StateWriter w(buf);
-    a.saveState(w);
+    a.serialize(w);
     Tracer b(4);
     StateReader r(buf);
-    b.restoreState(r);
+    b.serialize(r);
 
     EXPECT_EQ(b.size(), a.size());
     EXPECT_EQ(b.emitted(), a.emitted());
