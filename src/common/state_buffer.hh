@@ -232,14 +232,22 @@ class StateReader
     void
     enumerated(E &e, E last, const char *what)
     {
-        static_assert(std::is_enum_v<E>);
         uint8_t v = 0;
         value(v);
-        if (v > static_cast<uint8_t>(last))
-            fatal("StateReader: %s %u out of range (at most %u)", what,
-                  static_cast<unsigned>(v),
-                  static_cast<unsigned>(static_cast<uint8_t>(last)));
+        checkEnum(static_cast<E>(v), last, what);
         e = static_cast<E>(v);
+    }
+
+    /** fatal() when @p e (read raw, e.g. inside a vec() element) is
+     *  past @p last. */
+    template <class E>
+    static void
+    checkEnum(E e, E last, const char *what)
+    {
+        static_assert(std::is_enum_v<E>);
+        if (static_cast<unsigned>(e) > static_cast<unsigned>(last))
+            fatal("StateReader: %s %u out of range (at most %u)", what,
+                  static_cast<unsigned>(e), static_cast<unsigned>(last));
     }
 
     void

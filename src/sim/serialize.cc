@@ -102,15 +102,6 @@ serialize(IO &io, ThreadResult &t)
     io.value(t.fpPerInst);
 }
 
-/** fatal() on a block a raw-copied record names that does not exist. */
-void
-checkBlock(Block b, const char *what)
-{
-    if (static_cast<int>(b) >= numBlocks)
-        fatal("StateReader: %s %d out of range (at most %d)", what,
-              static_cast<int>(b), numBlocks - 1);
-}
-
 } // namespace
 
 template <class IO>
@@ -176,13 +167,21 @@ serialize(IO &io, RunResult &result)
         io.string(h.desc);
         io.record(h.hist);
     }
-    // Records copied raw name blocks too; the writers panic on one
-    // that does not exist.
+    // The raw-copied records hold enums too; the JSON and trace
+    // writers panic on one past its last value.
     if constexpr (IO::kReading) {
         for (const CoreResult &c : result.cores)
-            checkBlock(c.hottestBlock, "core hottest block");
+            StateReader::checkEnum(c.hottestBlock, kLastBlock,
+                                   "core hottest block");
         for (const SedationEvent &e : result.sedationEvents)
-            checkBlock(e.resource, "sedation resource");
+            StateReader::checkEnum(e.resource, kLastBlock,
+                                   "sedation resource");
+        for (const TraceEvent &e : result.traceEvents) {
+            StateReader::checkEnum(e.cat, TraceCategory::Episode,
+                                   "trace category");
+            StateReader::checkEnum(e.kind, TraceKind::EpisodeEnd,
+                                   "trace kind");
+        }
     }
 }
 

@@ -423,13 +423,28 @@ TEST(SerializeDeathTest, OutOfRangeEnumsAreRejected)
     bytes[at] = 0xff;
     EXPECT_DEATH(decodeRunResult(bytes), "hottest block 255 out of range");
 
-    bytes = encodeRunResult(base);
-    at = onlyDifference(bytes, resultWith([](RunResult &r) {
-                            r.cores[1].hottestBlock = Block::FpAdd;
-                        }));
-    bytes[at] = 0xff;
-    EXPECT_DEATH(decodeRunResult(bytes),
-                 "core hottest block 255 out of range");
+    const struct
+    {
+        const char *message;
+        std::vector<uint8_t> other;
+    } resultCases[] = {
+        {"core hottest block 255 out of range",
+         resultWith([](RunResult &r) {
+             r.cores[1].hottestBlock = Block::FpAdd;
+         })},
+        {"sedation resource 255 out of range",
+         resultWith([](RunResult &r) {
+             r.sedationEvents[0].resource = Block::FpAdd;
+         })},
+        {"trace kind 255 out of range", resultWith([](RunResult &r) {
+             r.traceEvents[0].kind = TraceKind::SedRecheck;
+         })},
+    };
+    for (const auto &c : resultCases) {
+        bytes = encodeRunResult(base);
+        bytes[onlyDifference(bytes, c.other)] = 0xff;
+        EXPECT_DEATH(decodeRunResult(bytes), c.message);
+    }
 
     RunSpec spec = fancySpec();
     auto jobWith = [&](auto &&set) {
