@@ -182,6 +182,7 @@ heartbeatFrame(IO &io, Heartbeat &hb)
 }
 
 const SimSnapshot kNoSnapshot;
+const JobTelemetry kNoTelemetry;
 
 } // namespace
 
@@ -222,7 +223,6 @@ std::vector<uint8_t>
 encodeResult(uint64_t id, const RunResult &result,
              const JobTelemetry *telemetry)
 {
-    static const JobTelemetry kNoTelemetry;
     std::vector<uint8_t> bytes;
     StateWriter w(bytes);
     bool has_tel = telemetry != nullptr;
