@@ -4,9 +4,9 @@
  * records and HSRP frames.
  *
  * One body per record. Each record names its fields once, in wire
- * order, in a single template
+ * order, in a single member template
  *
- *     template <class IO> void X::serialize(IO &io);  // or serialize(IO &, X &)
+ *     template <class IO> void X::serialize(IO &io);
  *
  * instantiated in X's .cc for exactly StateWriter and StateReader (no
  * virtual dispatch, no run-time direction flag). The two classes share
@@ -84,18 +84,6 @@ template <class T> struct IsVector<std::vector<T>> : std::true_type {};
 /** A value that may be copied as raw bytes. */
 template <class T>
 constexpr bool kRaw = std::is_trivially_copyable_v<T> && !std::is_enum_v<T>;
-
-/** Run @p rec 's serialize() body with @p io: the member or the free
- *  serialize(io, rec) found by argument-dependent lookup. */
-template <class IO, class T>
-void
-dispatch(IO &io, T &rec)
-{
-    if constexpr (requires { rec.serialize(io); })
-        rec.serialize(io);
-    else
-        serialize(io, rec);
-}
 
 } // namespace state_detail
 
@@ -179,7 +167,7 @@ class StateWriter
     void
     record(const T &rec)
     {
-        state_detail::dispatch(*this, const_cast<T &>(rec));
+        const_cast<T &>(rec).serialize(*this);
     }
 
   private:
@@ -333,7 +321,7 @@ class StateReader
     void
     record(T &rec)
     {
-        state_detail::dispatch(*this, rec);
+        rec.serialize(*this);
     }
 
     /** fatal() unless every byte has been read. */

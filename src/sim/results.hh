@@ -51,6 +51,9 @@ struct ThreadResult
     double fpPerInst = 0.0;        ///< FP-unit accesses per committed
 
     bool operator==(const ThreadResult &) const = default;
+
+    /** The record's encode/decode body (see sim/serialize.hh). */
+    template <class IO> void serialize(IO &io);
 };
 
 /**
@@ -155,6 +158,10 @@ struct RunResult
      * host executed them.
      */
     bool operator==(const RunResult &o) const;
+
+    /** The record's encode/decode body ("RRES"-tagged section, see
+     *  sim/serialize.hh). */
+    template <class IO> void serialize(IO &io);
 };
 
 /** Degradation of @p measured relative to @p base, in percent. */

@@ -104,6 +104,10 @@ struct RunSpec
 
     bool operator==(const RunSpec &) const = default;
 
+    /** The record's encode/decode body ("SPEC"-tagged section, see
+     *  sim/serialize.hh). */
+    template <class IO> void serialize(IO &io);
+
     // --- fluent builders (each returns a modified copy) -------------
     RunSpec withLabel(std::string l) const;
     RunSpec withDtm(DtmMode mode) const;

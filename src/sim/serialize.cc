@@ -84,85 +84,85 @@ constexpr size_t kHistogramMinBytes =
 
 constexpr Block kLastBlock = static_cast<Block>(numBlocks - 1);
 
-template <class IO>
-void
-serialize(IO &io, ThreadResult &t)
-{
-    io.string(t.program);
-    io.value(t.core);
-    io.value(t.committed);
-    io.value(t.ipc);
-    io.value(t.normalCycles);
-    io.value(t.coolingCycles);
-    io.value(t.sedationCycles);
-    io.value(t.intRegAccessRate);
-    io.value(t.l1dMissRate);
-    io.value(t.l2MissRate);
-    io.value(t.bpredAccuracy);
-    io.value(t.fpPerInst);
-}
-
 } // namespace
 
 template <class IO>
 void
-serialize(IO &io, RunSpec &spec)
+ThreadResult::serialize(IO &io)
+{
+    io.string(program);
+    io.value(core);
+    io.value(committed);
+    io.value(ipc);
+    io.value(normalCycles);
+    io.value(coolingCycles);
+    io.value(sedationCycles);
+    io.value(intRegAccessRate);
+    io.value(l1dMissRate);
+    io.value(l2MissRate);
+    io.value(bpredAccuracy);
+    io.value(fpPerInst);
+}
+
+template <class IO>
+void
+RunSpec::serialize(IO &io)
 {
     io.tag(stateTag("SPEC"), "RunSpec");
-    io.length(spec.workloads, kWorkloadMinBytes);
-    for (WorkloadSpec &wl : spec.workloads) {
+    io.length(workloads, kWorkloadMinBytes);
+    for (WorkloadSpec &wl : workloads) {
         io.enumerated(wl.kind, WorkloadSpec::Kind::Asm, "workload kind");
         io.string(wl.name);
         io.value(wl.variant);
         io.string(wl.asmText);
     }
-    io.value(spec.opts.timeScale);
-    io.enumerated(spec.opts.sink, SinkType::Realistic, "sink type");
-    io.enumerated(spec.opts.dtm, DtmMode::FetchGating, "DTM mode");
-    io.value(spec.opts.convectionR);
-    io.value(spec.opts.upperThreshold);
-    io.value(spec.opts.lowerThreshold);
-    io.value(spec.opts.sedationUsageThreshold);
-    io.value(spec.opts.recordTempTrace);
-    io.value(spec.numThreads);
-    io.value(spec.dieShrink);
-    io.value(spec.sensorNoiseK);
-    io.value(spec.descheduleAfter);
-    io.value(spec.traceEvents);
-    io.value(spec.numCores);
-    io.vec(spec.placement);
-    io.string(spec.label);
+    io.value(opts.timeScale);
+    io.enumerated(opts.sink, SinkType::Realistic, "sink type");
+    io.enumerated(opts.dtm, DtmMode::FetchGating, "DTM mode");
+    io.value(opts.convectionR);
+    io.value(opts.upperThreshold);
+    io.value(opts.lowerThreshold);
+    io.value(opts.sedationUsageThreshold);
+    io.value(opts.recordTempTrace);
+    io.value(numThreads);
+    io.value(dieShrink);
+    io.value(sensorNoiseK);
+    io.value(descheduleAfter);
+    io.value(traceEvents);
+    io.value(numCores);
+    io.vec(placement);
+    io.string(label);
 }
 
 template <class IO>
 void
-serialize(IO &io, RunResult &result)
+RunResult::serialize(IO &io)
 {
     io.tag(stateTag("RRES"), "RunResult");
-    io.value(result.cycles);
-    io.value(result.activeCycles);
-    io.length(result.threads, kThreadMinBytes);
-    for (ThreadResult &t : result.threads)
-        serialize(io, t);
-    io.value(result.numCores);
-    io.vec(result.cores);
-    io.value(result.emergencies);
-    io.value(result.emergenciesPerBlock);
-    io.value(result.peakTemp);
-    io.value(result.peakTempOverall);
-    io.enumerated(result.hottestBlock, kLastBlock, "hottest block");
-    io.value(result.stopAndGoTriggers);
-    io.value(result.coolingStallCycles);
-    io.vec(result.sedationEvents);
-    io.vec(result.descheduledThreads);
-    io.value(result.avgTotalPowerW);
-    io.vec(result.tempTrace);
-    io.vec(result.traceEvents);
-    io.value(result.traceEventsDropped);
-    io.value(result.hostSeconds);
-    io.value(result.simCyclesPerHostSec);
-    io.length(result.histograms, kHistogramMinBytes);
-    for (NamedHistogram &h : result.histograms) {
+    io.value(cycles);
+    io.value(activeCycles);
+    io.length(threads, kThreadMinBytes);
+    for (ThreadResult &t : threads)
+        io.record(t);
+    io.value(numCores);
+    io.vec(cores);
+    io.value(emergencies);
+    io.value(emergenciesPerBlock);
+    io.value(peakTemp);
+    io.value(peakTempOverall);
+    io.enumerated(hottestBlock, kLastBlock, "hottest block");
+    io.value(stopAndGoTriggers);
+    io.value(coolingStallCycles);
+    io.vec(sedationEvents);
+    io.vec(descheduledThreads);
+    io.value(avgTotalPowerW);
+    io.vec(tempTrace);
+    io.vec(traceEvents);
+    io.value(traceEventsDropped);
+    io.value(hostSeconds);
+    io.value(simCyclesPerHostSec);
+    io.length(histograms, kHistogramMinBytes);
+    for (NamedHistogram &h : histograms) {
         io.string(h.name);
         io.string(h.desc);
         io.record(h.hist);
@@ -170,13 +170,13 @@ serialize(IO &io, RunResult &result)
     // The raw-copied records hold enums too; the JSON and trace
     // writers panic on one past its last value.
     if constexpr (IO::kReading) {
-        for (const CoreResult &c : result.cores)
+        for (const CoreResult &c : cores)
             StateReader::checkEnum(c.hottestBlock, kLastBlock,
                                    "core hottest block");
-        for (const SedationEvent &e : result.sedationEvents)
+        for (const SedationEvent &e : sedationEvents)
             StateReader::checkEnum(e.resource, kLastBlock,
                                    "sedation resource");
-        for (const TraceEvent &e : result.traceEvents) {
+        for (const TraceEvent &e : traceEvents) {
             StateReader::checkEnum(e.cat, TraceCategory::Episode,
                                    "trace category");
             StateReader::checkEnum(e.kind, TraceKind::EpisodeEnd,
@@ -185,10 +185,12 @@ serialize(IO &io, RunResult &result)
     }
 }
 
-template void serialize(StateWriter &, RunSpec &);
-template void serialize(StateReader &, RunSpec &);
-template void serialize(StateWriter &, RunResult &);
-template void serialize(StateReader &, RunResult &);
+template void ThreadResult::serialize(StateWriter &);
+template void ThreadResult::serialize(StateReader &);
+template void RunSpec::serialize(StateWriter &);
+template void RunSpec::serialize(StateReader &);
+template void RunResult::serialize(StateWriter &);
+template void RunResult::serialize(StateReader &);
 
 std::vector<uint8_t>
 encodeRunResult(const RunResult &result)

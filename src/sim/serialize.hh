@@ -5,11 +5,11 @@
  * The distributed experiment service moves finished results between
  * processes and machines: the on-disk content-addressed result store
  * persists them across runs, and the TCP worker protocol streams them
- * back to the coordinator. Both reuse the StateBuffer machinery the
- * snapshot subsystem already proves out — a tagged, length-prefixed
- * concatenation of POD fields — extended with length-prefixed strings
- * for the non-POD members (program names, histogram names, assembly
- * text).
+ * back to the coordinator. Both use the snapshots' state buffers
+ * (common/state_buffer.hh): a tagged, length-prefixed concatenation
+ * of fields, each record written by one serialize() body for both
+ * directions. RunSpec::serialize, ThreadResult::serialize and
+ * RunResult::serialize are defined in serialize.cc.
  *
  * Doubles are copied bit-for-bit, so a round-tripped RunResult
  * compares equal (operator==) to the original and re-emits
@@ -61,14 +61,6 @@ uint64_t fnv1a64(const uint8_t *data, size_t size,
  * to one word — any single-bit flip — changes the sum.
  */
 uint64_t checksum64(const uint8_t *data, size_t size);
-
-/** The RunSpec record ("SPEC"-tagged section), for StateWriter and
- *  StateReader; reach it through io.record(spec). */
-template <class IO> void serialize(IO &io, RunSpec &spec);
-
-/** The RunResult record ("RRES"-tagged section), for StateWriter and
- *  StateReader; reach it through io.record(result). */
-template <class IO> void serialize(IO &io, RunResult &result);
 
 /** Convenience: one whole RunResult as a standalone byte buffer. */
 std::vector<uint8_t> encodeRunResult(const RunResult &result);
