@@ -1,10 +1,16 @@
 /** @file Tests for the simulator's full statistics dump. */
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
+#include "sim/serialize.hh"
 
 namespace hs {
 namespace {
@@ -65,6 +71,41 @@ TEST(StatsDump, IdleThreadsOmitted)
     std::ostringstream os;
     sim.dumpStats(os);
     EXPECT_EQ(os.str().find("thread1."), std::string::npos);
+}
+
+/** checksum64 and size of @p spec 's dumpStats() text after a run. */
+std::pair<uint64_t, size_t>
+dumpSum(const RunSpec &spec)
+{
+    std::unique_ptr<Simulator> sim = makeSimulator(spec);
+    sim->run();
+    std::ostringstream os;
+    sim->dumpStats(os);
+    std::string text = os.str();
+    return {checksum64(reinterpret_cast<const uint8_t *>(text.data()),
+                       text.size()),
+            text.size()};
+}
+
+TEST(StatsDump, TextIsPinned)
+{
+    // hs_run --stats prints these bytes: every line's name, padding,
+    // value precision and description is part of the report.
+    ExperimentOptions opts;
+    opts.timeScale = 2000.0;
+    opts.dtm = DtmMode::SelectiveSedation;
+    auto [one_sum, one_size] = dumpSum(withVariantSpec("gcc", 2, opts));
+    EXPECT_EQ(one_size, 6585u);
+    EXPECT_EQ(one_sum, 0x57ff601a9353e225ull);
+
+    // Two cores: every per-core section gains its "coreN." prefix, and
+    // a traced run adds the trace section.
+    opts.dtm = DtmMode::StopAndGo;
+    auto [two_sum, two_size] = dumpSum(withVariantSpec("gcc", 2, opts)
+                                           .withTopology(2, {0, 1})
+                                           .withTraceEvents(true));
+    EXPECT_EQ(two_size, 10861u);
+    EXPECT_EQ(two_sum, 0xf5f2e75da416a1e2ull);
 }
 
 } // namespace
