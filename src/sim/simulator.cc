@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iomanip>
 #include <ostream>
 
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/state_buffer.hh"
-#include "common/stats.hh"
 #include "thermal/floorplan.hh"
 
 namespace hs {
@@ -1088,26 +1088,28 @@ Simulator::collectResults(double host_seconds) const
 
 namespace {
 
-/** Helper owning the scalars a dump section registers. */
+/** Writes one dumpStats() section: an "== name ==" header, then one
+ *  `name.stat  value  # desc` line per add(). */
 class StatSection
 {
   public:
-    explicit StatSection(std::string name) : group_(std::move(name)) {}
-
-    void
-    add(const std::string &name, double value, const std::string &desc)
+    StatSection(std::ostream &os, std::string name)
+        : os_(os), name_(std::move(name))
     {
-        scalars_.push_back(
-            std::make_unique<StatScalar>(name, desc));
-        scalars_.back()->set(value);
-        group_.add(scalars_.back().get());
+        os_ << "== " << name_ << " ==\n";
     }
 
-    void dump(std::ostream &os) const { group_.dump(os); }
+    void
+    add(const std::string &stat, double value, const std::string &desc)
+    {
+        os_ << std::left << std::setw(40) << (name_ + "." + stat)
+            << std::setw(16) << std::setprecision(12) << value << "# "
+            << desc << "\n";
+    }
 
   private:
-    StatGroup group_;
-    std::vector<std::unique_ptr<StatScalar>> scalars_;
+    std::ostream &os_;
+    std::string name_;
 };
 
 } // namespace
@@ -1128,7 +1130,7 @@ Simulator::dumpStats(std::ostream &os) const
         Cycles active = 0;
         for (const CoreState &core : cores_)
             active = std::max(active, core.pipeline->activeCycles());
-        StatSection s("sim");
+        StatSection s(os, "sim");
         s.add("cycles", static_cast<double>(pipe.cycle()),
               "simulated cycles");
         s.add("active_cycles", static_cast<double>(active),
@@ -1141,7 +1143,6 @@ Simulator::dumpStats(std::ostream &os) const
               "average chip power");
         s.add("emergencies", static_cast<double>(total_emergencies),
               "358 K crossings");
-        s.dump(os);
     }
     for (size_t c = 0; c < cores_.size(); ++c) {
         const Pipeline &pipe = *cores_[c].pipeline;
@@ -1149,8 +1150,8 @@ Simulator::dumpStats(std::ostream &os) const
             const ThreadContext &tc = pipe.thread(t);
             if (tc.state == ThreadState::Idle)
                 continue;
-            StatSection s(
-                strprintf("%sthread%d", corePrefix(c).c_str(), t));
+            StatSection s(os, strprintf("%sthread%d",
+                                        corePrefix(c).c_str(), t));
             s.add("program", 0.0, tc.program ? tc.program->name() : "-");
             s.add("committed", static_cast<double>(tc.committedInsts),
                   "committed instructions");
@@ -1183,12 +1184,11 @@ Simulator::dumpStats(std::ostream &os) const
                             static_cast<double>(pipe.cycle())
                       : 0.0,
                   "integer register file accesses per cycle");
-            s.dump(os);
         }
     }
     for (size_t c = 0; c < cores_.size(); ++c) {
         const MemoryHierarchy &mem = cores_[c].pipeline->mem();
-        StatSection s(corePrefix(c) + "mem");
+        StatSection s(os, corePrefix(c) + "mem");
         auto cache = [&](const char *name, const Cache &cch) {
             s.add(strprintf("%s.hits", name),
                   static_cast<double>(cch.hits()), "cache hits");
@@ -1206,11 +1206,10 @@ Simulator::dumpStats(std::ostream &os) const
         s.add("mem_writebacks",
               static_cast<double>(mem.memWritebacks()),
               "L2 victims written to memory");
-        s.dump(os);
     }
     for (size_t c = 0; c < cores_.size(); ++c) {
         const BranchPredictor &bp = cores_[c].pipeline->bpred();
-        StatSection s(corePrefix(c) + "bpred");
+        StatSection s(os, corePrefix(c) + "bpred");
         s.add("lookups", static_cast<double>(bp.lookups()),
               "direction predictions");
         s.add("mispredicts", static_cast<double>(bp.mispredicts()),
@@ -1221,10 +1220,9 @@ Simulator::dumpStats(std::ostream &os) const
                               static_cast<double>(bp.lookups())
                   : 0.0,
               "prediction accuracy");
-        s.dump(os);
     }
     for (size_t c = 0; c < cores_.size(); ++c) {
-        StatSection s(corePrefix(c) + "thermal");
+        StatSection s(os, corePrefix(c) + "thermal");
         for (int b = 0; b < numBlocks; ++b) {
             Block block = blockFromIndex(b);
             s.add(strprintf("%s.temp_k", blockName(block)),
@@ -1239,7 +1237,6 @@ Simulator::dumpStats(std::ostream &os) const
         if (c + 1 == cores_.size())
             s.add("sink_k", thermal_->sinkTemp(),
                   "heat-sink temperature");
-        s.dump(os);
     }
     {
         uint64_t triggers = 0, stall_cycles = 0, sed_events = 0,
@@ -1257,7 +1254,7 @@ Simulator::dumpStats(std::ostream &os) const
             }
             desched += core.descheduled.size();
         }
-        StatSection s("dtm");
+        StatSection s(os, "dtm");
         s.add("mode", 0.0, dtmModeName(config_.dtm));
         if (any_sg) {
             s.add("stop_and_go.triggers", static_cast<double>(triggers),
@@ -1272,13 +1269,12 @@ Simulator::dumpStats(std::ostream &os) const
         }
         s.add("descheduled", static_cast<double>(desched),
               "threads removed by the OS extension");
-        s.dump(os);
     }
     if (tracer_) {
         uint64_t episodes_done = 0;
         for (const CoreState &core : cores_)
             episodes_done += core.episodes->completed();
-        StatSection s("trace");
+        StatSection s(os, "trace");
         s.add("events_buffered", static_cast<double>(tracer_->size()),
               "events held in the ring");
         s.add("events_emitted", static_cast<double>(tracer_->emitted()),
@@ -1287,7 +1283,6 @@ Simulator::dumpStats(std::ostream &os) const
               "events lost to ring overflow");
         s.add("episodes_completed", static_cast<double>(episodes_done),
               "heat/cool episodes observed");
-        s.dump(os);
     }
 }
 
