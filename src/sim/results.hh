@@ -22,8 +22,9 @@ namespace hs {
 
 /**
  * One named run-health histogram exported by a run (episode
- * durations, sedation spans, queue occupancy, ...). Tools merge these
- * into the process-wide MetricsRegistry per cell, in submission order.
+ * durations, sedation spans, queue occupancy, ...). hs_run's "metrics"
+ * object (RunMetrics in sim/runner.hh) merges them by name across
+ * cells, in submission order.
  */
 struct NamedHistogram
 {

@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <exception>
 #include <future>
+#include <map>
 #include <mutex>
 #include <ostream>
+#include <sstream>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -585,49 +587,77 @@ runMatrix(const std::vector<RunSpec> &specs)
 }
 
 void
-foldRunMetrics(MetricsRegistry &m, const std::vector<RunResult> &results,
-               const PrefixShareStats *engine,
-               const Histogram *cell_seconds)
+RunMetrics::writeJson(std::ostream &os, const std::vector<RunResult> &results,
+                      int indent) const
 {
-    m.counterAdd("hs_run.runs", results.size(), "simulated quanta");
+    // Each metric's JSON value text, keyed by name: the map emits them
+    // name-sorted across kinds.
+    std::map<std::string, std::string> out;
+    auto counter = [&](const char *name, uint64_t v) {
+        out[name] = std::to_string(v);
+    };
+    auto histogram = [&](const std::string &name, const Histogram &h) {
+        std::ostringstream text;
+        h.writeJson(text);
+        out[name] = text.str();
+    };
+
+    counter("hs_run.runs", results.size());
+    uint64_t cycles = 0, emergencies = 0, triggers = 0, sedations = 0,
+             events = 0, dropped = 0;
+    double peak = 0.0;
+    // Each run's histograms were accumulated inside its own Simulator
+    // and merge here in submission order, so the totals are identical
+    // across worker counts.
+    std::map<std::string, Histogram> hists;
     for (const RunResult &r : results) {
-        m.counterAdd("hs_run.sim_cycles", r.cycles, "simulated cycles");
-        m.counterAdd("hs_run.emergencies", r.emergencies,
-                     "emergency-threshold crossings");
-        m.counterAdd("hs_run.stop_and_go_triggers", r.stopAndGoTriggers,
-                     "global stop-and-go engagements");
-        m.counterAdd("hs_run.sedation_events", r.sedationEvents.size(),
-                     "sedation actions");
-        m.counterAdd("hs_run.trace_events", r.traceEvents.size(),
-                     "structured trace events exported");
-        m.counterAdd("hs_run.trace_events_dropped",
-                     r.traceEventsDropped, "trace ring overflow losses");
-        m.gaugeMax("hs_run.peak_temp_k", r.peakTempOverall,
-                   "hottest block temperature seen");
-        // Per-cell registries: each run's histograms were accumulated
-        // inside its own Simulator (no cross-talk between concurrent
-        // workers) and merge here in submission order, so the folded
-        // registry is identical across worker counts.
+        cycles += r.cycles;
+        emergencies += r.emergencies;
+        triggers += r.stopAndGoTriggers;
+        sedations += r.sedationEvents.size();
+        events += r.traceEvents.size();
+        dropped += r.traceEventsDropped;
+        peak = std::max(peak, r.peakTempOverall);
         for (const NamedHistogram &h : r.histograms)
-            m.histogramMerge(h.name, h.hist, h.desc);
+            hists[h.name].merge(h.hist);
     }
+    if (!results.empty()) {
+        counter("hs_run.sim_cycles", cycles);
+        counter("hs_run.emergencies", emergencies);
+        counter("hs_run.stop_and_go_triggers", triggers);
+        counter("hs_run.sedation_events", sedations);
+        counter("hs_run.trace_events", events);
+        counter("hs_run.trace_events_dropped", dropped);
+        out["hs_run.peak_temp_k"] = strprintf("%.17g", peak);
+    }
+    for (const auto &[name, h] : hists)
+        histogram(name, h);
     if (engine) {
-        m.counterAdd("engine.prefix_groups", engine->groups,
-                     "prefix-sharing groups executed");
-        m.counterAdd("engine.forked_runs", engine->forkedRuns,
-                     "runs forked from a shared prefix");
-        m.counterAdd("engine.saved_cycles", engine->savedCycles,
-                     "cycles not re-simulated thanks to sharing");
+        counter("engine.prefix_groups", engine->groups);
+        counter("engine.forked_runs", engine->forkedRuns);
+        counter("engine.saved_cycles", engine->savedCycles);
     }
-    if (cell_seconds)
-        m.histogramMerge("engine.cell_host_seconds", *cell_seconds,
-                         "wall time per completed matrix cell");
+    if (cellSeconds)
+        histogram("engine.cell_host_seconds", *cellSeconds);
+
+    // The caller positions the opening brace (it usually follows a
+    // "key": prefix); @p indent governs the inner and closing lines.
+    const std::string in0(static_cast<size_t>(indent) * 2, ' ');
+    os << "{";
+    const char *sep = "";
+    for (const auto &[name, value] : out) {
+        os << sep << "\n" << in0 << "  \"" << name << "\": " << value;
+        sep = ",";
+    }
+    if (!out.empty())
+        os << "\n" << in0;
+    os << "}";
 }
 
 void
 writeMatrixJson(std::ostream &os, const std::vector<RunSpec> &specs,
                 const std::vector<RunResult> &results,
-                const MetricsRegistry *metrics)
+                const RunMetrics *metrics)
 {
     if (specs.size() != results.size())
         panic("writeMatrixJson: %zu specs vs %zu results", specs.size(),
@@ -646,7 +676,7 @@ writeMatrixJson(std::ostream &os, const std::vector<RunSpec> &specs,
     os << "  ]";
     if (metrics) {
         os << ",\n  \"metrics\": ";
-        metrics->writeJson(os, 1);
+        metrics->writeJson(os, results, 1);
     }
     os << "\n}\n";
 }

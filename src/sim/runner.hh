@@ -302,28 +302,40 @@ std::vector<RunResult> runMatrix(const std::vector<RunSpec> &specs);
 void startCampaign(DiskResultStore &disk, const std::vector<RunSpec> &specs);
 
 /**
- * Fold run outcomes and engine statistics into @p m (hs_run --json
- * and the metrics-identity tests share this). Results are folded in
- * submission order, so the merged registry is byte-identical across
- * worker counts and prefix sharing on/off — except for metrics whose
- * name contains "host", which summarise wall-clock measurements and
- * are inherently machine-dependent.
+ * The "metrics" object of hs_run's matrix JSON: run totals folded from
+ * the results (counters, the peak-temperature gauge, every run-health
+ * histogram), plus the engine's statistics when the engine ran. The
+ * pointers are views that must outlive writeJson().
  */
-void foldRunMetrics(MetricsRegistry &m,
-                    const std::vector<RunResult> &results,
-                    const PrefixShareStats *engine = nullptr,
-                    const Histogram *cell_seconds = nullptr);
+struct RunMetrics
+{
+    /** engine.prefix_groups / forked_runs / saved_cycles. */
+    const PrefixShareStats *engine = nullptr;
+    /** engine.cell_host_seconds: wall time per completed cell. */
+    const Histogram *cellSeconds = nullptr;
+
+    /**
+     * Emit `{ "name": value, ... }` sorted by name across all kinds:
+     * counters as integers, the gauge with 17 significant digits,
+     * histograms as Histogram::writeJson() lines. Histograms merge in
+     * submission order, so the text is byte-identical across worker
+     * counts and prefix sharing on/off, except for "host"-named
+     * metrics, which are wall-clock measurements. @p indent is the
+     * closing brace's indentation in two-space steps.
+     */
+    void writeJson(std::ostream &os, const std::vector<RunResult> &results,
+                   int indent = 0) const;
+};
 
 /**
  * Structured emission of a whole matrix: one JSON object with a
  * "runs" array pairing each spec (label, canonical key, hash) with its
- * result. When @p metrics is non-null its snapshot is appended as a
- * "metrics" object (hs_run --json folds the process registry in;
- * existing callers are unchanged).
+ * result. When @p metrics is non-null a "metrics" object follows
+ * (hs_run --json).
  */
 void writeMatrixJson(std::ostream &os, const std::vector<RunSpec> &specs,
                      const std::vector<RunResult> &results,
-                     const MetricsRegistry *metrics = nullptr);
+                     const RunMetrics *metrics = nullptr);
 
 /** One CSV row per (run, thread), prefixed by run index and label. */
 void writeMatrixCsv(std::ostream &os, const std::vector<RunSpec> &specs,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/log.hh"
 #include "common/state_buffer.hh"
 
 namespace hs {
@@ -164,188 +163,6 @@ Histogram::writeJson(std::ostream &os) const
     writeDouble(os, percentile(0.90));
     os << ", \"p99\": ";
     writeDouble(os, percentile(0.99));
-    os << "}";
-}
-
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry instance;
-    return instance;
-}
-
-namespace {
-
-const char *
-kindName(MetricsRegistry::Kind k)
-{
-    switch (k) {
-      case MetricsRegistry::Kind::Counter: return "counter";
-      case MetricsRegistry::Kind::Gauge: return "gauge";
-      case MetricsRegistry::Kind::Histogram: return "histogram";
-    }
-    return "?";
-}
-
-} // namespace
-
-MetricsRegistry::Metric &
-MetricsRegistry::cell(const std::string &name, Kind kind,
-                      const std::string &desc)
-{
-    auto [it, fresh] = metrics_.try_emplace(name);
-    Metric &m = it->second;
-    if (fresh) {
-        m.name = name;
-        m.kind = kind;
-    } else if (m.kind != kind) {
-        fatal("MetricsRegistry: '%s' is a %s, not a %s", name.c_str(),
-              kindName(m.kind), kindName(kind));
-    }
-    if (!desc.empty())
-        m.desc = desc;
-    return m;
-}
-
-void
-MetricsRegistry::counterAdd(const std::string &name, uint64_t delta,
-                            const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    cell(name, Kind::Counter, desc).count += delta;
-}
-
-void
-MetricsRegistry::gaugeSet(const std::string &name, double v,
-                          const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    cell(name, Kind::Gauge, desc).value = v;
-}
-
-void
-MetricsRegistry::gaugeMax(const std::string &name, double v,
-                          const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    Metric &m = cell(name, Kind::Gauge, desc);
-    if (v > m.value)
-        m.value = v;
-}
-
-void
-MetricsRegistry::histogramObserve(const std::string &name, double v,
-                                  const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    cell(name, Kind::Histogram, desc).hist.observe(v);
-}
-
-void
-MetricsRegistry::histogramMerge(const std::string &name,
-                                const Histogram &h,
-                                const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    cell(name, Kind::Histogram, desc).hist.merge(h);
-}
-
-uint64_t
-MetricsRegistry::counter(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = metrics_.find(name);
-    return it != metrics_.end() && it->second.kind == Kind::Counter
-               ? it->second.count
-               : 0;
-}
-
-double
-MetricsRegistry::gauge(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = metrics_.find(name);
-    return it != metrics_.end() && it->second.kind == Kind::Gauge
-               ? it->second.value
-               : 0.0;
-}
-
-Histogram
-MetricsRegistry::histogram(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = metrics_.find(name);
-    return it != metrics_.end() && it->second.kind == Kind::Histogram
-               ? it->second.hist
-               : Histogram{};
-}
-
-void
-MetricsRegistry::mergeFrom(const MetricsRegistry &other)
-{
-    std::vector<Metric> theirs = other.snapshot();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Metric &t : theirs) {
-        Metric &m = cell(t.name, t.kind, t.desc);
-        switch (t.kind) {
-          case Kind::Counter:
-            m.count += t.count;
-            break;
-          case Kind::Gauge:
-            if (t.value > m.value)
-                m.value = t.value;
-            break;
-          case Kind::Histogram:
-            m.hist.merge(t.hist);
-            break;
-        }
-    }
-}
-
-std::vector<MetricsRegistry::Metric>
-MetricsRegistry::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<Metric> out;
-    out.reserve(metrics_.size());
-    for (const auto &[name, m] : metrics_)
-        out.push_back(m);
-    return out;
-}
-
-void
-MetricsRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    metrics_.clear();
-}
-
-void
-MetricsRegistry::writeJson(std::ostream &os, int indent) const
-{
-    // The caller positions the opening brace (it usually follows a
-    // "key": prefix); @p indent governs the inner and closing lines.
-    const std::string in0(static_cast<size_t>(indent) * 2, ' ');
-    const std::string in1 = in0 + "  ";
-    std::vector<Metric> all = snapshot();
-    os << "{";
-    for (size_t i = 0; i < all.size(); ++i) {
-        const Metric &m = all[i];
-        os << (i ? "," : "") << "\n" << in1 << "\"" << m.name << "\": ";
-        switch (m.kind) {
-          case Kind::Counter:
-            os << m.count;
-            break;
-          case Kind::Gauge:
-            writeDouble(os, m.value);
-            break;
-          case Kind::Histogram:
-            m.hist.writeJson(os);
-            break;
-        }
-    }
-    if (!all.empty())
-        os << "\n" << in0;
     os << "}";
 }
 

@@ -1,24 +1,18 @@
 /**
  * @file
- * Process-wide registry of named counters, gauges, and histograms.
+ * Log-bucketed histogram: the distribution type behind every
+ * run-health metric (episode durations, sedation spans, queue
+ * occupancy, per-cell wall time).
  *
- * Tools fold run outcomes and engine statistics into the registry and
- * emit it alongside structured results (hs_run --json gains a
- * "metrics" object). Counters accumulate unsigned totals; gauges hold
- * the last (or an aggregated) double; histograms keep log-bucketed
- * distributions with exact-count merging. The registry is thread-safe —
- * the parallel experiment engine's workers may fold concurrently — and
- * emission is deterministic (name-sorted).
- *
- * Determinism contract for merged registries: bucket counts, count,
+ * Determinism contract for merged histograms: bucket counts, count,
  * min, and max merge exactly (integer adds / monotone folds), so any
  * merge order yields the same histogram shape. The running sum is IEEE
  * double addition, which is only bit-associative when every observed
  * value is an integer below 2^53 — true for all cycle-count and
  * occupancy histograms the simulator exports. Callers that need
  * byte-identical JSON across worker counts must additionally merge
- * per-cell registries in a fixed (submission) order; see
- * foldRunMetrics() in src/sim/runner.hh.
+ * per-cell histograms in a fixed (submission) order; see RunMetrics in
+ * src/sim/runner.hh.
  */
 
 #ifndef HS_TRACE_METRICS_HH
@@ -26,11 +20,7 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <ostream>
-#include <string>
-#include <vector>
 
 namespace hs {
 
@@ -106,88 +96,6 @@ class Histogram
     double min_ = 0.0;  ///< valid only when count_ > 0
     double max_ = 0.0;  ///< valid only when count_ > 0
     std::array<uint64_t, kBuckets> buckets_{};
-};
-
-/** Named counters, gauges, and histograms. */
-class MetricsRegistry
-{
-  public:
-    /** What a registered metric holds. */
-    enum class Kind : uint8_t { Counter, Gauge, Histogram };
-
-    /** One registered metric. */
-    struct Metric
-    {
-        std::string name;
-        std::string desc;
-        Kind kind = Kind::Counter;
-        uint64_t count = 0;  ///< counters
-        double value = 0.0;  ///< gauges
-        hs::Histogram hist;  ///< histograms
-    };
-
-    MetricsRegistry() = default;
-
-    /** The process-wide instance tools fold into. */
-    static MetricsRegistry &global();
-
-    /** Add @p delta to counter @p name (creating it at zero). */
-    void counterAdd(const std::string &name, uint64_t delta,
-                    const std::string &desc = "");
-
-    /** Set gauge @p name to @p v. */
-    void gaugeSet(const std::string &name, double v,
-                  const std::string &desc = "");
-
-    /** Raise gauge @p name to @p v if @p v is larger (peak tracking). */
-    void gaugeMax(const std::string &name, double v,
-                  const std::string &desc = "");
-
-    /** Record @p v in histogram @p name (creating it empty). */
-    void histogramObserve(const std::string &name, double v,
-                          const std::string &desc = "");
-
-    /** Fold @p h into histogram @p name (creating it empty). */
-    void histogramMerge(const std::string &name, const Histogram &h,
-                        const std::string &desc = "");
-
-    /** Current value of counter @p name (0 if absent). */
-    uint64_t counter(const std::string &name) const;
-
-    /** Current value of gauge @p name (0.0 if absent). */
-    double gauge(const std::string &name) const;
-
-    /** Copy of histogram @p name (empty if absent). */
-    Histogram histogram(const std::string &name) const;
-
-    /**
-     * Fold every metric of @p other into this registry: counters add,
-     * gauges keep the maximum (every multi-cell gauge we export is a
-     * peak), histograms merge. Call in a fixed order — e.g. cell
-     * submission order — when byte-identical output matters.
-     */
-    void mergeFrom(const MetricsRegistry &other);
-
-    /** Name-sorted copy of every metric. */
-    std::vector<Metric> snapshot() const;
-
-    /** Drop every metric (tests). */
-    void reset();
-
-    /**
-     * Emit `{ "name": value, ... }` name-sorted, counters as integers,
-     * gauges with 17 significant digits, and histograms as one-line
-     * summary objects. @p indent is the opening indentation level in
-     * two-space steps.
-     */
-    void writeJson(std::ostream &os, int indent = 0) const;
-
-  private:
-    Metric &cell(const std::string &name, Kind kind,
-                 const std::string &desc);
-
-    mutable std::mutex mu_;
-    std::map<std::string, Metric> metrics_;
 };
 
 } // namespace hs

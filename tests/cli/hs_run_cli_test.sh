@@ -242,6 +242,19 @@ grep -q '"metrics"' "$TMP/run.json" || fail "json lacks metrics object"
 grep -q '"hs_run.sim_cycles"' "$TMP/run.json" ||
     fail "json lacks hs_run.sim_cycles counter"
 
+# Single mode runs one cell outside the engine: --stats and --profile
+# print from the live simulator, and its metrics carry no engine.* key.
+expect_ok "single-mode stats and profile" --spec gcc --variant 2 $FAST \
+    --dtm sedation --stats --profile --json "$TMP/single.json"
+grep -q "== sim ==" "$TMP/out" || fail "stats: no sim section"
+grep -q "dtm.sedation.events" "$TMP/out" ||
+    fail "stats: no dtm.sedation.events line"
+grep -q "cost centre" "$TMP/out" || fail "profile: no cost centre table"
+grep -q '"hs_run.sim_cycles"' "$TMP/single.json" ||
+    fail "single mode: json lacks hs_run.sim_cycles counter"
+grep -q '"engine\.' "$TMP/single.json" &&
+    fail "single mode: json has an engine metric"
+
 expect_ok "each matrix" --spec gcc --spec mcf $FAST --each \
     --csv "$TMP/each.csv"
 [ -s "$TMP/each.csv" ] || fail "csv output missing"

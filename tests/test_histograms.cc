@@ -2,7 +2,7 @@
  * @file
  * Run-health histogram tests: bucket geometry, percentile bracketing,
  * exact merge algebra (associativity / commutativity down to the bit),
- * registry folding, snapshot round-trips of the simulator's
+ * snapshot round-trips of the simulator's
  * instrumentation, and byte-identical merged metrics across engine
  * worker counts.
  *
@@ -191,45 +191,6 @@ TEST(Histogram, MergeWithEmptyIsIdentity)
     EXPECT_EQ(m2, a);
 }
 
-// --- registry ----------------------------------------------------------
-
-TEST(MetricsRegistry, HistogramObserveMergeAndJson)
-{
-    MetricsRegistry reg;
-    reg.histogramObserve("t.lat", 4.0, "test latency");
-    reg.histogramObserve("t.lat", 16.0);
-    Histogram extra = fromValues({1.0});
-    reg.histogramMerge("t.lat", extra);
-
-    Histogram h = reg.histogram("t.lat");
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 16.0);
-
-    std::ostringstream os;
-    reg.writeJson(os);
-    EXPECT_NE(os.str().find("\"t.lat\": {\"count\": 3"),
-              std::string::npos)
-        << os.str();
-}
-
-TEST(MetricsRegistry, MergeFromFoldsAllKinds)
-{
-    MetricsRegistry a, b;
-    a.counterAdd("c", 2);
-    a.gaugeMax("g", 5.0);
-    a.histogramObserve("h", 8.0);
-    b.counterAdd("c", 3);
-    b.gaugeMax("g", 7.0);
-    b.histogramObserve("h", 2.0);
-
-    a.mergeFrom(b);
-    EXPECT_EQ(a.counter("c"), 5u);
-    EXPECT_DOUBLE_EQ(a.gauge("g"), 7.0);
-    EXPECT_EQ(a.histogram("h").count(), 2u);
-    EXPECT_DOUBLE_EQ(a.histogram("h").min(), 2.0);
-}
-
 // --- simulator instrumentation -----------------------------------------
 
 TEST(RunHealth, SimulatorExportsNamedHistograms)
@@ -345,7 +306,7 @@ smallMatrix()
 
 /**
  * The cross-talk fix: per-cell histograms live in each RunResult and
- * are folded in submission order, so the merged registry is
+ * are folded in submission order, so the merged metrics are
  * byte-identical to the fold of solo cold runs no matter how many
  * workers raced to produce the results or which cells forked from a
  * shared prefix. ("host"-named metrics are machine-dependent and are
@@ -358,10 +319,8 @@ TEST(RunHealth, MergedMetricsIdenticalAcrossWorkerCounts)
     std::vector<RunResult> solo;
     for (const RunSpec &s : specs)
         solo.push_back(executeRunSpec(s));
-    MetricsRegistry solo_m;
-    foldRunMetrics(solo_m, solo);
     std::ostringstream solo_js;
-    solo_m.writeJson(solo_js);
+    RunMetrics{}.writeJson(solo_js, solo);
     EXPECT_NE(solo_js.str().find("sim.episode_heat_cycles"),
               std::string::npos);
 
@@ -369,10 +328,8 @@ TEST(RunHealth, MergedMetricsIdenticalAcrossWorkerCounts)
         for (bool prefix : {true, false}) {
             ParallelRunner runner(jobs);
             runner.setPrefixSharing(prefix);
-            MetricsRegistry m;
-            foldRunMetrics(m, runner.run(specs));
             std::ostringstream js;
-            m.writeJson(js);
+            RunMetrics{}.writeJson(js, runner.run(specs));
             EXPECT_EQ(solo_js.str(), js.str())
                 << "jobs " << jobs << (prefix ? ", prefix" : "");
             if (prefix) {

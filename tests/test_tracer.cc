@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the event tracer ring, the category filter parser,
- * the trace writers, and the metrics registry — the pieces the golden
- * and CLI tests exercise only end to end.
+ * Unit tests for the event tracer ring, the category filter parser and
+ * the trace writers — the pieces the golden and CLI tests exercise
+ * only end to end.
  */
 
 #include <sstream>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/state_buffer.hh"
-#include "trace/metrics.hh"
 #include "trace/tracer.hh"
 #include "trace/writers.hh"
 
@@ -158,42 +157,6 @@ TEST(TraceWriters, ChromeTracePairsSpansAndCounters)
               std::string::npos);
     // cycles_per_us converts 1000 cycles to ts 1.0.
     EXPECT_NE(doc.find("\"ts\": 1.000000"), std::string::npos);
-}
-
-// --- metrics registry --------------------------------------------------
-
-TEST(Metrics, CountersAccumulateAndGaugesTrackPeaks)
-{
-    MetricsRegistry m;
-    m.counterAdd("runs", 2, "simulated quanta");
-    m.counterAdd("runs", 3);
-    EXPECT_EQ(m.counter("runs"), 5u);
-    EXPECT_EQ(m.counter("absent"), 0u);
-
-    m.gaugeSet("temp", 350.0);
-    m.gaugeMax("temp", 356.5);
-    m.gaugeMax("temp", 340.0); // lower: ignored
-    EXPECT_EQ(m.gauge("temp"), 356.5);
-
-    auto snap = m.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].name, "runs"); // name-sorted
-    EXPECT_EQ(snap[1].name, "temp");
-    EXPECT_EQ(snap[0].desc, "simulated quanta");
-
-    m.reset();
-    EXPECT_TRUE(m.snapshot().empty());
-}
-
-TEST(Metrics, WriteJsonIsSortedAndTyped)
-{
-    MetricsRegistry m;
-    m.gaugeSet("b.gauge", 1.5);
-    m.counterAdd("a.counter", 42);
-
-    std::stringstream ss;
-    m.writeJson(ss);
-    EXPECT_EQ(ss.str(), "{\n  \"a.counter\": 42,\n  \"b.gauge\": 1.5\n}");
 }
 
 } // namespace

@@ -315,8 +315,9 @@ main(int argc, char **argv)
 
     std::vector<RunResult> results;
     PrefixShareStats engine_stats;
-    bool have_engine_stats = false;
     Histogram cell_seconds;
+    // Single mode runs outside the engine: no engine.* metrics.
+    RunMetrics metrics;
     if (mode == kModeSingle) {
         // The statistics/profile dumps need the live simulator, so
         // this path runs serially outside the engine.
@@ -363,7 +364,7 @@ main(int argc, char **argv)
             printRun(specs[i], results[i]);
         }
         engine_stats = runner.prefixStats();
-        have_engine_stats = true;
+        metrics = {&engine_stats, &cell_seconds};
         if (engine_stats.groups > 0)
             std::printf("\nprefix sharing: %llu group(s), %llu forked "
                         "run(s), %.1f Mcycles not re-simulated\n",
@@ -414,10 +415,6 @@ main(int argc, char **argv)
         }
     }
 
-    foldRunMetrics(MetricsRegistry::global(), results,
-                   have_engine_stats ? &engine_stats : nullptr,
-                   have_engine_stats ? &cell_seconds : nullptr);
-
     if (!temp_trace_path.empty()) {
         const RunResult &r = results[0];
         std::ofstream csv(temp_trace_path);
@@ -447,8 +444,7 @@ main(int argc, char **argv)
     }
     if (!json_path.empty())
         withOutput(json_path, [&](std::ostream &os) {
-            writeMatrixJson(os, specs, results,
-                            &MetricsRegistry::global());
+            writeMatrixJson(os, specs, results, &metrics);
         });
     if (!csv_path.empty())
         withOutput(csv_path, [&](std::ostream &os) {
