@@ -19,6 +19,7 @@
 #include "common/config.hh"
 #include "isa/assembler.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 namespace {
 
@@ -71,7 +72,7 @@ main(int argc, char **argv)
     opts.timeScale = scale;
     opts.dtm = hs::DtmMode::StopAndGo;
 
-    hs::RunResult solo = hs::runSolo(victim, opts);
+    hs::RunResult solo = hs::executeRunSpec(hs::soloSpec(victim, opts));
 
     auto run_pair = [&](hs::DtmMode dtm) {
         opts.dtm = dtm;

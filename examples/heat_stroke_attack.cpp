@@ -14,6 +14,7 @@
 
 #include "common/config.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 int
 main(int argc, char **argv)
@@ -37,12 +38,14 @@ main(int argc, char **argv)
 
     opts.sink = hs::SinkType::Realistic;
     opts.dtm = hs::DtmMode::StopAndGo;
-    hs::RunResult solo = hs::runSolo(spec, opts);
+    hs::RunResult solo = hs::executeRunSpec(hs::soloSpec(spec, opts));
 
-    hs::RunResult attacked = hs::runWithVariant(spec, variant, opts);
+    hs::RunResult attacked =
+        hs::executeRunSpec(hs::withVariantSpec(spec, variant, opts));
 
     opts.sink = hs::SinkType::Ideal;
-    hs::RunResult ideal = hs::runWithVariant(spec, variant, opts);
+    hs::RunResult ideal =
+        hs::executeRunSpec(hs::withVariantSpec(spec, variant, opts));
 
     double solo_ipc = solo.threads[0].ipc;
     double atk_ipc = attacked.threads[0].ipc;

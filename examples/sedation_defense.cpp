@@ -14,6 +14,7 @@
 
 #include "common/config.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 int
 main(int argc, char **argv)
@@ -27,8 +28,9 @@ main(int argc, char **argv)
     opts.timeScale = scale;
 
     opts.dtm = hs::DtmMode::StopAndGo;
-    hs::RunResult solo = hs::runSolo(spec, opts);
-    hs::RunResult attacked = hs::runWithVariant(spec, variant, opts);
+    hs::RunResult solo = hs::executeRunSpec(hs::soloSpec(spec, opts));
+    hs::RunResult attacked =
+        hs::executeRunSpec(hs::withVariantSpec(spec, variant, opts));
 
     // Sedated run, with a live OS report: construct the simulator
     // directly so we can hook the callback.

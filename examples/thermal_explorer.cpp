@@ -16,6 +16,7 @@
 #include "common/config.hh"
 #include "sim/episodes.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 int
 main(int argc, char **argv)
@@ -32,8 +33,9 @@ main(int argc, char **argv)
     opts.recordTempTrace = true;
 
     hs::RunResult res =
-        variant == 0 ? hs::runSolo(spec, opts)
-                     : hs::runWithVariant(spec, variant, opts);
+        hs::executeRunSpec(variant == 0
+                               ? hs::soloSpec(spec, opts)
+                               : hs::withVariantSpec(spec, variant, opts));
 
     std::ofstream csv(path);
     if (!csv) {

@@ -67,48 +67,4 @@ makeMaliciousParams(const ExperimentOptions &opts)
     return MaliciousParams{}.scaled(opts.timeScale);
 }
 
-namespace {
-
-RunResult
-runTwo(Program a, Program b, const ExperimentOptions &opts)
-{
-    Simulator sim(makeSimConfig(opts));
-    sim.setWorkload(0, std::move(a));
-    sim.setWorkload(1, std::move(b));
-    return sim.run();
-}
-
-} // namespace
-
-RunResult
-runSolo(const std::string &spec, const ExperimentOptions &opts)
-{
-    Simulator sim(makeSimConfig(opts));
-    sim.setWorkload(0, synthesizeSpec(spec));
-    return sim.run();
-}
-
-RunResult
-runMaliciousSolo(int variant, const ExperimentOptions &opts)
-{
-    Simulator sim(makeSimConfig(opts));
-    sim.setWorkload(0, makeVariant(variant, makeMaliciousParams(opts)));
-    return sim.run();
-}
-
-RunResult
-runWithVariant(const std::string &spec, int variant,
-               const ExperimentOptions &opts)
-{
-    return runTwo(synthesizeSpec(spec),
-                  makeVariant(variant, makeMaliciousParams(opts)), opts);
-}
-
-RunResult
-runSpecPair(const std::string &a, const std::string &b,
-            const ExperimentOptions &opts)
-{
-    return runTwo(synthesizeSpec(a), synthesizeSpec(b), opts);
-}
-
 } // namespace hs

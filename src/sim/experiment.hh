@@ -61,20 +61,6 @@ SimConfig makeSimConfig(const ExperimentOptions &opts);
 /** Malicious kernel parameters matched to the option's time scale. */
 MaliciousParams makeMaliciousParams(const ExperimentOptions &opts);
 
-/** Run one SPEC program alone. */
-RunResult runSolo(const std::string &spec, const ExperimentOptions &opts);
-
-/** Run a malicious variant (1..3) alone. */
-RunResult runMaliciousSolo(int variant, const ExperimentOptions &opts);
-
-/** Run a SPEC program together with malicious variant (1..3). */
-RunResult runWithVariant(const std::string &spec, int variant,
-                         const ExperimentOptions &opts);
-
-/** Run two SPEC programs together (Section 5.7). */
-RunResult runSpecPair(const std::string &a, const std::string &b,
-                      const ExperimentOptions &opts);
-
 } // namespace hs
 
 #endif // HS_SIM_EXPERIMENT_HH

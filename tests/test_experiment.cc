@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 namespace hs {
 namespace {
@@ -85,7 +86,7 @@ TEST(Experiment, RunSoloSmoke)
 {
     ExperimentOptions opts;
     opts.timeScale = 2000.0; // 250 K-cycle quantum: fast smoke
-    RunResult r = runSolo("gzip", opts);
+    RunResult r = executeRunSpec(soloSpec("gzip", opts));
     ASSERT_EQ(r.threads.size(), 1u);
     EXPECT_EQ(r.threads[0].program, "gzip");
     EXPECT_GT(r.threads[0].ipc, 0.1);
@@ -95,7 +96,7 @@ TEST(Experiment, RunPairSmoke)
 {
     ExperimentOptions opts;
     opts.timeScale = 2000.0;
-    RunResult r = runSpecPair("gzip", "mesa", opts);
+    RunResult r = executeRunSpec(specPairSpec("gzip", "mesa", opts));
     ASSERT_EQ(r.threads.size(), 2u);
     EXPECT_GT(r.threads[0].committed, 0u);
     EXPECT_GT(r.threads[1].committed, 0u);
@@ -105,7 +106,7 @@ TEST(Experiment, RunWithVariantSmoke)
 {
     ExperimentOptions opts;
     opts.timeScale = 2000.0;
-    RunResult r = runWithVariant("gzip", 1, opts);
+    RunResult r = executeRunSpec(withVariantSpec("gzip", 1, opts));
     ASSERT_EQ(r.threads.size(), 2u);
     EXPECT_EQ(r.threads[1].program, "variant1");
     // The hammer out-accesses the SPEC program.

@@ -5,6 +5,7 @@
 
 #include "core/fetch_gating.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 namespace hs {
 namespace {
@@ -78,7 +79,7 @@ TEST(FetchGating, EndToEndStillHurtsTheVictim)
     ExperimentOptions opts;
     opts.timeScale = 100.0;
     opts.dtm = DtmMode::StopAndGo;
-    RunResult solo = runSolo("gcc", opts);
+    RunResult solo = executeRunSpec(soloSpec("gcc", opts));
 
     SimConfig cfg = makeSimConfig(opts);
     cfg.dtm = DtmMode::FetchGating;

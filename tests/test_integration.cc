@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 namespace hs {
 namespace {
@@ -25,14 +26,15 @@ opts(DtmMode dtm = DtmMode::StopAndGo, SinkType sink = SinkType::Realistic)
 const RunResult &
 soloRealistic()
 {
-    static const RunResult r = runSolo("gcc", opts());
+    static const RunResult r = executeRunSpec(soloSpec("gcc", opts()));
     return r;
 }
 
 const RunResult &
 attackedStopAndGo()
 {
-    static const RunResult r = runWithVariant("gcc", 2, opts());
+    static const RunResult r =
+        executeRunSpec(withVariantSpec("gcc", 2, opts()));
     return r;
 }
 
@@ -40,7 +42,8 @@ const RunResult &
 attackedSedation()
 {
     static const RunResult r =
-        runWithVariant("gcc", 2, opts(DtmMode::SelectiveSedation));
+        executeRunSpec(withVariantSpec("gcc", 2,
+                                       opts(DtmMode::SelectiveSedation)));
     return r;
 }
 
@@ -103,11 +106,9 @@ TEST(Integration, IdealSinkShowsAttackIsThermal)
     // Section 5.3: with infinite heat removal variant2 causes no
     // thermal degradation — the damage under the realistic sink is a
     // power-density effect, not fetch monopolisation.
-    RunResult solo_ideal = runSolo("gcc", opts(DtmMode::StopAndGo,
-                                               SinkType::Ideal));
-    RunResult ideal = runWithVariant("gcc", 2,
-                                     opts(DtmMode::StopAndGo,
-                                          SinkType::Ideal));
+    ExperimentOptions ideal_sink = opts(DtmMode::StopAndGo, SinkType::Ideal);
+    RunResult solo_ideal = executeRunSpec(soloSpec("gcc", ideal_sink));
+    RunResult ideal = executeRunSpec(withVariantSpec("gcc", 2, ideal_sink));
     EXPECT_EQ(ideal.emergencies, 0u);
     EXPECT_EQ(ideal.threads[0].coolingCycles, 0u);
     EXPECT_GT(ideal.threads[0].ipc, 0.7 * solo_ideal.threads[0].ipc);
@@ -121,14 +122,10 @@ TEST(Integration, Variant1MonopolizesFetchEvenOnIdealSink)
 {
     // Variant1's high IPC grabs the pipeline under ICOUNT even with
     // perfect cooling (the contrast case of Section 5.3).
-    RunResult solo_ideal = runSolo("gcc", opts(DtmMode::StopAndGo,
-                                               SinkType::Ideal));
-    RunResult v1_ideal = runWithVariant("gcc", 1,
-                                        opts(DtmMode::StopAndGo,
-                                             SinkType::Ideal));
-    RunResult v2_ideal = runWithVariant("gcc", 2,
-                                        opts(DtmMode::StopAndGo,
-                                             SinkType::Ideal));
+    ExperimentOptions ideal_sink = opts(DtmMode::StopAndGo, SinkType::Ideal);
+    RunResult solo_ideal = executeRunSpec(soloSpec("gcc", ideal_sink));
+    RunResult v1_ideal = executeRunSpec(withVariantSpec("gcc", 1, ideal_sink));
+    RunResult v2_ideal = executeRunSpec(withVariantSpec("gcc", 2, ideal_sink));
     double v1_share = v1_ideal.threads[0].ipc / solo_ideal.threads[0].ipc;
     double v2_share = v2_ideal.threads[0].ipc / solo_ideal.threads[0].ipc;
     EXPECT_LT(v1_share, v2_share)
@@ -138,7 +135,7 @@ TEST(Integration, Variant1MonopolizesFetchEvenOnIdealSink)
 
 TEST(Integration, Variant3WeakerButStealthier)
 {
-    RunResult v3 = runWithVariant("gcc", 3, opts());
+    RunResult v3 = executeRunSpec(withVariantSpec("gcc", 3, opts()));
     const RunResult &v2 = attackedStopAndGo();
     // Weaker attack: fewer emergencies, less degradation.
     EXPECT_LT(v3.emergencies, v2.emergencies);
@@ -169,9 +166,9 @@ TEST(Integration, SpecPairUnaffectedBySedationPolicy)
     // brush the upper threshold — the paper makes the same concession
     // for programs with inherent power-density problems — so this
     // asserts the common case on a typical pair.)
-    RunResult plain = runSpecPair("gcc", "twolf", opts());
-    RunResult guarded = runSpecPair("gcc", "twolf",
-                                    opts(DtmMode::SelectiveSedation));
+    RunResult plain = executeRunSpec(specPairSpec("gcc", "twolf", opts()));
+    RunResult guarded = executeRunSpec(
+        specPairSpec("gcc", "twolf", opts(DtmMode::SelectiveSedation)));
     EXPECT_TRUE(guarded.sedationEvents.empty());
     EXPECT_NEAR(guarded.threads[0].ipc, plain.threads[0].ipc,
                 0.02 * plain.threads[0].ipc + 0.01);
@@ -185,7 +182,7 @@ TEST(Integration, TimeScalingPreservesEpisodeDensity)
     // preserved when everything is scaled together.
     ExperimentOptions coarse = opts();
     coarse.timeScale = 100.0;
-    RunResult fast = runWithVariant("gcc", 2, coarse);
+    RunResult fast = executeRunSpec(withVariantSpec("gcc", 2, coarse));
     const RunResult &slow = attackedStopAndGo(); // scale 100
     ASSERT_GT(slow.emergencies, 0u);
     double ratio = static_cast<double>(fast.emergencies) /
@@ -226,8 +223,8 @@ TEST(Integration, DvfsThrottleAlsoSuffersGlobally)
 {
     // Extension ablation: DVFS-style throttling is still a global
     // mechanism, so the victim still degrades under attack.
-    RunResult throttled = runWithVariant("gcc", 2,
-                                         opts(DtmMode::DvfsThrottle));
+    RunResult throttled = executeRunSpec(
+        withVariantSpec("gcc", 2, opts(DtmMode::DvfsThrottle)));
     const RunResult &solo = soloRealistic();
     EXPECT_LT(throttled.threads[0].ipc, 0.93 * solo.threads[0].ipc);
 }

@@ -6,6 +6,7 @@
 
 #include "core/offender_tracker.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 namespace hs {
 namespace {
@@ -92,7 +93,7 @@ TEST(OffenderTracker, EndToEndDeschedulesAttacker)
 
     // Victim performance approaches solo once the attacker is gone.
     opts.dtm = DtmMode::StopAndGo;
-    RunResult solo = runSolo("gcc", opts);
+    RunResult solo = executeRunSpec(soloSpec("gcc", opts));
     EXPECT_GT(r.threads[0].ipc, 0.85 * solo.threads[0].ipc);
     // The attacker stays sedated to the end of the quantum.
     EXPECT_GT(r.threads[1].sedationCycles, r.cycles / 3);

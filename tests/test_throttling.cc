@@ -7,6 +7,7 @@
 
 #include "isa/assembler.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 #include "smt/pipeline.hh"
 
 namespace hs {
@@ -96,8 +97,8 @@ TEST(Throttling, VictimStillRecoversUnderThrottling)
     ExperimentOptions opts;
     opts.timeScale = 100.0;
     opts.dtm = DtmMode::StopAndGo;
-    RunResult solo = runSolo("gcc", opts);
-    RunResult attacked = runWithVariant("gcc", 2, opts);
+    RunResult solo = executeRunSpec(soloSpec("gcc", opts));
+    RunResult attacked = executeRunSpec(withVariantSpec("gcc", 2, opts));
 
     opts.dtm = DtmMode::SelectiveSedation;
     SimConfig cfg = makeSimConfig(opts);
