@@ -144,17 +144,17 @@ template <class IO, class Telemetry>
 void
 telemetryBlock(IO &io, Telemetry &tel)
 {
-    io.value(tel.simSeconds);
-    io.value(tel.restoreSeconds);
+    io.value(tel.profile.totalSeconds);
+    io.value(tel.profile.snapshotSeconds);
     io.value(tel.snapshotBytes);
     io.value(tel.snapshotFromCache);
     io.value(tel.peakRssKb);
-    io.value(tel.tickedCycles);
-    io.value(tel.stalledCycles);
-    io.value(tel.sensorSamples);
-    io.value(tel.tickSeconds);
-    io.value(tel.thermalSeconds);
-    io.value(tel.stallSeconds);
+    io.value(tel.profile.tickedCycles);
+    io.value(tel.profile.stalledCycles);
+    io.value(tel.profile.sensorSamples);
+    io.value(tel.profile.tickSeconds);
+    io.value(tel.profile.thermalSeconds);
+    io.value(tel.profile.stallSeconds);
 }
 
 /** The one body of a Result frame; @p tel travels when @p has_tel. */
@@ -500,30 +500,21 @@ serveConnection(Socket &conn, uint64_t &jobsDone)
             std::_Exit(3);
         }
 
-        SimProfile prof;
-        RunResult result = executeRunSpec(job.spec, snap, &prof);
         JobTelemetry tel;
-        tel.simSeconds = prof.totalSeconds;
-        tel.restoreSeconds = prof.snapshotSeconds;
+        RunResult result = executeRunSpec(job.spec, snap, &tel.profile);
         bool telem = (caps & kCapTelemetry) != 0;
         if (telem) {
             tel.snapshotBytes = snap ? snap->bytes.size() : 0;
             tel.snapshotFromCache = snapFromCache;
             tel.peakRssKb = currentPeakRssKb();
-            tel.tickedCycles = prof.tickedCycles;
-            tel.stalledCycles = prof.stalledCycles;
-            tel.sensorSamples = prof.sensorSamples;
-            tel.tickSeconds = prof.tickSeconds;
-            tel.thermalSeconds = prof.thermalSeconds;
-            tel.stallSeconds = prof.stallSeconds;
         }
         ++jobsDone;
         heartbeat.jobFinished();
         logEvent("worker", "job_done",
                  {LogField::num("job", job.id),
                   LogField::text("label", job.spec.label),
-                  LogField::num("sim_s", tel.simSeconds),
-                  LogField::num("restore_s", tel.restoreSeconds)});
+                  LogField::num("sim_s", tel.profile.totalSeconds),
+                  LogField::num("restore_s", tel.profile.snapshotSeconds)});
         std::vector<uint8_t> reply =
             encodeResult(job.id, result, telem ? &tel : nullptr);
         std::lock_guard<std::mutex> sendLock(sendMu);
@@ -667,26 +658,26 @@ RemoteWorker::runJob(uint64_t id, const RunSpec &spec,
     }
     ++telemetry_.jobs;
     if (hasTel) {
-        telemetry_.simSeconds += tel.simSeconds;
-        telemetry_.restoreSeconds += tel.restoreSeconds;
+        telemetry_.simSeconds += tel.profile.totalSeconds;
+        telemetry_.restoreSeconds += tel.profile.snapshotSeconds;
         telemetry_.peakRssKb = std::max(telemetry_.peakRssKb,
                                         tel.peakRssKb);
         logEvent("remote", "job_telemetry",
                  {LogField::text("worker", ep_.str()),
                   LogField::num("job", id),
                   LogField::text("label", spec.label),
-                  LogField::num("sim_s", tel.simSeconds),
-                  LogField::num("restore_s", tel.restoreSeconds),
+                  LogField::num("sim_s", tel.profile.totalSeconds),
+                  LogField::num("restore_s", tel.profile.snapshotSeconds),
                   LogField::num("snapshot_bytes", tel.snapshotBytes),
                   LogField::flag("snapshot_cached",
                                  tel.snapshotFromCache),
                   LogField::num("rss_kb", tel.peakRssKb),
-                  LogField::num("ticked_cycles", tel.tickedCycles),
-                  LogField::num("stalled_cycles", tel.stalledCycles),
-                  LogField::num("sensor_samples", tel.sensorSamples),
-                  LogField::num("tick_s", tel.tickSeconds),
-                  LogField::num("thermal_s", tel.thermalSeconds),
-                  LogField::num("stall_s", tel.stallSeconds)});
+                  LogField::num("ticked_cycles", tel.profile.tickedCycles),
+                  LogField::num("stalled_cycles", tel.profile.stalledCycles),
+                  LogField::num("sensor_samples", tel.profile.sensorSamples),
+                  LogField::num("tick_s", tel.profile.tickSeconds),
+                  LogField::num("thermal_s", tel.profile.thermalSeconds),
+                  LogField::num("stall_s", tel.profile.stallSeconds)});
     }
     return true;
 }

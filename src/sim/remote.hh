@@ -57,6 +57,7 @@
 #include "common/framing.hh"
 #include "sim/results.hh"
 #include "sim/run_spec.hh"
+#include "sim/simulator.hh"
 #include "sim/snapshot.hh"
 
 namespace hs {
@@ -124,19 +125,13 @@ bool checkHello(const std::vector<uint8_t> &frame, FrameType expected,
  */
 struct JobTelemetry
 {
-    double simSeconds = 0;       ///< wall time inside Simulator::run()
-    double restoreSeconds = 0;   ///< snapshot deserialize+restore time
+    /** The job's simulator cost centres: run() wall time, snapshot
+     *  restore time and the tick/thermal/stall split (counters are
+     *  deterministic, the seconds are host measurements). */
+    SimProfile profile;
     uint64_t snapshotBytes = 0;  ///< warm-up snapshot size (0 = cold)
     bool snapshotFromCache = false; ///< served from the worker cache
     uint64_t peakRssKb = 0;      ///< worker process VmHWM after the job
-    // SimProfile cost-centre breakdown (counters are deterministic,
-    // the seconds are host measurements).
-    uint64_t tickedCycles = 0;
-    uint64_t stalledCycles = 0;
-    uint64_t sensorSamples = 0;
-    double tickSeconds = 0;
-    double thermalSeconds = 0;
-    double stallSeconds = 0;
 };
 
 /** One periodic worker liveness report. */

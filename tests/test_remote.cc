@@ -178,17 +178,17 @@ TEST(RemoteFrames, ResultTelemetryBlockRoundTrips)
     RunResult original = executeRunSpec(soloSpec("gcc", fastOpts()));
 
     JobTelemetry tel;
-    tel.simSeconds = 1.25;
-    tel.restoreSeconds = 0.5;
+    tel.profile.totalSeconds = 1.25;
+    tel.profile.snapshotSeconds = 0.5;
     tel.snapshotBytes = 4096;
     tel.snapshotFromCache = true;
     tel.peakRssKb = 123456;
-    tel.tickedCycles = 777;
-    tel.stalledCycles = 88;
-    tel.sensorSamples = 9;
-    tel.tickSeconds = 0.75;
-    tel.thermalSeconds = 0.25;
-    tel.stallSeconds = 0.125;
+    tel.profile.tickedCycles = 777;
+    tel.profile.stalledCycles = 88;
+    tel.profile.sensorSamples = 9;
+    tel.profile.tickSeconds = 0.75;
+    tel.profile.thermalSeconds = 0.25;
+    tel.profile.stallSeconds = 0.125;
 
     RunResult back;
     JobTelemetry tback;
@@ -198,17 +198,17 @@ TEST(RemoteFrames, ResultTelemetryBlockRoundTrips)
               3u);
     EXPECT_TRUE(back == original);
     ASSERT_TRUE(has);
-    EXPECT_EQ(tback.simSeconds, tel.simSeconds);
-    EXPECT_EQ(tback.restoreSeconds, tel.restoreSeconds);
+    EXPECT_EQ(tback.profile.totalSeconds, tel.profile.totalSeconds);
+    EXPECT_EQ(tback.profile.snapshotSeconds, tel.profile.snapshotSeconds);
     EXPECT_EQ(tback.snapshotBytes, tel.snapshotBytes);
     EXPECT_EQ(tback.snapshotFromCache, tel.snapshotFromCache);
     EXPECT_EQ(tback.peakRssKb, tel.peakRssKb);
-    EXPECT_EQ(tback.tickedCycles, tel.tickedCycles);
-    EXPECT_EQ(tback.stalledCycles, tel.stalledCycles);
-    EXPECT_EQ(tback.sensorSamples, tel.sensorSamples);
-    EXPECT_EQ(tback.tickSeconds, tel.tickSeconds);
-    EXPECT_EQ(tback.thermalSeconds, tel.thermalSeconds);
-    EXPECT_EQ(tback.stallSeconds, tel.stallSeconds);
+    EXPECT_EQ(tback.profile.tickedCycles, tel.profile.tickedCycles);
+    EXPECT_EQ(tback.profile.stalledCycles, tel.profile.stalledCycles);
+    EXPECT_EQ(tback.profile.sensorSamples, tel.profile.sensorSamples);
+    EXPECT_EQ(tback.profile.tickSeconds, tel.profile.tickSeconds);
+    EXPECT_EQ(tback.profile.thermalSeconds, tel.profile.thermalSeconds);
+    EXPECT_EQ(tback.profile.stallSeconds, tel.profile.stallSeconds);
 
     // Telemetry stays optional: a bare Result decodes with has=false.
     has = true;

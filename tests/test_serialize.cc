@@ -257,17 +257,17 @@ TEST(Serialize, EncodingsArePinned)
               0x659305b3be413073ull);
 
     JobTelemetry tel;
-    tel.simSeconds = 1.5;
-    tel.restoreSeconds = 0.25;
+    tel.profile.totalSeconds = 1.5;
+    tel.profile.snapshotSeconds = 0.25;
     tel.snapshotBytes = 12345;
     tel.snapshotFromCache = true;
     tel.peakRssKb = 4096;
-    tel.tickedCycles = 1000;
-    tel.stalledCycles = 200;
-    tel.sensorSamples = 60;
-    tel.tickSeconds = 0.75;
-    tel.thermalSeconds = 0.125;
-    tel.stallSeconds = 0.0625;
+    tel.profile.tickedCycles = 1000;
+    tel.profile.stalledCycles = 200;
+    tel.profile.sensorSamples = 60;
+    tel.profile.tickSeconds = 0.75;
+    tel.profile.thermalSeconds = 0.125;
+    tel.profile.stallSeconds = 0.0625;
     EXPECT_EQ(sumOf(encodeResult(45, result)), 0x56eac2708489e0e4ull);
     EXPECT_EQ(sumOf(encodeResult(46, result, &tel)), 0x11a592e571e9dbcbull);
 
