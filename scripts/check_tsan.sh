@@ -28,5 +28,5 @@ cmake --build "$BUILD" -j"$(nproc)" --target hs_tests
 # lanes write while the status and watchdog threads read it.
 HS_CHAOS_SEEDS=8 TSAN_OPTIONS="halt_on_error=1" \
     "$BUILD/tests/hs_tests" \
-    --gtest_filter='Runner*:RunSpec*:RunnerDeathTest*:Snapshot*:Remote*:Fault*:Chaos*:Campaign*:StatusEndpoint*:CellTally*:RunHealth*'
+    --gtest_filter='Runner*:RunSpec*:RunnerDeathTest*:Snapshot*:Remote*:Fault*:Chaos*:Campaign*:StatusEndpoint*:CellTally*:RunHealth*-Snapshot.EveryFamilyBitIdenticalAtJobs1'
 echo TSAN_CLEAN
