@@ -127,7 +127,8 @@ struct JobTelemetry
 {
     /** The job's simulator cost centres: run() wall time, snapshot
      *  restore time and the tick/thermal/stall split (counters are
-     *  deterministic, the seconds are host measurements). */
+     *  deterministic, the seconds are host measurements). snapshotOps
+     *  does not travel and decodes as 0. */
     SimProfile profile;
     uint64_t snapshotBytes = 0;  ///< warm-up snapshot size (0 = cold)
     bool snapshotFromCache = false; ///< served from the worker cache
