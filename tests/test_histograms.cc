@@ -2,9 +2,8 @@
  * @file
  * Run-health histogram tests: bucket geometry, percentile bracketing,
  * exact merge algebra (associativity / commutativity down to the bit),
- * snapshot round-trips of the simulator's
- * instrumentation, and byte-identical merged metrics across engine
- * worker counts.
+ * snapshot round-trips of the simulator's instrumentation, and
+ * byte-identical merged metrics across engine worker counts.
  *
  * Simulation-backed tests run at HS scale 2000 (250 K-cycle quanta) so
  * the whole file stays fast.

@@ -62,9 +62,9 @@ TEST(RunMetrics, JsonIsPinned)
     std::vector<RunResult> results = runner.run(specs);
     PrefixShareStats engine = runner.prefixStats();
     ASSERT_GE(engine.forkedRuns, 2u);
-    RunMetrics metrics_of{&engine};
+    RunMetrics run_metrics{&engine};
     std::ostringstream os;
-    writeMatrixJson(os, specs, results, &metrics_of);
+    writeMatrixJson(os, specs, results, &run_metrics);
     std::string metrics = metricsOf(os.str());
     EXPECT_NE(metrics.find("\"core1.sim.episode_heat_cycles\""),
               std::string::npos);
