@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <vector>
+
 #include "isa/assembler.hh"
+#include "sim/runner.hh"
+#include "sim/serialize.hh"
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
 
@@ -145,6 +151,143 @@ TEST(Simulator, DtmModeNames)
     EXPECT_STREQ(dtmModeName(DtmMode::SelectiveSedation),
                  "selective-sedation");
     EXPECT_STREQ(dtmModeName(DtmMode::DvfsThrottle), "dvfs-throttle");
+}
+
+// --- result bytes ------------------------------------------------------
+
+/** Every DtmMode, in declaration order. */
+constexpr DtmMode kAllModes[] = {DtmMode::None, DtmMode::StopAndGo,
+                                 DtmMode::SelectiveSedation,
+                                 DtmMode::DvfsThrottle, DtmMode::FetchGating};
+
+ExperimentOptions
+scaleOpts(double scale)
+{
+    ExperimentOptions opts;
+    opts.timeScale = scale;
+    return opts;
+}
+
+/** One cell's pinned result: the size and checksum64 of its encoding. */
+struct ResultPin
+{
+    struct Bytes
+    {
+        size_t size;
+        uint64_t sum;
+    };
+    RunSpec spec;
+    Bytes bytes;
+};
+
+/** encodeRunResult(@p r) with the two host-timed fields zeroed: the
+ *  bytes every simulated field, histograms included, determines. */
+std::vector<uint8_t>
+simulatedBytes(RunResult r)
+{
+    r.hostSeconds = 0.0;
+    r.simCyclesPerHostSec = 0.0;
+    return encodeRunResult(r);
+}
+
+void
+expectPinned(const std::vector<ResultPin> &pins,
+             const SimSnapshot *snap = nullptr)
+{
+    for (const ResultPin &pin : pins) {
+        SCOPED_TRACE(pin.spec.canonicalKey());
+        std::vector<uint8_t> bytes =
+            simulatedBytes(executeRunSpec(pin.spec, snap));
+        EXPECT_EQ(bytes.size(), pin.bytes.size);
+        EXPECT_EQ(checksum64(bytes.data(), bytes.size()), pin.bytes.sum);
+    }
+}
+
+/** One pinned cell per DtmMode, in kAllModes order. */
+std::vector<ResultPin>
+perMode(const RunSpec &spec, const ResultPin::Bytes (&bytes)[5])
+{
+    std::vector<ResultPin> pins;
+    for (size_t m = 0; m < std::size(kAllModes); ++m)
+        pins.push_back({spec.withDtm(kAllModes[m]), bytes[m]});
+    return pins;
+}
+
+// The cycle loop may get faster but never different: these sums were
+// taken before any change to the tick and must not move. A scale-500
+// quantum is hot enough for every policy to act on an attack cell.
+
+TEST(ResultBytes, Variant1CellsArePinned)
+{
+    expectPinned(perMode(withVariantSpec("gcc", 1, scaleOpts(500.0)),
+                         {{5082, 0xf235316b482ef9b1ull},
+                          {5082, 0x0f970167fe120453ull},
+                          {5418, 0xb7a3979493292dbeull},
+                          {5082, 0x5a5f5f947dc745a5ull},
+                          {5082, 0xda3cf49b43cbb260ull}}));
+}
+
+TEST(ResultBytes, Variant2CellsArePinned)
+{
+    expectPinned(perMode(withVariantSpec("gcc", 2, scaleOpts(500.0)),
+                         {{5082, 0x00fbc31dcd95149full},
+                          {5082, 0x2e2d47b2303c43cdull},
+                          {5250, 0x4ee52b396a80963dull},
+                          {5082, 0x741d739e81eccb9dull},
+                          {5082, 0xeb075e52e3aab47bull}}));
+}
+
+TEST(ResultBytes, BenignCellsArePinned)
+{
+    // No policy acts on this pair, so every mode writes the same bytes.
+    RunSpec benign = specPairSpec("gcc", "mesa", scaleOpts(1000.0));
+    std::vector<ResultPin> pins =
+        perMode(benign, {{5078, 0x1fca29f4ff6ce123ull},
+                         {5078, 0x1fca29f4ff6ce123ull},
+                         {5078, 0x1fca29f4ff6ce123ull},
+                         {5078, 0x1fca29f4ff6ce123ull},
+                         {5078, 0x1fca29f4ff6ce123ull}});
+    pins.push_back({benign.withTopology(2, {0, 1}),
+                    {10276, 0xd39e00de24167287ull}});
+    pins.push_back(
+        {soloSpec("mcf", scaleOpts(1000.0)), {4982, 0x3c1f2510f0c86443ull}});
+    expectPinned(pins);
+}
+
+TEST(ResultBytes, ConfigExtrasArePinned)
+{
+    ExperimentOptions sed = scaleOpts(500.0);
+    sed.dtm = DtmMode::SelectiveSedation;
+    RunSpec noisy = withVariantSpec("gcc", 2, sed);
+    noisy.sensorNoiseK = 2.0;
+    RunSpec deschedule = withVariantSpec("gcc", 1, sed);
+    deschedule.descheduleAfter = 2;
+    ExperimentOptions usage = sed;
+    usage.sedationUsageThreshold = true;
+    expectPinned({{noisy, {5250, 0x0f83089141ae6985ull}},
+                  {deschedule, {5134, 0x0f9527d56d786adbull}},
+                  {withVariantSpec("gcc", 1, usage),
+                   {5802, 0xfade75f599b17668ull}}});
+}
+
+TEST(ResultBytes, PrefixForkIsPinned)
+{
+    // Snapshot.UsageCellForksBeforeItsTrigger's attack cell: its
+    // prefix stops at the usage trigger, early in the quantum, so most
+    // of the forked run executes past the snapshot.
+    ExperimentOptions sed = scaleOpts(2000.0);
+    sed.dtm = DtmMode::SelectiveSedation;
+    sed.sedationUsageThreshold = true;
+    sed.convectionR = 0.4;
+    RunSpec spec = withVariantSpec("gcc", 1, sed);
+    SimSnapshot snap;
+    Cycles fork = makePrefixSimulator(spec)->runPrefix(
+        divergeRule(makeSimulator(spec)->config()), 4, snap);
+    EXPECT_EQ(fork, 80000u);
+    EXPECT_EQ(snap.bytes.size(), 915591u);
+    EXPECT_EQ(checksum64(snap.bytes.data(), snap.bytes.size()),
+              0xee693af819392e8bull);
+    expectPinned({{spec, {5226, 0x4f7f69c8eecea198ull}}}, &snap);
 }
 
 } // namespace
