@@ -8,6 +8,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -246,6 +247,9 @@ struct ParallelRunner::PrefixTask
     std::vector<size_t> members;
     DivergeRule rule; ///< member-wise minimum of both parts
     std::promise<SnapshotPtr> snapshot;
+    // Claim state, guarded by run()'s claim lock.
+    size_t claimed = 0;     ///< members handed to lanes, in order
+    bool published = false; ///< snapshot (or its exception) is set
 };
 
 std::vector<ParallelRunner::PrefixTask>
@@ -441,22 +445,62 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
     }
 
     int localLanes = std::min<int>(jobs_, static_cast<int>(total));
-    std::atomic<size_t> nextPrefix{0};
-    std::atomic<size_t> nextCell{0};
+
+    // One lock orders every claim. A local lane takes, in turn: the
+    // earliest forked cell whose group's snapshot is published, the
+    // next prefix task, the next cold cell, and last the earliest
+    // forked cell still waiting, whose snapshot it then blocks on. It
+    // reaches that last case only once every prefix task is claimed by
+    // a lane that waits on nothing, and there is always at least one
+    // local lane, so no wait is circular. Remote lanes take cells only,
+    // so --jobs bounds the local simulation threads: any ready cell
+    // before a waiting one. Cold cells sit behind a cursor and only the
+    // groups are scanned, so a matrix without prefix tasks pays one
+    // uncontended lock per claim.
+    struct Claim
+    {
+        bool prefix; ///< index names a prefix task, not a cell
+        size_t index;
+    };
+    std::mutex claimMu;
+    size_t nextPrefix = 0;
+    size_t nextCold = 0;
+    auto claim = [&](bool local) -> std::optional<Claim> {
+        std::lock_guard<std::mutex> lock(claimMu);
+        PrefixTask *ready = nullptr, *waiting = nullptr;
+        for (PrefixTask &t : prefixes) {
+            if (t.claimed == t.members.size())
+                continue;
+            PrefixTask *&earliest = t.published ? ready : waiting;
+            if (!earliest || t.members[t.claimed] <
+                                 earliest->members[earliest->claimed])
+                earliest = &t;
+        }
+        if (ready)
+            return Claim{false, ready->members[ready->claimed++]};
+        if (local && nextPrefix < prefixes.size())
+            return Claim{true, nextPrefix++};
+        while (nextCold < total && forks[nextCold].valid())
+            ++nextCold;
+        if (nextCold < total)
+            return Claim{false, nextCold++};
+        if (waiting)
+            return Claim{false, waiting->members[waiting->claimed++]};
+        return std::nullopt;
+    };
+
     std::exception_ptr error;
     std::mutex errorMu;
     auto drain = [&](RemoteWorker *rw, int lane) {
-        // A local lane claims prefix tasks until none is left, and only
-        // then cells: every task a waiting cell depends on is already
-        // running on a lane that waits on nothing, and there is always
-        // at least one local lane. Remote lanes take cells only, so
-        // --jobs bounds the local simulation threads.
-        if (!rw)
-            for (size_t t; (t = nextPrefix.fetch_add(1)) < prefixes.size();)
-                buildPrefix(prefixes[t], specs, lane);
-        for (size_t i; (i = nextCell.fetch_add(1)) < total;) {
+        while (std::optional<Claim> c = claim(rw == nullptr)) {
+            if (c->prefix) {
+                buildPrefix(prefixes[c->index], specs, lane);
+                std::lock_guard<std::mutex> lock(claimMu);
+                prefixes[c->index].published = true;
+                continue;
+            }
             try {
-                runOne(i, rw, lane);
+                runOne(c->index, rw, lane);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(errorMu);
                 if (!error)

@@ -17,10 +17,12 @@
  * warm-up prefix once with neutralised thresholds, snapshots it, and
  * forks each cell from the snapshot — the forked run is bit-identical
  * to a cold one (enforced by tests), just cheaper. Each group's prefix
- * is a task on the same lanes: local lanes take every prefix task
- * before their first cell, and a forked cell's lane waits for its
- * group's snapshot before the cell starts, while cold cells run
- * meanwhile. There is no barrier before dispatch. Prefix sharing is
+ * is a task on the same lanes. A lane takes a forked cell whose
+ * group's snapshot is published before anything else, then a prefix
+ * task (local lanes only), then a cold cell, so each group's cells run
+ * as soon as its own prefix is built; only when nothing else is left
+ * does a lane wait for a snapshot. There is no barrier before
+ * dispatch. Prefix sharing is
  * the engine's only work-sharing mechanism (docs/PERFORMANCE.md, "One
  * work-sharing engine").
  *

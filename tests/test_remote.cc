@@ -25,6 +25,7 @@
 #include "common/framing.hh"
 #include "common/json.hh"
 #include "common/log.hh"
+#include "runner_events.hh"
 #include "sim/remote.hh"
 #include "sim/result_store.hh"
 #include "sim/run_spec.hh"
@@ -568,8 +569,9 @@ runUnshared(const std::vector<RunSpec> &specs)
 
 TEST(RemoteEndToEnd, RemoteLaneWaitsForItsGroupsPrefix)
 {
-    // The group comes first, so the dispatcher lane claims a forked
-    // cell while the only local lane is still building its prefix.
+    // The group comes first, but the dispatcher lane takes the ready
+    // cold cells while the only local lane builds the group's prefix;
+    // it then runs or waits for the forked cells like any lane.
     std::vector<RunSpec> specs = thresholdGroup(0.8);
     specs.push_back(soloSpec("mesa", fastOpts()));
     specs.push_back(soloSpec("mcf", fastOpts()));
@@ -585,6 +587,46 @@ TEST(RemoteEndToEnd, RemoteLaneWaitsForItsGroupsPrefix)
     EXPECT_GT(runner.tally().remote, 0u);
     EXPECT_EQ(runner.prefixStats().forkedRuns, 4u);
     EXPECT_EQ(runner.remoteStats().lostWorkers, 0u);
+    ASSERT_EQ(results.size(), cold.size());
+    for (size_t i = 0; i < cold.size(); ++i)
+        EXPECT_TRUE(results[i] == cold[i]) << "cell " << i;
+}
+
+TEST(RunnerClaims, RemoteLaneStartsColdCellsBeforeWaitingForks)
+{
+    // The group comes first and its prefix is long (a scale-500
+    // quantum); the cold cells are short (scale 20000). The only local
+    // lane builds the prefix, and the dispatcher, which never takes a
+    // prefix task, starts every cold cell instead of waiting for it.
+    std::vector<RunSpec> specs;
+    for (RunSpec &s : thresholdGroup(0.8)) {
+        s.opts.timeScale = 500.0;
+        specs.push_back(s.withLabel("fork" + std::to_string(specs.size())));
+    }
+    ExperimentOptions shortOpts;
+    shortOpts.timeScale = 20000.0;
+    for (const char *name : {"mcf", "mesa", "vpr"})
+        specs.push_back(soloSpec(name, shortOpts)
+                            .withLabel(std::string("cold-") + name));
+    const std::vector<RunResult> cold = runUnshared(specs);
+
+    Deadline deadline(std::chrono::seconds(300));
+    InProcessWorker worker;
+    ResultStore store;
+    test::RunnerEventLog log;
+    ParallelRunner runner(1, &store);
+    runner.setWorkers({worker.endpoint()});
+    std::vector<RunResult> results = runner.run(specs);
+
+    ASSERT_EQ(runner.prefixStats().groups, 1u);
+    const size_t built = log.find("prefix_built", specs[0].label);
+    ASSERT_NE(built, test::RunnerEventLog::npos);
+    for (size_t i = 4; i < specs.size(); ++i) {
+        const size_t at = log.find("started", specs[i].label);
+        ASSERT_NE(at, test::RunnerEventLog::npos) << specs[i].label;
+        EXPECT_LT(at, built) << specs[i].label;
+        EXPECT_EQ(log.events()[at].lane, 1) << specs[i].label;
+    }
     ASSERT_EQ(results.size(), cold.size());
     for (size_t i = 0; i < cold.size(); ++i)
         EXPECT_TRUE(results[i] == cold[i]) << "cell " << i;

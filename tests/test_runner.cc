@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runner_events.hh"
 #include "sim/result_store.hh"
 #include "sim/runner.hh"
 
@@ -342,6 +343,82 @@ TEST(Runner, SubmissionOrderPreservedAtEveryWorkerCount)
                 << "jobs=" << jobs << " index " << i;
             EXPECT_EQ(got[i], reference[i])
                 << "jobs=" << jobs << " index " << i;
+        }
+    }
+}
+
+// --- claim order -------------------------------------------------------
+
+TEST(RunnerClaims, OneLaneFinishesEachGroupBeforeTheNextPrefix)
+{
+    // Three divergence groups of two sedation cells, one per sink. The
+    // lane runs a group's forks as soon as its prefix is built, so each
+    // group finishes before the next group's prefix starts.
+    std::vector<RunSpec> specs;
+    for (int g = 0; g < 3; ++g) {
+        for (double upper : {356.0, 357.0}) {
+            ExperimentOptions opts = fastOpts();
+            opts.dtm = DtmMode::SelectiveSedation;
+            opts.convectionR = 0.8 - 0.05 * g;
+            opts.upperThreshold = upper;
+            opts.lowerThreshold = upper - 1.0;
+            specs.push_back(specPairSpec("gcc", "mesa", opts)
+                                .withLabel("g" + std::to_string(g) + "/" +
+                                           std::to_string(specs.size())));
+        }
+    }
+    test::RunnerEventLog log;
+    ParallelRunner runner(1);
+    runner.run(specs);
+    ASSERT_EQ(runner.prefixStats().groups, 3u);
+    ASSERT_EQ(runner.prefixStats().forkedRuns, 6u);
+
+    for (size_t g = 0; g + 1 < 3; ++g) {
+        size_t next = log.find("prefix_built", specs[2 * g + 2].label);
+        ASSERT_NE(next, test::RunnerEventLog::npos);
+        for (size_t i = 2 * g; i < 2 * g + 2; ++i) {
+            size_t done = log.find("finished", specs[i].label);
+            ASSERT_NE(done, test::RunnerEventLog::npos) << specs[i].label;
+            EXPECT_LT(done, next) << specs[i].label;
+        }
+    }
+    for (const test::RunnerEvent &ev : log.events()) {
+        if (ev.event != "queued" && ev.event != "matrix_done")
+            EXPECT_EQ(ev.lane, 0) << ev.event << " " << ev.label;
+    }
+}
+
+TEST(RunnerClaims, WithoutPrefixTasksCellsStartInSubmissionOrder)
+{
+    // No two cells of sampleMatrix() share a divergence key, so every
+    // cell is cold and the lanes take them off one cursor.
+    std::vector<RunSpec> specs = sampleMatrix();
+    for (int jobs : {1, 3}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        test::RunnerEventLog log;
+        ParallelRunner runner(jobs);
+        runner.run(specs);
+        EXPECT_EQ(runner.prefixStats().groups, 0u);
+
+        std::vector<uint64_t> started;
+        std::vector<std::vector<uint64_t>> perLane(
+            static_cast<size_t>(jobs));
+        for (const test::RunnerEvent &ev : log.events()) {
+            if (ev.event != "started")
+                continue;
+            ASSERT_GE(ev.lane, 0);
+            ASSERT_LT(ev.lane, jobs);
+            started.push_back(ev.index);
+            perLane[static_cast<size_t>(ev.lane)].push_back(ev.index);
+        }
+        ASSERT_EQ(started.size(), specs.size());
+        // Claims follow submission order on every lane; with one lane
+        // that is the whole order.
+        for (const std::vector<uint64_t> &lane : perLane)
+            EXPECT_TRUE(std::is_sorted(lane.begin(), lane.end()));
+        if (jobs == 1) {
+            for (size_t i = 0; i < started.size(); ++i)
+                EXPECT_EQ(started[i], i);
         }
     }
 }
