@@ -543,6 +543,7 @@ Simulator::drive(AtSample &&at_sample)
     Cycles toMonitor = monitor;
     Cycles toSensor = sensor;
     Cycles stalled_cycles = 0;
+    bool idle = false; // the last lockstep cycle moved no instruction
 
     while (cores_[0].pipeline->cycle() < quantum) {
         bool all_stalled = true;
@@ -576,16 +577,41 @@ Simulator::drive(AtSample &&at_sample)
             toMonitor = gone < toMonitor ? toMonitor - gone
                                          : toMonitor - gone + monitor;
         } else {
+            if (idle) {
+                // Jump the cycles in which no running core would move
+                // an instruction either, as ticks would, stopping one
+                // short of the next boundary so that it ticks as usual.
+                Cycles n = std::min({toMonitor, toSensor,
+                                     quantum - cores_[0].pipeline->cycle()}) -
+                           1;
+                for (const CoreState &core : cores_) {
+                    if (n == 0)
+                        break;
+                    if (!core.pipeline->globalStalled())
+                        n = core.pipeline->idleCycles(n);
+                }
+                if (n > 0) {
+                    for (CoreState &core : cores_) {
+                        if (core.pipeline->globalStalled())
+                            core.pipeline->advanceStalled(n);
+                        else
+                            core.pipeline->skipIdle(n);
+                    }
+                    toMonitor -= n;
+                    toSensor -= n;
+                }
+            }
             // Lockstep cycle: stalled cores only account their stall
             // (stop-and-go is per-core now), the rest execute.
+            idle = true;
             for (size_t c = 0; c < cores_.size(); ++c) {
                 CoreState &core = cores_[c];
                 if (tracer_)
                     tracer_->setCoreId(static_cast<uint8_t>(c));
                 if (core.pipeline->globalStalled())
                     core.pipeline->advanceStalled(1);
-                else
-                    core.pipeline->tick();
+                else if (core.pipeline->tick())
+                    idle = false;
             }
             if (--toMonitor == 0) {
                 toMonitor = monitor;

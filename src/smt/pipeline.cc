@@ -248,25 +248,70 @@ Pipeline::advanceStalled(Cycles n)
     }
 }
 
-void
+bool
 Pipeline::tick()
 {
     ++cycle_;
     recordStallAccounting();
     if (globalStall_)
-        return;
+        return false;
     if (throttle_ > 1 && (cycle_ % static_cast<Cycles>(throttle_)) != 0)
-        return;
+        return false;
     ++activeCycles_;
-    commitStage();
-    writebackStage();
-    issueStage();
-    fetchStage();
+    bool moved = commitStage();
+    moved |= writebackStage();
+    moved |= issueStage();
+    moved |= fetchStage();
+    return moved;
+}
+
+Cycles
+Pipeline::idleCycles(Cycles limit) const
+{
+    if (globalStall_ || throttle_ != 1)
+        return 0;
+    for (const ReadyList &rl : ready_)
+        if (rl.head != rl.v.size())
+            return 0;
+    // The tick of cycle c completes what is due by c and fetches for a
+    // thread stalled until c: the stretch ends before the earliest.
+    const Cycles next = cycle_ + 1;
+    Cycles end = next + limit;
+    for (const InstHandle &h : issued_) {
+        if (!valid(h))
+            return 0;
+        end = std::min(end, slots_[h.slot].completeCycle);
+    }
+    for (const ThreadContext &tc : threads_) {
+        if (!tc.rob.empty() &&
+            slots_[tc.rob.front().slot].stage == InstStage::Completed)
+            return 0;
+        if (tc.state != ThreadState::Active)
+            continue;
+        if (tc.fetchEvery != 1)
+            return 0;
+        if (!tc.sedated && !tc.stoppedFetchingAfterHalt &&
+            !dispatchBlocked(tc))
+            end = std::min(end, tc.fetchStallUntil);
+    }
+    return end > next ? end - next : 0;
+}
+
+void
+Pipeline::skipIdle(Cycles n)
+{
+    cycle_ += n;
+    activeCycles_ += n;
+    icountRotor_ += n;
+    for (ThreadContext &tc : threads_) {
+        if (tc.state == ThreadState::Active)
+            (tc.sedated ? tc.sedationCycles : tc.normalCycles) += n;
+    }
 }
 
 // --- commit -------------------------------------------------------------
 
-void
+bool
 Pipeline::commitStage()
 {
     int budget = params_.commitWidth;
@@ -286,6 +331,7 @@ Pipeline::commitStage()
             --budget;
         }
     }
+    return budget != params_.commitWidth;
 }
 
 void
@@ -341,7 +387,7 @@ Pipeline::commitInst(DynInst &inst, ThreadContext &tc)
 
 // --- writeback ----------------------------------------------------------
 
-void
+bool
 Pipeline::writebackStage()
 {
     // Collect instructions whose FU latency expires this cycle, oldest
@@ -401,6 +447,7 @@ Pipeline::writebackStage()
             }
         }
     }
+    return !done.empty();
 }
 
 void
@@ -455,7 +502,7 @@ Pipeline::enqueueReady(const InstHandle &h, const DynInst &inst)
     rl.v.insert(pos, ent);
 }
 
-void
+bool
 Pipeline::issueStage()
 {
     // Oldest-first issue over the per-pool ready lists: each pick takes
@@ -577,6 +624,7 @@ Pipeline::issueStage()
             rl.head = 0;
         }
     }
+    return issue_left != params_.issueWidth;
 }
 
 void
@@ -791,7 +839,7 @@ Pipeline::squashFrom(ThreadContext &tc, InstSeqNum younger_than)
 
 // --- fetch / dispatch ---------------------------------------------------
 
-void
+bool
 Pipeline::fetchStage()
 {
     // ICOUNT: order runnable threads by instructions in flight. The
@@ -845,6 +893,7 @@ Pipeline::fetchStage()
                         lines_left);
         --threads_left;
     }
+    return budget != params_.fetchWidth;
 }
 
 void
@@ -904,6 +953,18 @@ Pipeline::fetchFromThread(ThreadContext &tc, int &budget, int &lines_left)
             tc.pc += 1;
         }
     }
+}
+
+bool
+Pipeline::dispatchBlocked(const ThreadContext &tc) const
+{
+    // fetchFromThread's first two checks, in its order: the RUU, then
+    // a memory op at pc against the LSQ (a bad pc is left to panic in
+    // the tick).
+    if (ruuUsed_ >= params_.ruuEntries)
+        return true;
+    return lsqUsed_ >= params_.lsqEntries && tc.program->validPc(tc.pc) &&
+           tc.program->fetch(tc.pc).isMemRef();
 }
 
 bool

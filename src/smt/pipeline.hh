@@ -75,8 +75,26 @@ class Pipeline
     void setThreadProgram(ThreadId tid, const Program *program);
 
     /** Advance one cycle (a no-op except accounting while globally
-     *  stalled). */
-    void tick();
+     *  stalled). @return whether the cycle moved an instruction:
+     *  dispatched, issued, completed or committed one. */
+    bool tick();
+
+    /**
+     * How many of the next ticks, at most @p limit, would change
+     * nothing but the per-cycle counters that skipIdle() advances.
+     * Such a stretch needs: empty ready lists and no squashed entry in
+     * the issued list (removing either changes the snapshot), no
+     * completed ROB head, and every active thread sedated, stopped
+     * after a halt, fetch-stalled, or unable to dispatch before any
+     * side effect (RUU full, or a memory op with the LSQ full). It
+     * ends before the first completion or fetch-stall release. 0
+     * while stalled or throttled (duty cycle or per-thread).
+     */
+    Cycles idleCycles(Cycles limit) const;
+
+    /** Advance @p n cycles that idleCycles() reported idle in one step:
+     *  the state @p n ticks would leave. */
+    void skipIdle(Cycles n);
 
     /**
      * Fast-forward @p n cycles while globally stalled (simulator
@@ -158,16 +176,19 @@ class Pipeline
     InstHandle allocSlot();
     void freeSlot(const InstHandle &h);
 
-    // Stages (called in reverse pipe order each tick).
-    void commitStage();
-    void writebackStage();
-    void issueStage();
-    void fetchStage();
+    // Stages (called in reverse pipe order each tick). Each returns
+    // whether it moved an instruction.
+    bool commitStage();
+    bool writebackStage();
+    bool issueStage();
+    bool fetchStage();
 
     // Helpers.
     void fetchFromThread(ThreadContext &tc, int &budget, int &lines_left);
     bool dispatchInst(ThreadContext &tc, const Instruction &si,
                       uint64_t pc);
+    /** fetchFromThread(@p tc) would stop before any side effect. */
+    bool dispatchBlocked(const ThreadContext &tc) const;
     void captureSource(DynInst &inst, const InstHandle &self, int slot,
                        bool is_fp, int reg, ThreadContext &tc);
     void executeFunctional(DynInst &inst, ThreadContext &tc);

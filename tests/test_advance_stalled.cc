@@ -5,11 +5,17 @@
  * boundary, and stalls clipped by the end of the quantum. The
  * fast-forward must be indistinguishable from ticking the stalled
  * pipeline cycle by cycle — same cycle count, same per-thread cooling
- * accounting, same number of sensor samples.
+ * accounting, same number of sensor samples. The idle-cycle skip of a
+ * running pipeline is held to the same standard: the same state
+ * bytes as ticking through the stretch.
  */
+
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/state_buffer.hh"
 #include "isa/assembler.hh"
 #include "sim/simulator.hh"
 #include "smt/pipeline.hh"
@@ -73,6 +79,86 @@ TEST(PipelineDeathTest, AdvanceStalledRequiresAStall)
     Pipeline pipe(params);
     pipe.setThreadProgram(0, &a);
     EXPECT_DEATH(pipe.advanceStalled(5), "advanceStalled");
+}
+
+/** The snapshot bytes of @p pipe. */
+std::vector<uint8_t>
+stateOf(const Pipeline &pipe)
+{
+    std::vector<uint8_t> bytes;
+    StateWriter w(bytes);
+    w.record(pipe);
+    return bytes;
+}
+
+/**
+ * Two memory-bound threads, one pipeline ticked cycle by cycle and one
+ * that jumps every idle stretch after a tick that moved nothing. Thread
+ * 1 is sedated for a while, so the skip also accounts sedated cycles.
+ * At each checkpoint the two must hold the same bytes.
+ */
+TEST(Pipeline, IdleSkipMatchesTicking)
+{
+    Program mcf = synthesizeSpec("mcf");
+    Program art = synthesizeSpec("art");
+    SmtParams params;
+    Pipeline ticked(params), skipping(params);
+    for (Pipeline *p : {&ticked, &skipping}) {
+        p->setThreadProgram(0, &mcf);
+        p->setThreadProgram(1, &art);
+    }
+    Cycles skipped = 0;
+    bool idle = false;
+    for (Cycles target = 10000; target <= 200000; target += 10000) {
+        bool sedate = target > 60000 && target <= 120000;
+        for (Pipeline *p : {&ticked, &skipping})
+            p->setSedated(1, sedate);
+        while (ticked.cycle() < target)
+            ticked.tick();
+        while (skipping.cycle() < target) {
+            if (idle) {
+                Cycles n = skipping.idleCycles(target - skipping.cycle());
+                skipping.skipIdle(n);
+                skipped += n;
+                if (skipping.cycle() == target)
+                    break;
+            }
+            idle = !skipping.tick();
+        }
+        ASSERT_EQ(stateOf(skipping), stateOf(ticked)) << "cycle " << target;
+    }
+    EXPECT_GT(skipped, 10000u);
+    EXPECT_GT(skipping.thread(1).sedationCycles, 0u);
+}
+
+TEST(Pipeline, IdleSkipRefusesStalledAndThrottledPipelines)
+{
+    // A thread waiting on a divide chain: idle between completions.
+    Program divs = assemble(R"(
+        addi r1, r0, 7
+    top:
+        div r1, r1, r1
+        div r1, r1, r1
+        jmp top
+    )");
+    SmtParams params;
+    params.numThreads = 1;
+    params.ruuEntries = 4;
+    Pipeline pipe(params);
+    pipe.setThreadProgram(0, &divs);
+    while (pipe.tick() || pipe.idleCycles(100) == 0)
+        ASSERT_LT(pipe.cycle(), 10000u);
+    EXPECT_GT(pipe.idleCycles(100), 0u);
+    EXPECT_EQ(pipe.idleCycles(0), 0u);
+
+    pipe.setThrottle(2);
+    EXPECT_EQ(pipe.idleCycles(100), 0u);
+    pipe.setThrottle(1);
+    pipe.setThreadThrottle(0, 2);
+    EXPECT_EQ(pipe.idleCycles(100), 0u);
+    pipe.setThreadThrottle(0, 1);
+    pipe.setGlobalStall(true);
+    EXPECT_EQ(pipe.idleCycles(100), 0u);
 }
 
 // --- simulator level ---------------------------------------------------
