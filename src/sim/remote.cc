@@ -1,5 +1,7 @@
 #include "sim/remote.hh"
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -549,6 +551,23 @@ serveWorker(uint16_t port)
         fatal("worker: cannot listen on port %u", port);
     inform("worker: serving on port %u", port);
     return serveWorker(listener);
+}
+
+RemoteWorker::~RemoteWorker()
+{
+    if (state_ != State::Connected)
+        return;
+    // Closing with the worker's heartbeats still unread would reset the
+    // connection, and the worker would log the end of a good campaign
+    // as a broken connection. Half-close instead and read until the
+    // worker, seeing EOF between jobs, closes its side.
+    ::shutdown(sock_.fd(), SHUT_WR);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    std::vector<uint8_t> frame;
+    while (recvFrame(sock_, frame, 1000) == RecvStatus::Ok &&
+           std::chrono::steady_clock::now() < until) {
+    }
 }
 
 bool

@@ -233,6 +233,10 @@ class RemoteWorker
         telemetry_.endpoint = ep_.str();
     }
 
+    /** Closes a live connection gracefully: half-close, then read to
+     *  the worker's EOF for at most a second. */
+    ~RemoteWorker();
+
     const Endpoint &endpoint() const { return ep_; }
 
     /** @return false once the worker has been declared lost. */

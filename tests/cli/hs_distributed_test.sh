@@ -8,7 +8,8 @@
 # fields (wall-clock measurements, inherently machine-dependent) are
 # stripped. Then reruns the matrix against the warm store and requires
 # every cell to be a disk hit: zero simulation, byte-identical CSV
-# including the cold run's host columns.
+# including the cold run's host columns. Last, a campaign on workers
+# with fast heartbeats must end without a warning in their logs.
 #
 # usage: hs_distributed_test.sh <path-to-hs_run>
 
@@ -150,6 +151,44 @@ kill "$W1" "$W2" 2>/dev/null
 wait "$W1" "$W2" 2>/dev/null
 W1=
 W2=
+
+# --- a good campaign ends quietly on the workers -----------------------
+
+# Workers beating every 5 ms have heartbeats queued when the coordinator
+# hangs up; the end of a good campaign must still reach them as an
+# orderly disconnect, not a broken connection. They are awaited through
+# their logs: a probe connection would log a refused coordinator.
+wait_serving()
+{
+    tries=0
+    until grep -q "serving on port" "$1"; do
+        tries=$((tries + 1))
+        [ "$tries" -gt 200 ] && return 1
+        sleep 0.05
+    done
+}
+
+P3=$((P2 + 1))
+P4=$((P2 + 2))
+HS_HEARTBEAT_MS=5 "$BIN" --serve "$P3" >"$TMP/w3.log" 2>&1 &
+W1=$!
+HS_HEARTBEAT_MS=5 "$BIN" --serve "$P4" >"$TMP/w4.log" 2>&1 &
+W2=$!
+wait_serving "$TMP/w3.log" || fail "worker 3 never came up"
+wait_serving "$TMP/w4.log" || fail "worker 4 never came up"
+run "beating workers" beat --jobs 1 --workers "127.0.0.1:$P3,127.0.0.1:$P4"
+same "beating workers vs solo" solo beat
+kill "$W1" "$W2" 2>/dev/null
+wait "$W1" "$W2" 2>/dev/null
+W1=
+W2=
+for w in w3 w4; do
+    grep -q "coordinator disconnected" "$TMP/$w.log" ||
+        fail "$w: no orderly disconnect"
+    if grep -q "^warn" "$TMP/$w.log"; then
+        fail "$w: warned at the end of a good campaign"
+    fi
+done
 
 if [ "$fails" -ne 0 ]; then
     echo "$fails distributed contract check(s) failed" >&2
