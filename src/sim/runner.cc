@@ -453,10 +453,10 @@ ParallelRunner::run(const std::vector<RunSpec> &specs)
     // reaches that last case only once every prefix task is claimed by
     // a lane that waits on nothing, and there is always at least one
     // local lane, so no wait is circular. Remote lanes take cells only,
-    // so --jobs bounds the local simulation threads: any ready cell
-    // before a waiting one. Cold cells sit behind a cursor and only the
-    // groups are scanned, so a matrix without prefix tasks pays one
-    // uncontended lock per claim.
+    // so --jobs bounds the local simulation threads; they too take any
+    // ready cell before a waiting one. Cold cells sit behind a cursor
+    // and only the groups are scanned, so a matrix without prefix tasks
+    // pays one uncontended lock per claim.
     struct Claim
     {
         bool prefix; ///< index names a prefix task, not a cell

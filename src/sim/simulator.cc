@@ -578,9 +578,11 @@ Simulator::drive(AtSample &&at_sample)
                                          : toMonitor - gone + monitor;
         } else {
             if (idle) {
-                // Jump the cycles in which no running core would move
-                // an instruction either, as ticks would, stopping one
-                // short of the next boundary so that it ticks as usual.
+                // The last cycle moved nothing: advance every core, as
+                // ticking would, across the cycles in which no running
+                // core moves an instruction either. Stop one short of
+                // the next monitor or sensor boundary or the quantum
+                // end, so that cycle ticks as usual.
                 Cycles n = std::min({toMonitor, toSensor,
                                      quantum - cores_[0].pipeline->cycle()}) -
                            1;

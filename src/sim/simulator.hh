@@ -52,7 +52,8 @@ namespace hs {
  */
 struct SimProfile
 {
-    uint64_t tickedCycles = 0;   ///< cycles executed via tick()
+    uint64_t tickedCycles = 0;   ///< cycles executed via tick() or
+                                 ///< skipped exactly while idle
     uint64_t stalledCycles = 0;  ///< cycles skipped via advanceStalled()
     uint64_t sensorSamples = 0;  ///< thermal/DTM sample points
     uint64_t snapshotOps = 0;    ///< save() + restore() calls
@@ -313,8 +314,9 @@ class Simulator
 
     /**
      * The one drive loop, Section 4's schedule: tick every core in
-     * lockstep (fast-forwarding while every pipeline is stalled),
-     * sample the usage monitors every monitorInterval cycles and the
+     * lockstep (fast-forwarding while every pipeline is stalled, and
+     * across stretches in which no running pipeline would move an
+     * instruction), sample the usage monitors every monitorInterval cycles and the
      * sensors every sensorInterval cycles. After each sensor sample
      * @p at_sample runs; returning true stops the loop there.
      * Otherwise it stops at the end of the quantum or once the machine

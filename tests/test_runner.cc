@@ -383,8 +383,9 @@ TEST(RunnerClaims, OneLaneFinishesEachGroupBeforeTheNextPrefix)
         }
     }
     for (const test::RunnerEvent &ev : log.events()) {
-        if (ev.event != "queued" && ev.event != "matrix_done")
+        if (ev.event != "queued" && ev.event != "matrix_done") {
             EXPECT_EQ(ev.lane, 0) << ev.event << " " << ev.label;
+        }
     }
 }
 

@@ -151,9 +151,10 @@ printProfile(const SimProfile &p)
                "-", "-",
                TablePrinter::num(p.snapshotSeconds, 3),
                TablePrinter::num(time_share(p.snapshotSeconds), 1)});
-    std::printf("rows: tick = cycle-by-cycle execution, thermal = "
-                "sensor sampling + RC step,\nstalled = advanceStalled "
-                "fast-forward, snapshot = save/restore byte copies.\n");
+    std::printf("rows: tick = cycle-by-cycle execution, including idle "
+                "stretches skipped exactly,\nthermal = sensor sampling + "
+                "RC step, stalled = advanceStalled fast-forward,\n"
+                "snapshot = save/restore byte copies.\n");
 }
 
 /** Open @p path for writing, with "-" meaning stdout. */
