@@ -595,9 +595,10 @@ TEST(RemoteEndToEnd, RemoteLaneWaitsForItsGroupsPrefix)
 TEST(RunnerClaims, RemoteLaneStartsColdCellsBeforeWaitingForks)
 {
     // The group comes first and its prefix is long (a scale-500
-    // quantum); the cold cells are short (scale 20000). The only local
-    // lane builds the prefix, and the dispatcher, which never takes a
-    // prefix task, starts every cold cell instead of waiting for it.
+    // quantum, 40x a cold cell's); the cold cells are short (scale
+    // 20000). The only local lane builds the prefix, and the
+    // dispatcher, which never takes a prefix task, starts every cold
+    // cell before the prefix is built instead of waiting for it.
     std::vector<RunSpec> specs;
     for (RunSpec &s : thresholdGroup(0.8)) {
         s.opts.timeScale = 500.0;
