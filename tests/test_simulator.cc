@@ -270,6 +270,33 @@ TEST(ResultBytes, ConfigExtrasArePinned)
                    {5802, 0xfade75f599b17668ull}}});
 }
 
+TEST(ResultBytes, PartiallyStalledDieIsPinned)
+{
+    // gcc + variant 1 on core 0 and mesa alone on core 1: stop-and-go
+    // stalls core 0 for about a third of the quantum while core 1 keeps
+    // running, so no cycle has every core stalled.
+    RunSpec die = withVariantSpec("gcc", 1, scaleOpts(500.0));
+    die.workloads.push_back(WorkloadSpec::spec("mesa"));
+    die = die.withTopology(2, {0, 0, 1});
+    const ResultPin pins[] = {
+        {die.withDtm(DtmMode::StopAndGo), {10376, 0x3a0651032fdb38e5ull}},
+        {die.withDtm(DtmMode::SelectiveSedation),
+         {10712, 0x3ac6de0a283d3958ull}}};
+    for (const ResultPin &pin : pins) {
+        SCOPED_TRACE(pin.spec.canonicalKey());
+        SimProfile prof;
+        RunResult r = executeRunSpec(pin.spec, nullptr, &prof);
+        std::vector<uint8_t> bytes = simulatedBytes(r);
+        EXPECT_EQ(bytes.size(), pin.bytes.size);
+        EXPECT_EQ(checksum64(bytes.data(), bytes.size()), pin.bytes.sum);
+        ASSERT_EQ(r.threads.size(), 3u);
+        EXPECT_GT(r.threads[0].coolingCycles, 0u);
+        EXPECT_EQ(r.threads[2].coolingCycles, 0u);
+        EXPECT_EQ(prof.stalledCycles, 0u);
+        EXPECT_EQ(prof.tickedCycles, r.cycles);
+    }
+}
+
 TEST(ResultBytes, PrefixForkIsPinned)
 {
     // Snapshot.UsageCellForksBeforeItsTrigger's attack cell: its
