@@ -398,6 +398,11 @@ serveConnection(Socket &conn, uint64_t &jobsDone)
     RecvStatus st = recvFrame(conn, frame, kHandshakeTimeoutMs);
     std::string why;
     uint32_t peerCaps = 0;
+    if (st == RecvStatus::Eof) {
+        // A port probe or health check: nothing was refused.
+        inform("worker: connection closed before the handshake");
+        return false;
+    }
     if (st != RecvStatus::Ok ||
         !checkHello(frame, FrameType::Hello, why, &peerCaps)) {
         warn("worker: refusing coordinator: %s",

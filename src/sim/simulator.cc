@@ -546,93 +546,70 @@ Simulator::drive(AtSample &&at_sample)
     bool idle = false; // the last lockstep cycle moved no instruction
 
     while (cores_[0].pipeline->cycle() < quantum) {
-        bool all_stalled = true;
-        for (const CoreState &core : cores_) {
-            if (!core.pipeline->globalStalled()) {
-                all_stalled = false;
-                break;
+        if (idle) {
+            // The last cycle moved nothing: advance every core, as
+            // ticking would, across the cycles in which no core moves
+            // an instruction either (a stalled core never does). Stop
+            // one short of the next monitor or sensor boundary or the
+            // quantum end, so that cycle ticks as usual.
+            Cycles n = std::min({toMonitor, toSensor,
+                                 quantum - cores_[0].pipeline->cycle()}) -
+                       1;
+            for (const CoreState &core : cores_) {
+                if (n == 0)
+                    break;
+                n = core.pipeline->idleCycles(n);
+            }
+            if (n > 0) {
+                auto t0 = profiling_
+                              ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
+                bool all_stalled = true;
+                for (CoreState &core : cores_) {
+                    all_stalled &= core.pipeline->globalStalled();
+                    core.pipeline->skipIdle(n);
+                }
+                if (all_stalled) {
+                    stalled_cycles += n;
+                    if (profiling_)
+                        profile_.stallSeconds +=
+                            std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+                }
+                toMonitor -= n;
+                toSensor -= n;
             }
         }
-        if (all_stalled) {
-            // Nothing can change until a policy releases a pipeline at
-            // a sensor boundary: fast-forward every core to it.
-            // (Stalls begin at sensor samples, so toSensor is the full
-            // distance to the next boundary.) Monitor samples are
-            // skipped while stalled, as before; re-anchor that
-            // countdown to the landing cycle.
-            Cycles now = cores_[0].pipeline->cycle();
-            Cycles delta = std::min(toSensor, quantum - now);
-            auto t0 = profiling_ ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-            for (CoreState &core : cores_)
-                core.pipeline->advanceStalled(delta);
-            if (profiling_)
-                profile_.stallSeconds +=
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-            stalled_cycles += delta;
-            toSensor -= delta;
-            Cycles gone = delta % monitor;
-            toMonitor = gone < toMonitor ? toMonitor - gone
-                                         : toMonitor - gone + monitor;
-        } else {
-            if (idle) {
-                // The last cycle moved nothing: advance every core, as
-                // ticking would, across the cycles in which no running
-                // core moves an instruction either. Stop one short of
-                // the next monitor or sensor boundary or the quantum
-                // end, so that cycle ticks as usual.
-                Cycles n = std::min({toMonitor, toSensor,
-                                     quantum - cores_[0].pipeline->cycle()}) -
-                           1;
-                for (const CoreState &core : cores_) {
-                    if (n == 0)
-                        break;
-                    if (!core.pipeline->globalStalled())
-                        n = core.pipeline->idleCycles(n);
-                }
-                if (n > 0) {
-                    for (CoreState &core : cores_) {
-                        if (core.pipeline->globalStalled())
-                            core.pipeline->advanceStalled(n);
-                        else
-                            core.pipeline->skipIdle(n);
-                    }
-                    toMonitor -= n;
-                    toSensor -= n;
-                }
-            }
-            // Lockstep cycle: stalled cores only account their stall
-            // (stop-and-go is per-core now), the rest execute.
-            idle = true;
+        // Lockstep cycle: a stalled core's tick only accounts its stall
+        // (stop-and-go is per-core), the rest execute.
+        idle = true;
+        bool all_stalled = true;
+        for (size_t c = 0; c < cores_.size(); ++c) {
+            CoreState &core = cores_[c];
+            if (tracer_)
+                tracer_->setCoreId(static_cast<uint8_t>(c));
+            all_stalled &= core.pipeline->globalStalled();
+            if (core.pipeline->tick())
+                idle = false;
+        }
+        stalled_cycles += all_stalled;
+        if (--toMonitor == 0) {
+            toMonitor = monitor;
             for (size_t c = 0; c < cores_.size(); ++c) {
                 CoreState &core = cores_[c];
+                if (core.pipeline->globalStalled())
+                    continue; // stalled cores skip monitor samples
                 if (tracer_)
                     tracer_->setCoreId(static_cast<uint8_t>(c));
-                if (core.pipeline->globalStalled())
-                    core.pipeline->advanceStalled(1);
-                else if (core.pipeline->tick())
-                    idle = false;
+                for (auto &policy : core.policies)
+                    policy->atMonitorSample(core.pipeline->cycle(),
+                                            core.pipeline->activity());
             }
-            if (--toMonitor == 0) {
-                toMonitor = monitor;
-                for (size_t c = 0; c < cores_.size(); ++c) {
-                    CoreState &core = cores_[c];
-                    if (core.pipeline->globalStalled())
-                        continue; // stalled cores skip monitor samples
-                    if (tracer_)
-                        tracer_->setCoreId(static_cast<uint8_t>(c));
-                    for (auto &policy : core.policies)
-                        policy->atMonitorSample(
-                            core.pipeline->cycle(),
-                            core.pipeline->activity());
-                }
-            }
-            if (tracer_)
-                tracer_->setCoreId(0);
-            --toSensor;
         }
+        if (tracer_)
+            tracer_->setCoreId(0);
+        --toSensor;
         if (toSensor == 0) {
             toSensor = sensor;
             sampleSensors();
@@ -688,8 +665,8 @@ Simulator::run()
     profile_.stalledCycles += stalled_cycles;
     profile_.tickedCycles +=
         (cores_[0].pipeline->cycle() - start_cycle) - stalled_cycles;
-    // Whatever the loop did not spend sampling sensors or
-    // fast-forwarding stalls was cycle-by-cycle execution.
+    // Whatever the loop did not spend sampling sensors or skipping
+    // stalls was cycle-by-cycle execution.
     profile_.tickSeconds = profile_.totalSeconds -
                            profile_.thermalSeconds -
                            profile_.stallSeconds;

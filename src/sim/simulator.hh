@@ -48,19 +48,21 @@ namespace hs {
  * Wall-clock and cycle attribution across the simulator's cost
  * centres, filled when profiling is enabled (hs_run --profile).
  * tickSeconds is derived at the end of each run() as the loop time not
- * spent in thermal samples or stalled fast-forwarding.
+ * spent in thermal samples or in skips taken with every core stalled.
  */
 struct SimProfile
 {
     uint64_t tickedCycles = 0;   ///< cycles executed via tick() or
-                                 ///< skipped exactly while idle
-    uint64_t stalledCycles = 0;  ///< cycles skipped via advanceStalled()
+                                 ///< skipped exactly while idle, with
+                                 ///< some core not stalled
+    uint64_t stalledCycles = 0;  ///< cycles with every core stalled,
+                                 ///< ticked or skipped
     uint64_t sensorSamples = 0;  ///< thermal/DTM sample points
     uint64_t snapshotOps = 0;    ///< save() + restore() calls
     double totalSeconds = 0.0;   ///< run() wall time
     double tickSeconds = 0.0;    ///< cycle-by-cycle execution
     double thermalSeconds = 0.0; ///< sampleSensors() (power + RC step)
-    double stallSeconds = 0.0;   ///< stalled fast-forward bookkeeping
+    double stallSeconds = 0.0;   ///< skips taken with every core stalled
     double snapshotSeconds = 0.0;///< save() + restore() wall time
 };
 
@@ -314,15 +316,15 @@ class Simulator
 
     /**
      * The one drive loop, Section 4's schedule: tick every core in
-     * lockstep (fast-forwarding while every pipeline is stalled, and
-     * across stretches in which no running pipeline would move an
-     * instruction), sample the usage monitors every monitorInterval cycles and the
-     * sensors every sensorInterval cycles. After each sensor sample
+     * lockstep (skipping, exactly, the stretches in which no pipeline
+     * would move an instruction, stalled ones included), sample the
+     * usage monitors every monitorInterval cycles and the sensors every
+     * sensorInterval cycles. After each sensor sample
      * @p at_sample runs; returning true stops the loop there.
      * Otherwise it stops at the end of the quantum or once the machine
      * halts.
      *
-     * @return the cycles fast-forwarded with every pipeline stalled.
+     * @return the cycles in which every pipeline was stalled.
      */
     template <class AtSample> Cycles drive(AtSample &&at_sample);
     /** The one body of save() and restore(): every field of a

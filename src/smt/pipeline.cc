@@ -219,32 +219,23 @@ Pipeline::freeSlot(const InstHandle &h)
 // --- main loop ----------------------------------------------------------
 
 void
-Pipeline::recordStallAccounting()
+Pipeline::recordStallAccounting(Cycles n)
 {
+    // The n cycles that end at cycle_. n > 1 comes only from a skip,
+    // which idleCycles() allows a running pipeline only while no thread
+    // is throttled, so one cycle's test stands for all n.
     for (ThreadContext &tc : threads_) {
         if (tc.state != ThreadState::Active)
             continue;
         if (globalStall_) {
-            ++tc.coolingCycles;
+            tc.coolingCycles += n;
         } else if (tc.sedated ||
                    (tc.fetchEvery > 1 &&
                     cycle_ % static_cast<Cycles>(tc.fetchEvery) != 0)) {
-            ++tc.sedationCycles;
+            tc.sedationCycles += n;
         } else {
-            ++tc.normalCycles;
+            tc.normalCycles += n;
         }
-    }
-}
-
-void
-Pipeline::advanceStalled(Cycles n)
-{
-    if (!globalStall_)
-        panic("advanceStalled called while the pipeline is running");
-    cycle_ += n;
-    for (ThreadContext &tc : threads_) {
-        if (tc.state == ThreadState::Active)
-            tc.coolingCycles += n;
     }
 }
 
@@ -252,7 +243,7 @@ bool
 Pipeline::tick()
 {
     ++cycle_;
-    recordStallAccounting();
+    recordStallAccounting(1);
     if (globalStall_)
         return false;
     if (throttle_ > 1 && (cycle_ % static_cast<Cycles>(throttle_)) != 0)
@@ -268,7 +259,10 @@ Pipeline::tick()
 Cycles
 Pipeline::idleCycles(Cycles limit) const
 {
-    if (globalStall_ || throttle_ != 1)
+    // A stalled tick only counts the cycle, whatever the throttle.
+    if (globalStall_)
+        return limit;
+    if (throttle_ != 1)
         return 0;
     for (const ReadyList &rl : ready_)
         if (rl.head != rl.v.size())
@@ -301,12 +295,11 @@ void
 Pipeline::skipIdle(Cycles n)
 {
     cycle_ += n;
+    recordStallAccounting(n);
+    if (globalStall_)
+        return;
     activeCycles_ += n;
     icountRotor_ += n;
-    for (ThreadContext &tc : threads_) {
-        if (tc.state == ThreadState::Active)
-            (tc.sedated ? tc.sedationCycles : tc.normalCycles) += n;
-    }
 }
 
 // --- commit -------------------------------------------------------------

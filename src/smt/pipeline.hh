@@ -82,27 +82,20 @@ class Pipeline
     /**
      * How many of the next ticks, at most @p limit, would change
      * nothing but the per-cycle counters that skipIdle() advances.
-     * Such a stretch needs: empty ready lists and no squashed entry in
+     * While globally stalled that is all of them: @p limit. Otherwise
+     * such a stretch needs: empty ready lists and no squashed entry in
      * the issued list (removing either changes the snapshot), no
      * completed ROB head, and every active thread sedated, stopped
      * after a halt, fetch-stalled, or unable to dispatch before any
      * side effect (RUU full, or a memory op with the LSQ full). It
      * ends before the first completion or fetch-stall release. 0
-     * while stalled or throttled (duty cycle or per-thread).
+     * while throttled (duty cycle or per-thread) and not stalled.
      */
     Cycles idleCycles(Cycles limit) const;
 
     /** Advance @p n cycles that idleCycles() reported idle in one step:
      *  the state @p n ticks would leave. */
     void skipIdle(Cycles n);
-
-    /**
-     * Fast-forward @p n cycles while globally stalled (simulator
-     * optimisation: nothing can happen until the DTM releases the
-     * pipeline, so per-cycle ticking is skipped). Panics if called
-     * while not stalled.
-     */
-    void advanceStalled(Cycles n);
 
     /** Current cycle number. */
     Cycles cycle() const { return cycle_; }
@@ -197,7 +190,7 @@ class Pipeline
     void enqueueReady(const InstHandle &h, const DynInst &inst);
     void squashFrom(ThreadContext &tc, InstSeqNum younger_than);
     void commitInst(DynInst &inst, ThreadContext &tc);
-    void recordStallAccounting();
+    void recordStallAccounting(Cycles n);
 
     /// Number of functional-unit pools instructions issue to (int ALU,
     /// int multiplier, FP adder, FP multiplier, memory ports).

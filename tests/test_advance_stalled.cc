@@ -1,13 +1,12 @@
 /**
  * @file
- * Boundary-condition tests for the stalled-pipeline fast-forward path:
- * zero-length stalls, stalls whose release lands exactly on a sensor
- * boundary, and stalls clipped by the end of the quantum. The
- * fast-forward must be indistinguishable from ticking the stalled
- * pipeline cycle by cycle — same cycle count, same per-thread cooling
- * accounting, same number of sensor samples. The idle-cycle skip of a
- * running pipeline is held to the same standard: the same state
- * bytes as ticking through the stretch.
+ * Tests for the idle-cycle skip, the one way a pipeline moves forward
+ * without ticking, on running and on stalled pipelines: zero-length
+ * skips, stalls whose release lands exactly on a sensor boundary, and
+ * stalls clipped by the end of the quantum. A skip must be
+ * indistinguishable from ticking through the stretch cycle by cycle:
+ * the same state bytes, the same per-thread cooling, sedated and
+ * normal accounting, the same number of sensor samples.
  */
 
 #include <cstdint>
@@ -27,7 +26,7 @@ namespace {
 
 // --- pipeline level ----------------------------------------------------
 
-TEST(Pipeline, AdvanceStalledZeroIsANoOp)
+TEST(Pipeline, StalledSkipZeroIsANoOp)
 {
     Program a = assemble("top:\naddi r1, r1, 1\njmp top\n");
     SmtParams params;
@@ -40,17 +39,17 @@ TEST(Pipeline, AdvanceStalledZeroIsANoOp)
 
     Cycles c0 = pipe.cycle();
     uint64_t cool0 = pipe.thread(0).coolingCycles;
-    pipe.advanceStalled(0);
+    pipe.skipIdle(pipe.idleCycles(0));
     EXPECT_EQ(pipe.cycle(), c0);
     EXPECT_EQ(pipe.thread(0).coolingCycles, cool0);
 
-    // And the very next non-empty advance behaves normally.
-    pipe.advanceStalled(1);
+    // And the very next non-empty skip behaves normally.
+    pipe.skipIdle(pipe.idleCycles(1));
     EXPECT_EQ(pipe.cycle(), c0 + 1);
     EXPECT_EQ(pipe.thread(0).coolingCycles, cool0 + 1);
 }
 
-TEST(Pipeline, AdvanceStalledSkipsInactiveThreads)
+TEST(Pipeline, StalledSkipSkipsInactiveThreads)
 {
     Program loop = assemble("top:\naddi r1, r1, 1\njmp top\n");
     Program halt = assemble("halt\n");
@@ -66,19 +65,9 @@ TEST(Pipeline, AdvanceStalledSkipsInactiveThreads)
     pipe.setGlobalStall(true);
     uint64_t cool0 = pipe.thread(0).coolingCycles;
     uint64_t cool1 = pipe.thread(1).coolingCycles;
-    pipe.advanceStalled(500);
+    pipe.skipIdle(pipe.idleCycles(500));
     EXPECT_EQ(pipe.thread(0).coolingCycles, cool0 + 500);
     EXPECT_EQ(pipe.thread(1).coolingCycles, cool1);
-}
-
-TEST(PipelineDeathTest, AdvanceStalledRequiresAStall)
-{
-    Program a = assemble("top:\naddi r1, r1, 1\njmp top\n");
-    SmtParams params;
-    params.numThreads = 1;
-    Pipeline pipe(params);
-    pipe.setThreadProgram(0, &a);
-    EXPECT_DEATH(pipe.advanceStalled(5), "advanceStalled");
 }
 
 /** The snapshot bytes of @p pipe. */
@@ -94,7 +83,8 @@ stateOf(const Pipeline &pipe)
 /**
  * Two memory-bound threads, one pipeline ticked cycle by cycle and one
  * that jumps every idle stretch after a tick that moved nothing. Thread
- * 1 is sedated for a while, so the skip also accounts sedated cycles.
+ * 1 is sedated for a while, so the skip also accounts sedated cycles,
+ * and then the whole pipeline is stalled, so it accounts cooling ones.
  * At each checkpoint the two must hold the same bytes.
  */
 TEST(Pipeline, IdleSkipMatchesTicking)
@@ -111,8 +101,11 @@ TEST(Pipeline, IdleSkipMatchesTicking)
     bool idle = false;
     for (Cycles target = 10000; target <= 200000; target += 10000) {
         bool sedate = target > 60000 && target <= 120000;
-        for (Pipeline *p : {&ticked, &skipping})
+        bool stall = target > 140000 && target <= 170000;
+        for (Pipeline *p : {&ticked, &skipping}) {
             p->setSedated(1, sedate);
+            p->setGlobalStall(stall);
+        }
         while (ticked.cycle() < target)
             ticked.tick();
         while (skipping.cycle() < target) {
@@ -129,9 +122,10 @@ TEST(Pipeline, IdleSkipMatchesTicking)
     }
     EXPECT_GT(skipped, 10000u);
     EXPECT_GT(skipping.thread(1).sedationCycles, 0u);
+    EXPECT_GE(skipping.thread(0).coolingCycles, 30000u);
 }
 
-TEST(Pipeline, IdleSkipRefusesStalledAndThrottledPipelines)
+TEST(Pipeline, IdleSkipRefusesThrottledPipelines)
 {
     // A thread waiting on a divide chain: idle between completions.
     Program divs = assemble(R"(
@@ -157,8 +151,10 @@ TEST(Pipeline, IdleSkipRefusesStalledAndThrottledPipelines)
     pipe.setThreadThrottle(0, 2);
     EXPECT_EQ(pipe.idleCycles(100), 0u);
     pipe.setThreadThrottle(0, 1);
+    // A stalled tick ignores the throttle: every cycle is idle.
+    pipe.setThrottle(2);
     pipe.setGlobalStall(true);
-    EXPECT_EQ(pipe.idleCycles(100), 0u);
+    EXPECT_EQ(pipe.idleCycles(100), 100u);
 }
 
 // --- simulator level ---------------------------------------------------
@@ -167,8 +163,7 @@ TEST(Pipeline, IdleSkipRefusesStalledAndThrottledPipelines)
  * Stop-and-go with a trigger below ambient: the policy engages at the
  * very first sensor sample (cycle 20 K) and, since the die can never
  * cool below ambient, never releases. Every subsequent cycle is one
- * long stall the run-loop fast-forwards sensor interval by sensor
- * interval.
+ * long stall the run-loop skips monitor interval by monitor interval.
  */
 SimConfig
 permanentStallConfig(Cycles quantum)

@@ -293,7 +293,7 @@ TEST(Pipeline, GlobalStallFreezesEverything)
     EXPECT_GT(pipe.committed(0), before);
 }
 
-TEST(Pipeline, AdvanceStalledMatchesTickAccounting)
+TEST(Pipeline, StalledSkipMatchesTickAccounting)
 {
     Program a = assemble("top:\naddi r1, r1, 1\njmp top\n");
     SmtParams params;
@@ -305,7 +305,7 @@ TEST(Pipeline, AdvanceStalledMatchesTickAccounting)
     pipe.setGlobalStall(true);
     Cycles c0 = pipe.cycle();
     uint64_t cool0 = pipe.thread(0).coolingCycles;
-    pipe.advanceStalled(5000);
+    pipe.skipIdle(pipe.idleCycles(5000));
     EXPECT_EQ(pipe.cycle(), c0 + 5000);
     EXPECT_EQ(pipe.thread(0).coolingCycles, cool0 + 5000);
 }

@@ -153,7 +153,7 @@ printProfile(const SimProfile &p)
                TablePrinter::num(time_share(p.snapshotSeconds), 1)});
     std::printf("rows: tick = cycle-by-cycle execution, including idle "
                 "stretches skipped exactly,\nthermal = sensor sampling + "
-                "RC step, stalled = advanceStalled fast-forward,\n"
+                "RC step, stalled = cycles with every core stalled,\n"
                 "snapshot = save/restore byte copies.\n");
 }
 
