@@ -156,26 +156,16 @@ W2=
 
 # Workers beating every 5 ms have heartbeats queued when the coordinator
 # hangs up; the end of a good campaign must still reach them as an
-# orderly disconnect, not a broken connection. They are awaited through
-# their logs: a probe connection would log a refused coordinator.
-wait_serving()
-{
-    tries=0
-    until grep -q "serving on port" "$1"; do
-        tries=$((tries + 1))
-        [ "$tries" -gt 200 ] && return 1
-        sleep 0.05
-    done
-}
-
+# orderly disconnect, not a broken connection. The port probe that
+# awaits them must not read as a refused coordinator either.
 P3=$((P2 + 1))
 P4=$((P2 + 2))
 HS_HEARTBEAT_MS=5 "$BIN" --serve "$P3" >"$TMP/w3.log" 2>&1 &
 W1=$!
 HS_HEARTBEAT_MS=5 "$BIN" --serve "$P4" >"$TMP/w4.log" 2>&1 &
 W2=$!
-wait_serving "$TMP/w3.log" || fail "worker 3 never came up"
-wait_serving "$TMP/w4.log" || fail "worker 4 never came up"
+wait_port "$P3" || fail "worker 3 never came up"
+wait_port "$P4" || fail "worker 4 never came up"
 run "beating workers" beat --jobs 1 --workers "127.0.0.1:$P3,127.0.0.1:$P4"
 same "beating workers vs solo" solo beat
 kill "$W1" "$W2" 2>/dev/null
