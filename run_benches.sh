@@ -4,6 +4,11 @@
 # Usage: run_benches.sh [--jobs N]
 #   --jobs N   worker threads for the experiment engine (exported as
 #              HS_JOBS; default: engine picks all hardware threads)
+#
+# Every harness shares one result store (HS_STORE), so a cell an earlier
+# harness already ran is read back instead of simulated again. Unless
+# the caller sets HS_STORE, it is a fresh temporary store removed on
+# exit.
 cd "$(dirname "$0")"
 
 while [ $# -gt 0 ]; do
@@ -26,6 +31,13 @@ while [ $# -gt 0 ]; do
             ;;
     esac
 done
+
+if [ -z "${HS_STORE:-}" ]; then
+    HS_STORE=$(mktemp -d) || exit 1
+    trap 'rm -rf "$HS_STORE"' EXIT
+    trap 'exit 1' HUP INT TERM
+fi
+export HS_STORE
 
 mkdir -p results
 for b in bench_calibration bench_fig3_access_rates bench_fig4_emergencies \
